@@ -583,22 +583,27 @@ class FuxiScheduler:
         # candidates from other apps then read as stale via ``wants``).
         exclusive = (not self._passthrough) and self.policy.exclusive_event
         locked_app: Optional[str] = None
-        # Entries turned away only by the exclusivity lock: the queues'
-        # lazy peek evicts anything reading 0, so they must be re-indexed
-        # after the event (same repair the ``skipped`` list gets) or they
-        # vanish until their next request delta.  Insertion-ordered dict,
-        # not a set: re-index order assigns queue tie-break sequence
-        # numbers, so it must not depend on hash salting.
-        locked_out: Dict[UnitKey, None] = {}
+        # Entries turned away for this event only — by the exclusivity
+        # lock, or because their demand avoids this machine: the queues'
+        # lazy peek evicts anything reading 0 (from the shared rack and
+        # cluster queues too), so they must be re-indexed after the event
+        # (same repair the ``skipped`` list gets) or they vanish until
+        # their next request delta.  Insertion-ordered dict, not a set:
+        # re-index order assigns queue tie-break sequence numbers, so it
+        # must not depend on hash salting.
+        turned_away: Dict[UnitKey, None] = {}
 
         def wants(unit_key: UnitKey, level: LocalityLevel, name: str) -> int:
             if unit_key in skip_keys:
                 return 0
             if locked_app is not None and unit_key.app_id != locked_app:
-                locked_out[unit_key] = None
+                turned_away[unit_key] = None
                 return 0
             demand = self._demands.get(unit_key)
-            if demand is None or machine in demand.avoid:
+            if demand is None:
+                return 0
+            if machine in demand.avoid:
+                turned_away[unit_key] = None
                 return 0
             if level is LocalityLevel.MACHINE:
                 return demand.wants_machine(name)
@@ -635,7 +640,7 @@ class FuxiScheduler:
                 break  # nothing left to hand out on this machine
         for unit_key, demand in skipped:
             self._reindex(unit_key, demand)
-        for unit_key in locked_out:
+        for unit_key in turned_away:
             if unit_key not in skip_keys:
                 demand = self._demands.get(unit_key)
                 if demand is not None:

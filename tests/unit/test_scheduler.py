@@ -124,6 +124,23 @@ def test_avoid_list_respected():
     assert all(g.machine == "m1" for g in decisions)
 
 
+def test_event_on_avoided_machine_keeps_the_demand_queued():
+    """An event on m0 reads 0 for a demand avoiding m0, so the lazy peek
+    evicts its cluster-queue head; it must be back in the queue for the
+    next free-up on a machine it accepts."""
+    scheduler = make_scheduler(machines=2, preemption=False)
+    filler = app_unit(scheduler, "filler")
+    scheduler.apply_request_delta(RequestDelta.initial(filler.key, 8))
+    picky = app_unit(scheduler, "picky")
+    scheduler.apply_request_delta(RequestDelta.initial(
+        picky.key, 1, avoid=["m0"]))
+    assert scheduler.return_resource(filler.key, "m0", 1) == []
+    decisions = scheduler.return_resource(filler.key, "m1", 1)
+    assert [(g.unit_key, g.machine, g.count) for g in decisions] == [
+        (picky.key, "m1", 1)]
+    scheduler.check_conservation()
+
+
 def test_negative_delta_cancels_waiting():
     scheduler = make_scheduler(machines=1)
     unit = app_unit(scheduler)
