@@ -534,6 +534,16 @@ def simulate(spec: Optional[RunSpec] = None, *,
     for _ in range(spec.concurrent_jobs):
         submit_one()
 
+    owed = 0
+
+    def submit_owed() -> None:
+        # While a master failover is in flight there is nobody to submit
+        # to: the replacement is owed to the next slice end with a primary.
+        nonlocal owed
+        while owed and cluster.primary_master is not None:
+            submit_one()
+            owed -= 1
+
     # Closed loop: replace each finished job until the window elapses.
     # deferred_gc: no collection pause can land inside a timed scheduling
     # section; young garbage is reclaimed between slices instead.
@@ -554,7 +564,9 @@ def simulate(spec: Optional[RunSpec] = None, *,
                                 round(job_result.makespan / ideal, 6))
                         cluster.reap_job(app_id)
                         if spec.closed_loop:
-                            submit_one()
+                            owed += 1
+                            submit_owed()
+                submit_owed()
                 if spec.gc_isolation:
                     collect_young()
                 if on_slice is not None:

@@ -103,6 +103,20 @@ class QuotaLedgerConsistency(Invariant):
         return scheduler.quota_violations()
 
 
+class WaitingShapeCensus(Invariant):
+    """The scheduler's waiting-shape census equals the shapes recomputed
+    from its demand books (a missing shape would let machine events skip
+    demands they could serve)."""
+
+    name = "waiting-shape-census"
+
+    def check(self, cluster) -> List[str]:
+        scheduler = _primary_scheduler(cluster)
+        if scheduler is None:
+            return []
+        return scheduler.census_violations()
+
+
 class SinglePrimary(Invariant):
     """At most one live FuxiMaster believes it is primary (lock lease)."""
 
@@ -167,6 +181,7 @@ def default_invariants() -> List[Invariant]:
         ResourceConservation(),
         NoDoubleGrant(),
         QuotaLedgerConsistency(),
+        WaitingShapeCensus(),
         SinglePrimary(),
         BlacklistMonotonic(),
         AgentBooksSane(),
@@ -222,7 +237,8 @@ class InvariantChecker:
             scheduler = primary.scheduler
             for detail in (scheduler.conservation_violations()
                            + scheduler.overgrant_violations()
-                           + scheduler.quota_violations()):
+                           + scheduler.quota_violations()
+                           + scheduler.census_violations()):
                 fresh.append(Violation("final-books", now, detail))
             leftovers = [
                 f"{count}x {key!r} on {machine}"

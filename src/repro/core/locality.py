@@ -37,38 +37,50 @@ CLUSTER_NODE = ""
 
 
 class _Queue:
-    """A single tree node's waiting queue: lazy heap + membership set."""
+    """A single tree node's waiting queue: lazy heap + live-entry table.
+
+    ``members`` maps each queued demand to the submission sequence number
+    it was pushed with.  A heap entry is live only while its sequence
+    number is the recorded one: entries left behind by ``discard`` stay
+    dead even if the same unit queues again later under a new number,
+    so whether an earlier event happened to drain them cannot change the
+    order.
+    """
 
     __slots__ = ("heap", "members")
 
     def __init__(self) -> None:
         self.heap: List[Tuple[int, int, UnitKey]] = []
-        self.members: Set[UnitKey] = set()
+        self.members: Dict[UnitKey, int] = {}
 
     def push(self, priority: int, seq: int, unit_key: UnitKey) -> None:
-        if unit_key in self.members:
+        if self.members.get(unit_key) == seq:
             return
-        self.members.add(unit_key)
+        self.members[unit_key] = seq
         heapq.heappush(self.heap, (priority, seq, unit_key))
 
     def discard(self, unit_key: UnitKey) -> None:
-        # Lazy: entry stays in the heap, invalidated by the membership set.
-        self.members.discard(unit_key)
+        # Lazy: entry stays in the heap, invalidated by the live-entry table.
+        self.members.pop(unit_key, None)
 
     def peek(self, valid: Callable[[UnitKey], bool]) -> Optional[Tuple[int, int, UnitKey]]:
         """Top live entry, dropping stale heads along the way."""
+        members = self.members
         while self.heap:
             priority, seq, unit_key = self.heap[0]
-            if unit_key in self.members and valid(unit_key):
+            live = members.get(unit_key) == seq
+            if live and valid(unit_key):
                 return priority, seq, unit_key
             heapq.heappop(self.heap)
-            self.members.discard(unit_key)
+            if live:
+                del members[unit_key]
         return None
 
     def pop(self) -> None:
         if self.heap:
-            _, _, unit_key = heapq.heappop(self.heap)
-            self.members.discard(unit_key)
+            _, seq, unit_key = heapq.heappop(self.heap)
+            if self.members.get(unit_key) == seq:
+                del self.members[unit_key]
 
     def __len__(self) -> int:
         return len(self.members)

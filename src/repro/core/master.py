@@ -352,7 +352,8 @@ class FuxiMaster(Actor):
         decisions: List[Grant] = []
         for unit_key in sorted(state.demands):
             demand = WaitingDemand.from_snapshot(state.demands[unit_key])
-            decisions.extend(self._reconcile_demand(unit_key, demand))
+            decisions.extend(self.scheduler.reinstall_demand(
+                unit_key, demand, place=not self.recovering))
         if self.recovering:
             self.tracer.event("master.app_report",
                               parent=self._failover_span, app=app_id)
@@ -373,24 +374,6 @@ class FuxiMaster(Actor):
             # are authoritative, push them wholesale.
             self._send_grant_full(app_id)
         self._disseminate(decisions)
-
-    def _reconcile_demand(self, unit_key: UnitKey, demand: WaitingDemand) -> List[Grant]:
-        existing = self.scheduler.demand_of(unit_key)
-        if existing is not None:
-            demand.submit_seq = existing.submit_seq
-        else:
-            self.scheduler._seq += 1
-            demand.submit_seq = self.scheduler._seq
-        self.scheduler.install_demand(unit_key, demand)
-        self.scheduler.tree.remove(unit_key)
-        if demand.is_empty():
-            return []
-        if self.recovering:
-            self.scheduler._reindex(unit_key, demand)
-            return []
-        decisions = self.scheduler._place_demand(unit_key, demand)
-        self.scheduler._reindex(unit_key, demand)
-        return decisions
 
     def _handle_app_exit(self, app_id: str) -> None:
         if self.scheduler is None:

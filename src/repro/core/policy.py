@@ -64,6 +64,12 @@ class SchedulerPolicy:
     global_recompute: bool = False
     #: consult the two-level preemption of §3.4 for starved requests
     enable_preemption: bool = True
+    #: :meth:`effective_priority` can return a different value for the
+    #: same waiting demand over time, so re-pushing a queue entry can move
+    #: it.  Must be True for any policy overriding that hook: machine
+    #: events then always run their full candidate scan (the scheduler's
+    #: early exit relies on a rejected candidate's re-push being a no-op).
+    drifting_priority: bool = False
 
     def __init__(self) -> None:
         self.scheduler: "FuxiScheduler" = None  # type: ignore[assignment]

@@ -47,8 +47,9 @@ class SchedulerConfig(ConfigBase):
             sites for one starved request (bounds worst-case planning work).
         schedule_scan_limit: stop serving a machine's queues after this many
             consecutive waiting entries that want resources but cannot fit
-            (bounds per-event work under pathological unit-size mixes; the
-            zero-free early exit handles the common case).
+            (bounds per-event work under pathological unit-size mixes and
+            behind demands at their ``max_count``; the waiting-shape census
+            ends the scan as soon as nothing waiting fits what is free).
         place_scan_limit: cap on machines taken from the cluster-wide fit
             ranking for one placement decision.  ``wanted + len(avoid)``
             machines provably suffice for an exact result (every ranked
@@ -134,6 +135,15 @@ class FuxiScheduler:
         self._machine_rack: Dict[str, str] = {}
         self._apps: Set[str] = set()
         self._seq = 0
+        # Waiting-shape census: resource shape -> number of non-empty
+        # waiting demands of that shape, and the shape each demand is
+        # counted under.  Changed only by _count_waiting.  A machine event
+        # whose free vector fits no census shape cannot grant anything.
+        self._waiting_shapes: Dict[ResourceVector, int] = {}
+        self._counted_shape: Dict[UnitKey, ResourceVector] = {}
+        # The early exit skips pop/reject/re-push rounds, which is a no-op
+        # only while a re-push cannot move an entry in its queue.
+        self._exact_exit = not self.policy.drifting_priority
         self._preemption = PreemptionPlanner(self.quota, self.units.get)
         self.policy.attach(self)
         # (group -> priority -> granted units) so the preemption pre-check
@@ -249,7 +259,7 @@ class FuxiScheduler:
 
     def _unregister_app(self, app_id: str) -> List[Grant]:
         for unit_key in self._demand_keys_of.pop(app_id, ()):
-            self.tree.remove(unit_key)
+            self._unindex(unit_key)
             del self._demands[unit_key]
         revocations = self.ledger.drop_app(app_id)
         decisions: List[Grant] = list(revocations)
@@ -283,7 +293,22 @@ class FuxiScheduler:
             # the fractional policy's CPU scaling) is what the pool,
             # ledger, quota and restore paths all see consistently.
             unit = self.policy.transform_unit(unit)
+        demand = self._demands.get(unit.key)
+        reranked = (demand is not None and unit.key in self.units
+                    and self.units.get(unit.key).priority != unit.priority)
         self.units.define(unit)
+        if reranked:
+            # Queue entries keep the priority they were pushed with, and
+            # the early exit needs that to stay the unit's priority: a
+            # re-ranked demand queues as a new submission, which retires
+            # every entry pushed under its old sequence number.
+            self._unindex(unit.key)
+            self._seq += 1
+            demand.submit_seq = self._seq
+            self._reindex(unit.key, demand)
+        elif unit.key in self._counted_shape:
+            # the census follows the shape
+            self._count_waiting(unit.key, unit.resources)
 
     def apply_request_delta(self, delta: RequestDelta) -> List[Grant]:
         """Fold a demand delta in and try to satisfy it immediately (§3.2.2)."""
@@ -305,7 +330,7 @@ class FuxiScheduler:
                 delta.unit_key.app_id, {})[delta.unit_key] = None
         demand.apply_delta(delta)
         if demand.is_empty():
-            self.tree.remove(delta.unit_key)
+            self._unindex(delta.unit_key)
             if (not demand.machine_hints and not demand.rack_hints
                     and not demand.avoid):
                 # nothing worth remembering (an avoid list must survive
@@ -416,6 +441,30 @@ class FuxiScheduler:
             if not self._passthrough:
                 self.policy.on_grant(unit, machine, count)
         return count
+
+    def reinstall_demand(self, unit_key: UnitKey, demand: WaitingDemand,
+                         place: bool = True) -> List[Grant]:
+        """Adopt a demand an application re-sent wholesale (full sync,
+        failover rebuild), replacing whatever was known for the unit.
+
+        A unit already waiting keeps its FIFO position; a new one queues
+        at the tail.  ``place=False`` only queues it — during a failover
+        rebuild the free space may belong to allocations not yet restored.
+        """
+        existing = self._demands.get(unit_key)
+        if existing is not None:
+            demand.submit_seq = existing.submit_seq
+        else:
+            self._seq += 1
+            demand.submit_seq = self._seq
+        self._demands[unit_key] = demand
+        self._demand_keys_of.setdefault(unit_key.app_id, {})[unit_key] = None
+        self._unindex(unit_key)
+        if demand.is_empty():
+            return []
+        decisions = self._place_demand(unit_key, demand) if place else []
+        self._reindex(unit_key, demand)
+        return decisions
 
     def schedule_all_machines(self) -> List[Grant]:
         """One pass over every machine's queues (used after failover rebuild)."""
@@ -575,6 +624,9 @@ class FuxiScheduler:
         """Resources freed up on ``machine``: serve its locality-path queues."""
         if not self.pool.has_machine(machine) or self.pool.is_disabled(machine):
             return []
+        exact_exit = self._exact_exit
+        if exact_exit and not self._waiting_fits(self.pool.free(machine)):
+            return []
         grants: List[Grant] = []
         skipped: List[Tuple[UnitKey, WaitingDemand]] = []
         skip_keys: Set[UnitKey] = set()
@@ -636,8 +688,13 @@ class FuxiScheduler:
             if exclusive:
                 locked_app = unit_key.app_id
             self._reindex(unit_key, demand)
-            if self.pool.free(machine).is_zero():
-                break  # nothing left to hand out on this machine
+            free = self.pool.free(machine)
+            if free.is_zero() or (exact_exit
+                                  and not self._waiting_fits(free)):
+                # Nothing left that anyone waiting could take: every
+                # further candidate would be popped, rejected and
+                # re-pushed where it was.
+                break
         for unit_key, demand in skipped:
             self._reindex(unit_key, demand)
         for unit_key in turned_away:
@@ -647,11 +704,52 @@ class FuxiScheduler:
                     self._reindex(unit_key, demand)
         return grants
 
+    def _waiting_fits(self, free: ResourceVector) -> bool:
+        """Could ``free`` hold one unit of any waiting demand's shape?
+
+        False means a machine event on that free vector grants nothing:
+        ``_grant_limit`` starts from ``pool.max_units``, which is zero
+        exactly when the unit's shape does not fit.
+        """
+        for shape in self._waiting_shapes:
+            if shape.fits_in(free):
+                return True
+        return False
+
+    def _count_waiting(self, unit_key: UnitKey,
+                       shape: Optional[ResourceVector]) -> None:
+        """Census choke point: count ``unit_key`` under ``shape`` (None:
+        it no longer waits).  Keyed by shape only — not by ``max_count``
+        or quota, which would need a census update on every grant."""
+        counted = self._counted_shape.get(unit_key)
+        if counted is shape:
+            return
+        census = self._waiting_shapes
+        if counted is not None:
+            left = census[counted] - 1
+            if left:
+                census[counted] = left
+            else:
+                del census[counted]
+        if shape is None:
+            del self._counted_shape[unit_key]
+        else:
+            census[shape] = census.get(shape, 0) + 1
+            self._counted_shape[unit_key] = shape
+
+    def _unindex(self, unit_key: UnitKey) -> None:
+        """Take a demand out of every queue and out of the census."""
+        self.tree.remove(unit_key)
+        self._count_waiting(unit_key, None)
+
     def _reindex(self, unit_key: UnitKey, demand: WaitingDemand) -> None:
+        """(Re-)register a demand in the queues and the census after any
+        change to it; an empty demand leaves both."""
         if demand.is_empty():
-            self.tree.remove(unit_key)
+            self._unindex(unit_key)
             return
         unit = self.units.get(unit_key)
+        self._count_waiting(unit_key, unit.resources)
         if self._passthrough:
             self.tree.index(unit_key, unit.priority, demand.submit_seq,
                             demand.machine_hints, demand.rack_hints,
@@ -788,17 +886,26 @@ class FuxiScheduler:
                     f"ledger says {expected!r}")
         return problems
 
+    def census_violations(self) -> List[str]:
+        """Waiting-shape census drift: the census must equal the shapes
+        recomputed from the non-empty waiting demands.  An entry too few
+        would let a machine event skip a demand it could have served."""
+        expected: Dict[ResourceVector, int] = {}
+        for unit_key, demand in self._demands.items():
+            # (a request for an undefined unit raises before it queues)
+            if not demand.is_empty() and unit_key in self.units:
+                shape = self.units.get(unit_key).resources
+                expected[shape] = expected.get(shape, 0) + 1
+        if expected != self._waiting_shapes:
+            return [f"waiting-shape census drift: census="
+                    f"{self._waiting_shapes!r} demands say {expected!r}"]
+        return []
+
     def check_conservation(self) -> None:
         """Assert free + allocated == capacity on every machine (test hook)."""
         problems = self.conservation_violations()
         if problems:
             raise AssertionError("; ".join(problems))
-
-    def install_demand(self, unit_key: UnitKey,
-                       demand: "WaitingDemand") -> None:
-        """Adopt a reconciled/restored demand object wholesale (failover)."""
-        self._demands[unit_key] = demand
-        self._demand_keys_of.setdefault(unit_key.app_id, {})[unit_key] = None
 
     def snapshot_demands(self) -> Dict[UnitKey, dict]:
         """Serializable copy of every outstanding demand (failover support)."""

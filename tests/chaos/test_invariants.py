@@ -6,7 +6,9 @@ on deliberately corrupted books (must speak up with a useful message).
 
 from repro.chaos.invariants import (BlacklistMonotonic, InvariantChecker,
                                     ResourceConservation, SinglePrimary,
-                                    Violation, default_invariants)
+                                    Violation, WaitingShapeCensus,
+                                    default_invariants)
+from repro.core.request import RequestDelta
 from repro.core.resources import ResourceVector
 from repro.core.units import ScheduleUnit, UnitKey
 from repro.workloads.synthetic import mapreduce_job
@@ -49,6 +51,22 @@ def test_conservation_flags_pool_ledger_drift():
     checker = InvariantChecker()
     fresh = checker.check_step(cluster)
     assert any(v.invariant == "resource-conservation" for v in fresh)
+
+
+def test_census_flags_a_waiting_demand_it_does_not_count():
+    cluster = make_cluster()
+    scheduler = cluster.primary_master.scheduler
+    scheduler.register_app("ghost")
+    unit = ScheduleUnit("ghost", 0, ResourceVector.of(cpu=10 ** 6))
+    scheduler.define_unit(unit)
+    scheduler.apply_request_delta(RequestDelta(unit.key, 1))  # cannot fit
+    assert WaitingShapeCensus().check(cluster) == []
+    # A demand change that bypasses the scheduler's census choke point.
+    scheduler._waiting_shapes.clear()
+    problems = WaitingShapeCensus().check(cluster)
+    assert problems and "census" in problems[0]
+    fresh = InvariantChecker().check_step(cluster)
+    assert any(v.invariant == "waiting-shape-census" for v in fresh)
 
 
 def test_single_primary_silent_without_primary():

@@ -63,11 +63,8 @@ def rebuild_from(old):
     # AMs re-send outstanding demand
     for unit_key, snapshot in old.snapshot_demands().items():
         from repro.core.request import WaitingDemand
-        demand = WaitingDemand.from_snapshot(snapshot)
-        new._seq += 1
-        demand.submit_seq = new._seq
-        new._demands[unit_key] = demand
-        new._reindex(unit_key, demand)
+        new.reinstall_demand(unit_key, WaitingDemand.from_snapshot(snapshot),
+                             place=False)
     return new
 
 

@@ -99,6 +99,19 @@ def test_simulate_completes_jobs():
     assert len(result.submitted) >= SMALL.concurrent_jobs
 
 
+def test_simulate_owes_replacements_while_a_failover_is_in_flight():
+    """Jobs finish between the primary's crash at 12 s and the standby's
+    takeover; their replacements must wait for a primary, not raise
+    ``RuntimeError: no primary FuxiMaster``."""
+    result = simulate(RunSpec(
+        racks=10, machines_per_rack=10, concurrent_jobs=40, duration=40,
+        fault_spec="FuxiMasterFailure@12;FuxiMasterRestart@22"))
+    assert result.cluster.primary_master is not None
+    # closed loop: every finished job was replaced once a primary existed
+    assert len(result.submitted) == 40 + result.jobs_completed
+    assert result.jobs_completed > 0
+
+
 # ------------------------- deprecation shims ------------------------ #
 
 def _fresh_import(module_name):

@@ -116,6 +116,26 @@ def test_max_count_caps_grants():
     assert granted_total(decisions) == 3
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect (DESIGN.md, Known defects): demands at their max_count "
+    "stay in the cluster queue and use up schedule_scan_limit"))
+def test_capped_demands_do_not_starve_an_open_one():
+    """70 demands that can take nothing (each already holds its max_count)
+    queue ahead of one that can; the free-up must reach it."""
+    scheduler = FuxiScheduler(SchedulerConfig(enable_preemption=False))
+    scheduler.add_machine("m0", "r0", SLOT * 71)
+    for i in range(70):
+        capped = app_unit(scheduler, f"capped{i:02d}", max_count=1)
+        scheduler.apply_request_delta(RequestDelta.initial(capped.key, 2))
+    filler = app_unit(scheduler, "filler")
+    scheduler.apply_request_delta(RequestDelta.initial(filler.key, 1))
+    open_unit = app_unit(scheduler, "open")
+    assert scheduler.apply_request_delta(
+        RequestDelta.initial(open_unit.key, 1)) == []
+    decisions = scheduler.return_resource(filler.key, "m0", 1)
+    assert [(g.unit_key, g.count) for g in decisions] == [(open_unit.key, 1)]
+
+
 def test_avoid_list_respected():
     scheduler = make_scheduler(machines=2)
     unit = app_unit(scheduler)
@@ -141,6 +161,40 @@ def test_event_on_avoided_machine_keeps_the_demand_queued():
     scheduler.check_conservation()
 
 
+@pytest.mark.parametrize("event_between", [False, True])
+def test_withdrawn_demand_requeues_behind_later_submissions(event_between):
+    """``a`` queues, ``b`` queues, ``a`` withdraws and asks again: ``a`` is
+    a new submission behind ``b`` — whether or not a machine event drained
+    the entry ``a`` left in the lazy heap in between."""
+    scheduler = make_scheduler(machines=1, preemption=False)
+    filler = app_unit(scheduler, "filler")
+    scheduler.apply_request_delta(RequestDelta.initial(filler.key, 4))
+    a = app_unit(scheduler, "a")
+    b = app_unit(scheduler, "b")
+    scheduler.apply_request_delta(RequestDelta.initial(a.key, 1))
+    scheduler.apply_request_delta(RequestDelta.initial(b.key, 1))
+    scheduler.apply_request_delta(RequestDelta(a.key, cluster_delta=-1))
+    if event_between:
+        assert scheduler.machine_event("m0") == []
+    scheduler.apply_request_delta(RequestDelta.initial(a.key, 1))
+    decisions = scheduler.return_resource(filler.key, "m0", 1)
+    assert [g.unit_key for g in decisions] == [b.key]
+
+
+def test_redefined_priority_reranks_a_waiting_demand():
+    scheduler = make_scheduler(machines=1, preemption=False)
+    filler = app_unit(scheduler, "filler")
+    scheduler.apply_request_delta(RequestDelta.initial(filler.key, 4))
+    first = app_unit(scheduler, "first", priority=50)
+    second = app_unit(scheduler, "second", priority=100)
+    scheduler.apply_request_delta(RequestDelta.initial(first.key, 1))
+    scheduler.apply_request_delta(RequestDelta.initial(second.key, 1))
+    app_unit(scheduler, "first", priority=200)   # demoted while waiting
+    decisions = scheduler.return_resource(filler.key, "m0", 1)
+    assert [g.unit_key for g in decisions] == [second.key]
+    assert scheduler.census_violations() == []
+
+
 def test_negative_delta_cancels_waiting():
     scheduler = make_scheduler(machines=1)
     unit = app_unit(scheduler)
@@ -163,6 +217,12 @@ def test_unknown_unit_request_raises():
     with pytest.raises(KeyError):
         scheduler.apply_request_delta(
             RequestDelta.initial(UnitKey("ghost", 1), 1))
+    # the refused request left a demand behind; defining the unit later
+    # must still work, and the next delta serves it
+    unit = app_unit(scheduler, "ghost")
+    assert granted_total(scheduler.apply_request_delta(
+        RequestDelta(unit.key, 0))) == 1
+    assert scheduler.census_violations() == []
 
 
 def test_define_unit_requires_registered_app():
