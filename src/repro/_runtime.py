@@ -50,9 +50,9 @@ class _ClusterServices(Actor):
     """The ``cluster-svc`` actor: message-reachable runtime services.
 
     Agents "fork" an application master by messaging this actor rather
-    than calling into the runtime object: the AM actor must be built
-    where the scheduler lives (always the coordinator, under sharding),
-    which may not be the process hosting the agent.
+    than calling into the runtime object, so the spawn arrives after a
+    network delay on its own ``(agent, cluster-svc)`` edge like any other
+    message, and the agent holds no reference to the runtime.
     """
 
     def __init__(self, loop: EventLoop, bus: MessageBus,
@@ -80,11 +80,12 @@ class FuxiCluster:
         self.topology = topology
         self.rng = SplitRandom(seed)
         self.loop = EventLoop()
-        self.bus = self._make_bus(network)
+        self.bus = MessageBus(self.loop, self.rng, network)
         self.metrics = MetricsRegistry()
         # Tracing is opt-in: with trace=False every component holds the
         # shared NULL_TRACER and hot paths stay on the zero-overhead path.
-        self.tracer = self._make_tracer(trace)
+        self.tracer = (Tracer(clock=lambda: self.loop.now) if trace
+                       else NULL_TRACER)
         if trace:
             attach_loop_metrics(self.loop, self.metrics, sample_every=64)
         self.checkpoint = CheckpointStore()
@@ -116,8 +117,12 @@ class FuxiCluster:
                            self.checkpoint, self.master_config, self.metrics,
                            runtime=self, tracer=self.tracer))
         self.services = _ClusterServices(self.loop, self.bus, self)
-        self.agents: Dict[str, FuxiAgent] = {}
-        self._build_agents()
+        self.agents: Dict[str, FuxiAgent] = {
+            machine: FuxiAgent(
+                self.loop, self.bus, self.topology.state(machine),
+                self.agent_config, worker_factory=self._create_worker,
+                tracer=self.tracer)
+            for machine in self.topology.machines()}
         self.faults = FaultInjector(self)
         self._burst_depth = 0
         self._burst_baseline = (0.0, 0.0)
@@ -127,29 +132,9 @@ class FuxiCluster:
         self.flight = None
         self.profiler = None
 
-    def _build_agents(self) -> None:
-        """One FuxiAgent per machine.  The sharded engine overrides this:
-        the coordinator builds none (agents live in the shard processes)."""
-        for machine in self.topology.machines():
-            self.agents[machine] = FuxiAgent(
-                self.loop, self.bus, self.topology.state(machine),
-                self.agent_config, worker_factory=self._create_worker,
-                tracer=self.tracer)
-
-    def _make_bus(self, network: Optional[NetworkConfig]) -> MessageBus:
-        """Bus factory seam; the sharded coordinator substitutes a
-        :class:`~repro.shard.bus.DomainBus` that exports agent/worker-bound
-        sends as boundary envelopes."""
-        return MessageBus(self.loop, self.rng, network)
-
-    def _make_tracer(self, trace: bool):
-        """Tracer factory seam; the sharded coordinator substitutes a
-        merging tracer that folds shard-side records into the export."""
-        return Tracer(clock=lambda: self.loop.now) if trace else NULL_TRACER
-
     def finalize(self) -> None:
-        """End-of-run hook.  A no-op serially; the sharded engine collects
-        shard trace records and joins its worker processes here."""
+        """End-of-run hook; a no-op.  The layered benchmark harness calls
+        it, and :func:`repro.api.simulate` calls it when a run ends."""
 
     # ------------------------------------------------------------------ #
     # time control
@@ -157,7 +142,7 @@ class FuxiCluster:
 
     @property
     def events_total(self) -> int:
-        """Events executed across the whole run (all domains, if sharded)."""
+        """Events executed across the whole run."""
         return self.loop.events_executed
 
     def run_for(self, seconds: float) -> None:
@@ -385,20 +370,24 @@ class FuxiCluster:
 
     def sample_utilization(self) -> Dict[str, Dict[str, float]]:
         """The four curves of Figure 10, per dimension, in absolute units."""
-        counts = self._fa_unit_counts()
-        return _merge_utilization(self._master_utilization_half(), counts,
-                                  self._unit_resource_map(counts))
-
-    def _master_utilization_half(self) -> Dict[str, tuple]:
-        """The master-side curves (FM_total, FM_planned, AM_obtained).
-
-        Separated from the agent-side FA_planned aggregation because the
-        two halves live in different processes under sharding: this half
-        is always computed on the coordinator at the sample instant.
-        """
-        half: Dict[str, tuple] = {}
+        # FA_planned input: live agents' granted-slot totals per unit key.
+        # Integer counts are summed across agents first, so the float
+        # products below do not depend on the order agents are visited.
+        fa_counts: Dict[object, int] = {}
+        for agent in self.agents.values():
+            if not agent.alive:
+                continue
+            for unit_key, count in agent.allocations.items():
+                fa_counts[unit_key] = fa_counts.get(unit_key, 0) + count
+        fa_resources: Dict[object, object] = {}
+        for unit_key in fa_counts:
+            app = self.app_masters.get(unit_key.app_id)
+            unit = app.units.get(unit_key) if app is not None else None
+            if unit is not None:
+                fa_resources[unit_key] = unit.resources
         primary = self.primary_master
         scheduler = primary.scheduler if primary is not None else None
+        out: Dict[str, Dict[str, float]] = {}
         for dim in (CPU, MEMORY):
             fm_total = fm_planned = 0.0
             if scheduler is not None:
@@ -413,33 +402,16 @@ class FuxiCluster:
                     if unit is None:
                         continue
                     am_obtained += unit.resources.get(dim) * sum(machines.values())
-            half[dim] = (fm_total, fm_planned, am_obtained)
-        return half
-
-    def _fa_unit_counts(self) -> Dict[object, int]:
-        """Live agents' granted-slot totals per unit key (FA_planned input).
-
-        Integer counts, so cross-agent aggregation order cannot perturb
-        the float products computed later — a sharded run merging
-        per-shard totals lands on the identical FA_planned values.
-        """
-        counts: Dict[object, int] = {}
-        for agent in self.agents.values():
-            if not agent.alive:
-                continue
-            for unit_key, count in agent.allocations.items():
-                counts[unit_key] = counts.get(unit_key, 0) + count
-        return counts
-
-    def _unit_resource_map(self, unit_keys) -> Dict[object, object]:
-        """unit key → per-instance ResourceVector, for known units."""
-        res_map: Dict[object, object] = {}
-        for unit_key in unit_keys:
-            app = self.app_masters.get(unit_key.app_id)
-            unit = app.units.get(unit_key) if app is not None else None
-            if unit is not None:
-                res_map[unit_key] = unit.resources
-        return res_map
+            fa_planned = 0.0
+            for unit_key, resources in fa_resources.items():
+                fa_planned += resources.get(dim) * fa_counts[unit_key]
+            out[dim] = {
+                "FM_total": fm_total,
+                "FM_planned": fm_planned,
+                "AM_obtained": am_obtained,
+                "FA_planned": fa_planned,
+            }
+        return out
 
     # ------------------------------------------------------------------ #
     # live telemetry (PR 6)
@@ -518,55 +490,19 @@ class FuxiCluster:
         """Record the Figure-10 curves into the metrics collector."""
 
         def sample() -> None:
-            self._record_utilization()
+            now = self.loop.now
+            for dim, curves in self.sample_utilization().items():
+                for curve, value in curves.items():
+                    self.metrics.record(f"util.{dim}.{curve}", now, value)
             self.loop.call_after(interval, sample)
 
         self.loop.call_after(0.0, sample)
-
-    def _record_utilization(self) -> None:
-        """One utilization sample tick.  The sharded engine overrides this
-        to defer FA_planned until the shard totals arrive at the barrier."""
-        _record_curves(self.metrics, self.loop.now, self.sample_utilization())
 
     # ------------------------------------------------------------------ #
     # fault plans
     # ------------------------------------------------------------------ #
 
     def schedule_faults(self, plan) -> None:
-        """Arm a :class:`~repro.cluster.faults.FaultPlan`.  The sharded
-        engine overrides this to route machine-scoped faults to the shard
-        that owns the machine."""
+        """Arm a :class:`~repro.cluster.faults.FaultPlan`."""
         self.faults.schedule(plan)
 
-
-def _merge_utilization(half: Dict[str, tuple], fa_counts: Dict[object, int],
-                       res_map: Dict[object, object],
-                       ) -> Dict[str, Dict[str, float]]:
-    """Assemble the Figure-10 snapshot from its two halves.
-
-    ``half`` is the master-side curves per dimension, ``fa_counts`` the
-    agent-side granted-slot totals, ``res_map`` the per-unit resources at
-    the sample instant.  Module-level so the sharded coordinator can run
-    it at the window barrier against shipped shard totals.
-    """
-    out: Dict[str, Dict[str, float]] = {}
-    for dim, (fm_total, fm_planned, am_obtained) in half.items():
-        fa_planned = 0.0
-        for unit_key, count in fa_counts.items():
-            resources = res_map.get(unit_key)
-            if resources is not None:
-                fa_planned += resources.get(dim) * count
-        out[dim] = {
-            "FM_total": fm_total,
-            "FM_planned": fm_planned,
-            "AM_obtained": am_obtained,
-            "FA_planned": fa_planned,
-        }
-    return out
-
-
-def _record_curves(metrics: MetricsRegistry, when: float,
-                   snapshot: Dict[str, Dict[str, float]]) -> None:
-    for dim, curves in snapshot.items():
-        for curve, value in curves.items():
-            metrics.record(f"util.{dim}.{curve}", when, value)

@@ -15,8 +15,7 @@ Two layers:
 - **Standalone micro-models** (:mod:`repro.baselines._yarn` /
   ``_mesos`` / ``_hadoop10``) — the original protocol-cost models used
   by the ablation benchmarks, which count scheduling work and messages
-  without a full cluster.  The old ``repro.baselines.yarn`` (etc.)
-  module paths still work but emit :class:`DeprecationWarning`.
+  without a full cluster.
 """
 
 from repro.baselines._hadoop10 import Hadoop10Scheduler, SlotRequest

@@ -226,47 +226,19 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output HTML path (default: INPUT + .html)")
     report.add_argument("--title", default=None, help="report title")
 
-    shardcheck = sub.add_parser(
-        "shardcheck",
-        help="prove a sharded run reproduces the serial engine byte-for-"
-             "byte: same spec runs both ways, then grant streams, summary "
-             "digests and trace exports are compared")
-    add_config_args(shardcheck, RunSpec,
-                    only=("racks", "machines_per_rack", "concurrent_jobs",
-                          "duration", "workload_scale", "seed",
-                          "fault_spec"))
-    shardcheck.add_argument("--shards", type=int, default=2, metavar="N",
-                            help="shard count for the parallel leg "
-                                 "(default 2)")
-    shardcheck.add_argument("--backend", default="auto",
-                            choices=("auto", "process", "inline"),
-                            help="shard backend for the parallel leg")
-    shardcheck.add_argument("--quick", action="store_true",
-                            help="small fixed workload (2 racks x 5 "
-                                 "machines, 20 sim-s) for CI smoke")
-
     kernelcheck = sub.add_parser(
         "kernelcheck",
         help="prove the vectorized kernel backend reproduces the pure-"
              "python reference byte-for-byte: one spec runs with kernels "
-             "on and off, serial and sharded, and every deterministic "
-             "artifact is compared against the python/serial oracle")
+             "off and on, and every deterministic artifact is compared "
+             "against the python oracle")
     add_config_args(kernelcheck, RunSpec,
                     only=("racks", "machines_per_rack", "concurrent_jobs",
                           "duration", "workload_scale", "seed",
                           "fault_spec"))
-    kernelcheck.add_argument("--shards", type=int, default=2, metavar="N",
-                             help="shard count for the sharded legs "
-                                  "(default 2)")
-    kernelcheck.add_argument("--backend", default="auto",
-                             choices=("auto", "process", "inline"),
-                             help="shard backend for the sharded legs")
     kernelcheck.add_argument("--quick", action="store_true",
                              help="small fixed workload (2 racks x 5 "
                                   "machines, 20 sim-s) for CI smoke")
-    kernelcheck.add_argument("--serial-only", action="store_true",
-                             help="skip the sharded legs (kernels on/off "
-                                  "over the serial engine only)")
 
     experiment = sub.add_parser("experiment", help="run a paper experiment")
     experiment.add_argument("name", choices=EXPERIMENTS)
@@ -701,129 +673,55 @@ def cmd_top(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_shardcheck(args: argparse.Namespace) -> int:
-    """Byte-identity gate: one spec, run serial and sharded, diff the
-    deterministic artifacts.  Exit 0 only if grant streams, summary JSON
-    and trace exports all match exactly."""
-    import time
-
-    from repro.api import simulate
-    from repro.obs.export import dumps_trace
-
-    overrides = {}
-    if args.quick:
-        overrides.update(racks=2, machines_per_rack=5, concurrent_jobs=6,
-                         duration=20.0, workload_scale=20, workers_cap=4)
-    shards = max(args.shards, 1)
-    base = config_from_args(RunSpec, args, shards=0, trace=True, **overrides)
-
-    wall = time.perf_counter()
-    serial = simulate(base)
-    serial_wall = time.perf_counter() - wall
-    wall = time.perf_counter()
-    sharded = simulate(base.replace(shards=shards,
-                                    shard_backend=args.backend))
-    sharded_wall = time.perf_counter() - wall
-
-    serial_summary = serial.summary_dict()
-    sharded_summary = sharded.summary_dict()
-    checks = [
-        ("grant stream", json.dumps(serial_summary["grant_stream"]),
-         json.dumps(sharded_summary["grant_stream"])),
-        ("summary JSON", json.dumps(serial_summary, sort_keys=True),
-         json.dumps(sharded_summary, sort_keys=True)),
-        ("trace export", dumps_trace(serial.cluster.tracer),
-         dumps_trace(sharded.cluster.tracer)),
-    ]
-    rows = [[name, f"{len(a)} B",
-             "match" if a == b else "MISMATCH"] for name, a, b in checks]
-    rows.append(["events executed", serial_summary["events"],
-                 sharded_summary["events"]])
-    rows.append(["wall seconds",
-                 f"{serial_wall:.2f}", f"{sharded_wall:.2f}"])
-    print(format_table(
-        ["artifact", "serial", f"shards={shards} ({args.backend})"], rows,
-        title=f"shardcheck seed={base.seed} "
-              f"machines={base.machines} duration={base.duration:g}"))
-    failed = [name for name, a, b in checks if a != b]
-    if failed:
-        print(f"MISMATCH: {', '.join(failed)} — the sharded engine "
-              f"diverged from the serial oracle", file=sys.stderr)
-        return 1
-    print("byte-identical across engines")
-    return 0
-
-
 def cmd_kernelcheck(args: argparse.Namespace) -> int:
     """Byte-identity gate for the kernel layer: the same spec runs with
-    kernels on and off, serial and sharded, and every leg's grant stream,
-    summary JSON and trace export must match the python/serial oracle."""
+    kernels off and on, and the numpy leg's grant stream, summary JSON and
+    trace export must match the python oracle.  Exit 2 without numpy:
+    there is nothing to compare."""
     import time
 
     from repro import kernels
     from repro.api import simulate
     from repro.obs.export import dumps_trace
 
+    if not kernels.numpy_available():
+        print("numpy not installed: nothing to compare", file=sys.stderr)
+        return 2
     overrides = {}
     if args.quick:
         overrides.update(racks=2, machines_per_rack=5, concurrent_jobs=6,
                          duration=20.0, workload_scale=20, workers_cap=4)
-    shards = max(args.shards, 1)
-    base = config_from_args(RunSpec, args, shards=0, trace=True,
-                            kernels="python", **overrides)
+    base = config_from_args(RunSpec, args, trace=True, kernels="python",
+                            **overrides)
 
-    legs = [("python/serial", base)]
-    if not args.serial_only:
-        legs.append(("python/sharded",
-                     base.replace(shards=shards,
-                                  shard_backend=args.backend)))
-    if kernels.numpy_available():
-        legs.append(("numpy/serial", base.replace(kernels="numpy")))
-        if not args.serial_only:
-            legs.append(("numpy/sharded",
-                         base.replace(kernels="numpy", shards=shards,
-                                      shard_backend=args.backend)))
-    else:
-        print("numpy unavailable: checking the pure-python backend only",
-              file=sys.stderr)
-
-    artifacts = {}
-    walls = {}
-    for name, spec in legs:
-        wall = time.perf_counter()
+    def run_leg(spec: RunSpec):
+        started = time.perf_counter()
         result = simulate(spec)
-        walls[name] = time.perf_counter() - wall
+        wall = time.perf_counter() - started
         summary = result.summary_dict()
-        artifacts[name] = {
+        return wall, {
             "grant stream": json.dumps(summary["grant_stream"]),
             "summary JSON": json.dumps(summary, sort_keys=True),
             "trace export": dumps_trace(result.cluster.tracer),
         }
+
+    _, oracle = run_leg(base)
+    wall, numpy_leg = run_leg(base.replace(kernels="numpy"))
     kernels.select("auto")  # leave the process in its default state
 
-    oracle_name, oracle = legs[0][0], artifacts[legs[0][0]]
-    failed = []
-    rows = []
-    for name, _ in legs[1:]:
-        verdicts = []
-        for artifact, reference in oracle.items():
-            ok = artifacts[name][artifact] == reference
-            if not ok:
-                failed.append(f"{name}:{artifact}")
-            verdicts.append("match" if ok else "MISMATCH")
-        rows.append([name] + verdicts + [f"{walls[name]:.2f}s"])
-    header = [f"leg (vs {oracle_name})"] + list(oracle) + ["wall"]
+    failed = [name for name in oracle if numpy_leg[name] != oracle[name]]
+    verdicts = ["MISMATCH" if name in failed else "match" for name in oracle]
     print(format_table(
-        header, rows,
+        ["leg (vs python)"] + list(oracle) + ["wall"],
+        [["numpy"] + verdicts + [f"{wall:.2f}s"]],
         title=f"kernelcheck seed={base.seed} machines={base.machines} "
-              f"duration={base.duration:g} shards={shards}"
+              f"duration={base.duration:g}"
               + (f" faults={base.fault_spec!r}" if base.fault_spec else "")))
     if failed:
-        print(f"MISMATCH: {', '.join(failed)} — a kernel leg diverged "
-              f"from the python/serial oracle", file=sys.stderr)
+        print(f"MISMATCH: {', '.join(failed)} — the numpy backend diverged "
+              f"from the python oracle", file=sys.stderr)
         return 1
-    print(f"byte-identical across {len(legs)} legs "
-          f"(numpy {kernels.numpy_version() or 'absent'})")
+    print(f"byte-identical across 2 legs (numpy {kernels.numpy_version()})")
     return 0
 
 
@@ -901,7 +799,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "fuzz": cmd_fuzz,
         "sweep": cmd_sweep,
         "top": cmd_top,
-        "shardcheck": cmd_shardcheck,
         "kernelcheck": cmd_kernelcheck,
         "report": cmd_report,
         "experiment": cmd_experiment,

@@ -14,18 +14,17 @@ to ``"fuxi-master"`` and the elected primary points the alias at itself.
 Randomness is **edge-keyed**: every (sender, dest) pair owns an independent
 counter-indexed hash stream, so the drop/jitter/duplicate draws of the n-th
 message on an edge are a pure function of ``(seed, sender, dest, n)`` — not
-of how sends on *other* edges interleave with it.  This is what lets the
-sharded engine (:mod:`repro.shard`) compute delivery times on whichever
-process hosts the sender and still reproduce the serial run bit-for-bit:
-the serial engine consumes the exact same per-edge draws in the exact same
-per-edge order, merely from a single process.
+of how sends on *other* edges interleave with it.  A change that adds or
+removes traffic on one edge (a fault, a retransmit, one more job) leaves
+the delivery times on every other edge where they were, so the committed
+grant-stream digests only move when the scheduling itself does.
 
 Each edge additionally adds a fixed sub-microsecond epsilon (derived from
 the edge key, bounded by ``~1e-6`` simulated seconds) to every delivery
 delay.  Two messages travelling *different* edges therefore never arrive at
 exactly the same float timestamp, which removes the only case where the
-serial heap's global tie-break sequence could order cross-edge deliveries —
-an order a partitioned simulation cannot observe.
+heap's global tie-break sequence — a function of every send in the run, not
+of the edge — could decide the order of cross-edge deliveries.
 """
 
 from __future__ import annotations
@@ -169,14 +168,10 @@ class MessageBus:
         if len(delays) > 1:
             self.messages_duplicated += 1
         for delay in delays:
-            self._route(sender, dest, message, delay)
-
-    def _route(self, sender: str, dest: str, message: Any,
-               delay: float) -> None:
-        # recycle: delivery events are fire-and-forget — nothing retains
-        # the handle, so the loop can reuse the Event object.
-        self.loop.call_after(delay, self._deliver, sender, dest, message,
-                             recycle=True)
+            # recycle: delivery events are fire-and-forget — nothing retains
+            # the handle, so the loop can reuse the Event object.
+            self.loop.call_after(delay, self._deliver, sender, dest, message,
+                                 recycle=True)
 
     def _deliver(self, sender: str, dest: str, message: Any) -> None:
         actor = self._actors.get(self.resolve(dest))

@@ -114,8 +114,8 @@ class FuxiAgent(Actor):
     def _send_heartbeat(self) -> None:
         if not self.alive:
             return
-        # Fresh object per beat: heartbeats must be value snapshots so the
-        # sharded engine can pickle them across the process boundary.
+        # Fresh object per beat: a heartbeat is in flight for a network
+        # delay, so it must be a value snapshot taken at send time.
         self.send(self.config.master_address, msg.AgentHeartbeat(
             machine=self.machine, rack=self.rack,
             capacity=self.capacity,  # "can be changed at any time" (§3.2.1)

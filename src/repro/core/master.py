@@ -86,10 +86,9 @@ class FuxiMaster(Actor):
                                     grace_seconds=self.config.health_grace)
         self.recovering = False
         self.failovers = 0
-        # Running FNV-1a fold over every disseminated grant, in send order.
-        # Scheduling runs only on the coordinator under sharding, so equal
-        # digests certify the sharded run issued the *identical* grant
-        # stream as the serial oracle (the PR 9 byte-identity gate).
+        # Running FNV-1a fold over every disseminated grant, in send order:
+        # two runs with equal digests issued the identical grant stream
+        # (reported as summary_dict()["grant_stream"]).
         self.grant_stream_digest = 0xCBF29CE484222325
         self.grants_disseminated = 0
         # Columnar last-beat timestamps (repro.kernels): per-beat updates

@@ -137,9 +137,10 @@ class AgentHeartbeat:
     (version, digest) pair additionally certifies the books have not moved
     between beats.
 
-    Agents build a fresh heartbeat per beat: the sharded engine pickles
-    in-flight messages across a process boundary, so a heartbeat must be a
-    value snapshot at send time, not a reference into mutable agent state.
+    Agents build a fresh heartbeat per beat: the message is delivered a
+    network delay after it was sent (twice, if the bus duplicates it), so
+    it must be a value snapshot at send time, not a reference into mutable
+    agent state.
     """
 
     machine: str
@@ -199,9 +200,10 @@ class AppMasterSpawn:
     """Agent -> cluster services: instantiate the app-master actor.
 
     In the real system the agent forks the AM process locally; in the
-    simulation the AM actor object must live where the scheduler lives
-    (the coordinator, under sharding), so the agent asks the cluster's
-    service actor to construct it instead of reaching into the runtime.
+    simulation the agent asks the cluster's service actor to construct
+    the AM actor instead of reaching into the runtime, so the spawn is a
+    message with its own delivery delay on the ``(agent, cluster-svc)``
+    edge.
     """
 
     app_id: str

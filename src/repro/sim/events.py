@@ -85,11 +85,11 @@ class Event:
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "done",
-                 "wheel", "recycle", "phantom", "_loop")
+                 "wheel", "recycle", "_loop")
 
     def __init__(self, time: float, seq: int, callback: Callable[..., Any],
                  args: tuple, loop: Optional["EventLoop"] = None,
-                 recycle: bool = False, phantom: bool = False):
+                 recycle: bool = False):
         self.time = time
         self.seq = seq
         self.callback = callback
@@ -98,7 +98,6 @@ class Event:
         self.done = False
         self.wheel = False
         self.recycle = recycle
-        self.phantom = phantom
         self._loop = loop
 
     def cancel(self) -> None:
@@ -166,19 +165,13 @@ class EventLoop:
         return self._now
 
     def call_at(self, when: float, callback: Callable[..., Any], *args: Any,
-                wheel: bool = False, recycle: bool = False,
-                phantom: bool = False) -> Event:
+                wheel: bool = False, recycle: bool = False) -> Event:
         """Schedule ``callback(*args)`` at absolute simulated time ``when``.
 
         ``wheel=True`` routes the event through the timer-wheel tier (same
         execution order, cheaper for far-out recurring timers).  With
         ``recycle=True`` the returned handle is reused after the callback
-        fires and must not be retained past that point.  A ``phantom``
-        event executes in time/seq order like any other but is *invisible
-        to accounting*: it does not bump :attr:`events_executed` and skips
-        the hooks.  The sharded engine uses phantoms for bookkeeping ticks
-        that the serial oracle runs as part of another event, keeping the
-        per-domain event counts summable to the serial total.
+        fires and must not be retained past that point.
         """
         if when < self._now:
             raise SimulationError(
@@ -195,11 +188,10 @@ class EventLoop:
             event.cancelled = False
             event.done = False
             event.recycle = recycle
-            event.phantom = phantom
             event._loop = self
         else:
             event = Event(when, seq, callback, args, loop=self,
-                          recycle=recycle, phantom=phantom)
+                          recycle=recycle)
         entry = (when, seq, event)
         if wheel:
             slot = int(when * (1.0 / _WHEEL_TICK))
@@ -221,13 +213,12 @@ class EventLoop:
         return event
 
     def call_after(self, delay: float, callback: Callable[..., Any], *args: Any,
-                   wheel: bool = False, recycle: bool = False,
-                   phantom: bool = False) -> Event:
+                   wheel: bool = False, recycle: bool = False) -> Event:
         """Schedule ``callback(*args)`` ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         return self.call_at(self._now + delay, callback, *args,
-                            wheel=wheel, recycle=recycle, phantom=phantom)
+                            wheel=wheel, recycle=recycle)
 
     def stop(self) -> None:
         """Make the currently running :meth:`run` loop return after this event."""
@@ -381,16 +372,6 @@ class EventLoop:
         event.done = True
         self._live -= 1
         self._now = event.time
-        if event.phantom:
-            # Bookkeeping tick: executes in order but is invisible to the
-            # event count and the hooks (see call_at docstring).
-            event.callback(*event.args)
-            if event.recycle and len(self._free) < _FREELIST_MAX:
-                event.callback = None
-                event.args = ()
-                event._loop = None
-                self._free.append(event)
-            return True
         self.events_executed += 1
         hooks = self._hooks
         if hooks:

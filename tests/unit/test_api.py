@@ -1,12 +1,10 @@
-"""The ``repro.api`` facade: builder, RunSpec, simulate, deprecation shims."""
+"""The ``repro.api`` facade: builder, RunSpec, simulate, golden digests."""
 
-import importlib
 import json
-import sys
-import warnings
 
 import pytest
 
+from repro import kernels
 from repro.api import ClusterBuilder, RunSpec, simulate
 
 
@@ -26,6 +24,11 @@ def test_runspec_validation():
         RunSpec(racks=0)
     with pytest.raises(ValueError):
         RunSpec.from_dict({"machines": 10})  # derived, not a field
+    with pytest.raises(ValueError, match="shards"):
+        RunSpec.from_dict({"shards": 2})  # one engine: no such field
+    with pytest.raises(ValueError):
+        RunSpec(hint_fraction=1.5).validate()
+    RunSpec(hint_fraction=0.5).validate()
 
 
 def test_runspec_machines_property():
@@ -112,32 +115,6 @@ def test_simulate_owes_replacements_while_a_failover_is_in_flight():
     assert result.jobs_completed > 0
 
 
-# ------------------------- deprecation shims ------------------------ #
-
-def _fresh_import(module_name):
-    sys.modules.pop(module_name, None)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        module = importlib.import_module(module_name)
-    return module, [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-
-
-def test_runtime_shim_warns_and_forwards():
-    module, deprecations = _fresh_import("repro.runtime")
-    assert deprecations, "importing repro.runtime must warn"
-    from repro._runtime import FuxiCluster
-    assert module.FuxiCluster is FuxiCluster
-
-
-def test_workload_runner_shim_warns_and_forwards():
-    module, deprecations = _fresh_import(
-        "repro.experiments.workload_runner")
-    assert deprecations, "importing workload_runner must warn"
-    assert module.SyntheticRunConfig is RunSpec
-    assert module.run_synthetic_workload is not None
-
-
 def test_package_root_reexports():
     import repro
     assert repro.ClusterBuilder is ClusterBuilder
@@ -154,11 +131,58 @@ def test_summary_dict_is_deterministic_and_json_able():
     assert json.dumps(first, sort_keys=True) == \
         json.dumps(second, sort_keys=True)
     assert first["seed"] == 7
-    # execution-shape knobs are dropped so sharded/serial summaries compare
+    # the kernel backend is dropped so numpy/python summaries compare
     expected_spec = spec.to_dict()
-    expected_spec.pop("shards")
-    expected_spec.pop("shard_backend")
     expected_spec.pop("kernels")
     assert first["spec"] == expected_spec
     assert first["jobs_submitted"] > 0
     assert first["events"] > 0
+
+
+# --------------------- golden grant-stream digests ------------------- #
+# Recorded at commit ca049c4 and never re-recorded by a refactor: a change
+# that claims "same behaviour" must reproduce every row, under both kernel
+# backends.  The fault plans fire at exact instants (two NodeDowns 0.25 ms
+# apart must give different streams) and cover machine and agent restart,
+# a lossy network window and master failover.
+
+GOLDEN_SPEC = RunSpec(racks=2, machines_per_rack=5, concurrent_jobs=6,
+                      duration=30.0, workload_scale=20, workers_cap=4,
+                      seed=11)
+
+GOLDEN = {
+    "": (["fuxi-master-0:99c1765a9bef62b2:17",
+          "fuxi-master-1:cbf29ce484222325:0"], 2452),
+    "NodeDown@12.0:r00m001": (
+        ["fuxi-master-0:332f03bcf3ac1e9f:19",
+         "fuxi-master-1:cbf29ce484222325:0"], 2416),
+    "NodeDown@12.00025:r00m001": (
+        ["fuxi-master-0:c5a5fba02e45756c:19",
+         "fuxi-master-1:cbf29ce484222325:0"], 2408),
+    "NodeDown@10.0:r01m000;MachineRestart@18.0:r01m000;"
+    "AgentRestart@22.0:r00m002": (
+        ["fuxi-master-0:1ad93704d07e94b9:19",
+         "fuxi-master-1:cbf29ce484222325:0"], 2423),
+    "NodeDown@8.0:r00m001;SlowMachine@9.0:r00m003:factor=3.0;"
+    "NetworkBurst@11.0:dur=4.0:drop=0.2:delay=0.004;"
+    "PartialWorkerFailure@13.0:r01m002;FuxiMasterFailure@15.0;"
+    "FuxiMasterRestart@24.0": (
+        ["fuxi-master-0:e003c182bbfaab48:14",
+         "fuxi-master-1:fc89389ea62524c4:4"], 2247),
+}
+
+
+@pytest.mark.parametrize("backend", ["python", pytest.param(
+    "numpy", marks=pytest.mark.skipif(not kernels.numpy_available(),
+                                      reason="numpy not installed"))])
+@pytest.mark.parametrize("fault_spec", list(GOLDEN),
+                         ids=["no-faults", "node-down-on-tick",
+                              "node-down-off-tick", "restart-plan",
+                              "six-kind-chaos"])
+def test_grant_stream_matches_golden(fault_spec, backend):
+    with kernels.use(backend):  # simulate() pins the backend process-wide
+        summary = simulate(GOLDEN_SPEC.replace(
+            fault_spec=fault_spec, kernels=backend)).summary_dict()
+    stream = [f"{e['master']}:{e['digest']}:{e['grants']}"
+              for e in summary["grant_stream"]]
+    assert (stream, summary["events"]) == GOLDEN[fault_spec]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import RunSpec, simulate
 from repro.experiments import ablations, fig09_scheduling_time, \
     fig10_utilization, scale_instances, table1_production, table2_overheads, \
     table4_graysort
@@ -11,8 +12,6 @@ from repro.experiments.ablations import (LocalityAblationConfig,
 from repro.experiments.harness import Comparison, ExperimentReport
 from repro.experiments.scale_instances import ScaleConfig
 from repro.experiments.table1_production import Table1Config
-from repro.experiments.workload_runner import (SyntheticRunConfig,
-                                               run_synthetic_workload)
 
 
 # ------------------------------ harness ------------------------------ #
@@ -39,13 +38,13 @@ def test_report_render_and_lookup():
 
 # ------------------------------ runs (tiny) -------------------------- #
 
-TINY = SyntheticRunConfig(racks=2, machines_per_rack=4, concurrent_jobs=10,
-                          duration=40.0, seed=5)
+TINY = RunSpec(racks=2, machines_per_rack=4, concurrent_jobs=10,
+               duration=40.0, seed=5)
 
 
 @pytest.fixture(scope="module")
 def tiny_run():
-    return run_synthetic_workload(TINY)
+    return simulate(TINY)
 
 
 def test_synthetic_runner_completes_jobs(tiny_run):

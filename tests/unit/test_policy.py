@@ -8,9 +8,6 @@ The contract of the PR 8 policy seam:
 - an unknown name fails fast with the list of registered policies;
 - every registered policy is byte-identically reproducible from the
   same seed (two runs, same spec+seed, identical summary JSON);
-- the old per-baseline modules (``repro.baselines.yarn`` et al.) keep
-  importing behind a DeprecationWarning and expose the same classes as
-  the package root;
 - on small hosts the sweep engine clamps workers to the cpu count and
   records a journal note instead of oversubscribing.
 """
@@ -107,39 +104,6 @@ def test_summary_records_policy_and_arena_metrics():
     assert summary["job_slowdown"]["count"] == summary["jobs_completed"]
     # makespan can never beat the critical-path lower bound
     assert summary["job_slowdown"]["p50"] >= 1.0
-
-
-def test_deprecated_baseline_modules_warn_and_alias():
-    import repro.baselines as root
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        import repro.baselines.yarn as yarn_shim
-        import repro.baselines.mesos as mesos_shim
-        import repro.baselines.hadoop10 as hadoop_shim
-    # the warning fires at first import only; the aliases always hold
-    assert yarn_shim.YarnScheduler is root.YarnScheduler
-    assert mesos_shim.MesosMaster is root.MesosMaster
-    assert hadoop_shim.Hadoop10Scheduler is root.Hadoop10Scheduler
-    del caught  # may be empty when another test already imported the shims
-
-
-def test_deprecated_shim_warns_on_fresh_import():
-    import importlib
-    import sys
-
-    sys.modules.pop("repro.baselines.yarn", None)
-    with pytest.warns(DeprecationWarning, match="repro.baselines.yarn"):
-        importlib.import_module("repro.baselines.yarn")
-
-
-def test_deprecated_entry_point_matches_integrated_policy():
-    """The shim classes still run, producing their usual standalone model."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        from repro.baselines.yarn import YarnScheduler
-    from repro.baselines import YarnScheduler as root_cls
-    assert YarnScheduler is root_cls
 
 
 def test_sweep_clamps_workers_to_host_cpus(tmp_path):

@@ -30,7 +30,7 @@ def test_service_ids_have_own_prefix(cluster):
 
 def test_submit_without_primary_raises():
     from repro.cluster.topology import ClusterTopology
-    from repro.runtime import FuxiCluster
+    from repro.api import FuxiCluster
     cluster = FuxiCluster(ClusterTopology.build(1, 1), standby_master=False)
     cluster.primary_master.crash()
     with pytest.raises(RuntimeError):
