@@ -142,8 +142,14 @@ class FuxiCluster:
 
     @property
     def events_total(self) -> int:
-        """Events executed across the whole run."""
-        return self.loop.events_executed
+        """Events of the whole run: the loop's steps plus the occurrences
+        handled inside another event's callback (cohort members, beats of
+        a delivery run) — what a loop with one event per occurrence
+        executes.  ``summary_dict()["events"]`` and every pinned event
+        count read this, so it does not move when occurrences are batched;
+        an occurrence lost or doubled by the batching would move it."""
+        loop = self.loop
+        return loop.events_executed + loop.events_absorbed
 
     def run_for(self, seconds: float) -> None:
         self.run_until(self.loop.now + seconds)
@@ -433,7 +439,7 @@ class FuxiCluster:
         loop = self.loop
         row: Dict[str, float] = {
             "time": loop.now,
-            "events": float(loop.events_executed),
+            "events": float(self.events_total),
             "pending": float(loop.pending()),
         }
         primary = self.primary_master

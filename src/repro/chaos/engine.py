@@ -265,7 +265,7 @@ def run_with_schedule(seed: int, plan: FaultPlan,
         seed=seed, schedule=plan, app_ids=app_ids, completed=completed,
         violations=list(checker.violations),
         sim_time=cluster.loop.now,
-        events_executed=cluster.loop.events_executed,
+        events_executed=cluster.events_total,
         coverage=list(coverage.features()) if coverage is not None else None)
     if result.violations:
         if config.trace and config.trace_dir:

@@ -10,6 +10,7 @@ job framework uses to derive machine/rack hints.
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -30,6 +31,34 @@ class Block:
         return f"{self.file}#{self.index}"
 
 
+class _AllButSlice(abc.Sequence):
+    """Read-only view of a list without the slice ``[start, stop)``.
+
+    ``random.Random.choice`` reads a sequence through ``len`` and one
+    ``[index]``, so drawing from this view consumes the stream exactly as
+    drawing from the materialised list would, and returns the same item.
+    """
+
+    __slots__ = ("_items", "_start", "_gap", "_length")
+
+    def __init__(self, items: List[str], start: int, stop: int):
+        self._items = items
+        self._start = start
+        self._gap = stop - start
+        self._length = len(items) - self._gap
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index: int) -> str:
+        if index < 0:
+            index += self._length
+        if not 0 <= index < self._length:
+            raise IndexError(index)
+        return self._items[index if index < self._start
+                           else index + self._gap]
+
+
 class BlockStore:
     """Places file blocks on machines with rack-aware replication."""
 
@@ -47,9 +76,12 @@ class BlockStore:
         self._rng = (rng or SplitRandom(0)).stream("blockstore")
         self._files: Dict[str, List[Block]] = {}
         # rack -> machines outside that rack.  Membership is fixed after
-        # construction, so the off-rack candidate list for a replica's rack
-        # is computed once instead of scanning every machine per block.
-        self._off_rack_cache: Dict[Optional[str], List[str]] = {}
+        # construction, so the off-rack candidates for a replica's rack are
+        # worked out once instead of scanning every machine per block: a
+        # view that skips the rack's slice of the sorted machine list when
+        # the rack is one (the usual naming), a list otherwise.
+        self._off_rack_cache: Dict[Optional[str], Sequence[str]] = {}
+        self._rack_spans: Optional[Dict[Optional[str], List[int]]] = None
 
     # --------------------------------------------------------------- #
     # writing
@@ -80,12 +112,33 @@ class BlockStore:
     def delete_file(self, path: str) -> None:
         self._files.pop(path, None)
 
-    def _off_rack(self, rack: Optional[str]) -> List[str]:
+    def _off_rack(self, rack: Optional[str]) -> Sequence[str]:
         machines = self._off_rack_cache.get(rack)
         if machines is None:
-            machines = self._off_rack_cache[rack] = [
-                m for m in self._machines if self._rack_of.get(m) != rack]
+            first, last, count = self._spans()[rack]
+            if last - first + 1 == count:
+                machines = _AllButSlice(self._machines, first, last + 1)
+            else:
+                machines = [m for m in self._machines
+                            if self._rack_of.get(m) != rack]
+            self._off_rack_cache[rack] = machines
         return machines
+
+    def _spans(self) -> Dict[Optional[str], List[int]]:
+        """rack -> [first position, last position, member count] in the
+        sorted machine list (one pass, on first use)."""
+        spans = self._rack_spans
+        if spans is None:
+            spans = self._rack_spans = {}
+            rack_of = self._rack_of.get
+            for position, machine in enumerate(self._machines):
+                span = spans.get(rack_of(machine))
+                if span is None:
+                    spans[rack_of(machine)] = [position, position, 1]
+                else:
+                    span[1] = position
+                    span[2] += 1
+        return spans
 
     def _place_replicas(self) -> List[str]:
         first = self._rng.choice(self._machines)

@@ -8,8 +8,8 @@ agents/workers consult (down, slow factor, worker-launch failures).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict
+from dataclasses import dataclass, field
+from typing import Dict, Optional
 
 from repro.core.resources import ResourceVector
 
@@ -51,16 +51,33 @@ class MachineState:
     disk_errors: float = 0.0          # fed into the health sample
     net_errors: float = 0.0
     load1: float = 0.0
+    _sample: Optional[Dict[str, float]] = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in _SAMPLE_INPUTS and getattr(self, name, None) != value:
+            object.__setattr__(self, "_sample", None)
+        object.__setattr__(self, name, value)
 
     def health_sample(self) -> Dict[str, float]:
-        """Raw sample an agent would collect from the OS for health plugins."""
-        return {
-            "disk_errors": self.disk_errors,
-            "disk_util": min(self.load1 / max(self.spec.cores, 1), 1.0),
-            "load1": self.load1,
-            "cores": float(self.spec.cores),
-            "net_errors": self.net_errors,
-        }
+        """Raw sample an agent would collect from the OS for health plugins.
+
+        One cached dict, **replaced, never mutated**, when a field it is
+        built from changes: a heartbeat in flight keeps the sample of its
+        send time by holding the reference, and "the same object as last
+        beat" certifies "the same sample" (the master's roll-up relies on
+        it).  Callers must not write to it.
+        """
+        sample = self._sample
+        if sample is None:
+            sample = self._sample = {
+                "disk_errors": self.disk_errors,
+                "disk_util": min(self.load1 / max(self.spec.cores, 1), 1.0),
+                "load1": self.load1,
+                "cores": float(self.spec.cores),
+                "net_errors": self.net_errors,
+            }
+        return sample
 
     def reset_faults(self) -> None:
         self.down = False
@@ -69,3 +86,7 @@ class MachineState:
         self.disk_errors = 0.0
         self.net_errors = 0.0
         self.load1 = 0.0
+
+
+#: the MachineState fields :meth:`MachineState.health_sample` reads
+_SAMPLE_INPUTS = frozenset(("spec", "disk_errors", "net_errors", "load1"))

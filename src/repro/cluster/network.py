@@ -25,13 +25,26 @@ delay.  Two messages travelling *different* edges therefore never arrive at
 exactly the same float timestamp, which removes the only case where the
 heap's global tie-break sequence — a function of every send in the run, not
 of the edge — could decide the order of cross-edge deliveries.
+
+**Delivery runs.**  Senders that send to one destination in the same
+instant (a heartbeat cohort, :mod:`repro.core.heartbeat`) hand the bus the
+whole batch: :meth:`MessageBus.send_run` draws every edge's delay in one
+kernel pass (:mod:`repro.kernels.edgedelay`, bit-identical to
+:meth:`MessageBus.plan_delays`), reserves one tie-break sequence number per
+message and lets the batch ride one :class:`~repro.sim.events.EventSeries`
+instead of one delivery event per message.  Each message still arrives at
+its own ``(time, seq)`` position; a batch whose destination can fold
+messages that change nothing does so for a whole chunk, and every other
+message goes through :meth:`MessageBus._deliver` as a single send would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro import kernels
+from repro.kernels.edgedelay import EdgeColumns, arrival_order
 from repro.sim.actor import Actor
 from repro.sim.events import EventLoop
 from repro.sim.rng import SplitRandom
@@ -76,6 +89,65 @@ class NetworkConfig:
     drop_prob: float = 0.0
 
 
+class EdgeGroup:
+    """The edges from a fixed list of senders to one destination.
+
+    Built once per sender list by :meth:`MessageBus.edge_group`; holds each
+    edge's live ``[key, epsilon, next_message_index]`` state (shared with
+    single sends on the same edge) and, under the numpy backend, the
+    constant key / epsilon columns the delay kernel works on.
+    """
+
+    __slots__ = ("senders", "dest", "states", "columns")
+
+    def __init__(self, senders: List[str], dest: str, states: List[list]):
+        self.senders = senders
+        self.dest = dest
+        self.states = states
+        self.columns = None
+        if kernels.np() is not None:
+            self.columns = EdgeColumns([state[0] for state in states],
+                                       [state[1] for state in states])
+
+
+class _DeliveryRun:
+    """The messages of one :meth:`MessageBus.send_run`, in arrival order:
+    the consumer of their :class:`~repro.sim.events.EventSeries`."""
+
+    __slots__ = ("bus", "group", "batch", "order", "times")
+
+    def __init__(self, bus: "MessageBus", group: EdgeGroup, batch: Any,
+                 order: List[int], times: List[float]):
+        self.bus = bus
+        self.group = group
+        self.batch = batch
+        self.order = order
+        self.times = times
+
+    def consume(self, start: int, end: int) -> int:
+        """Deliver arrivals ``[start, end)``; returns where it stopped.
+
+        No event lies between them, so the destination is resolved once: a
+        missing or crashed one drops them all, one that can fold messages
+        in bulk is offered the chunk, and the first message it does not
+        fold is delivered the way :meth:`MessageBus.send` delivers, alone.
+        """
+        bus = self.bus
+        group = self.group
+        actor = bus._actors.get(bus.resolve(group.dest))
+        if actor is None or not actor.alive:
+            bus.messages_dropped += end - start
+            return end
+        stop = self.batch.absorb(actor, self.order, self.times, start, end)
+        if stop > start:
+            bus.messages_delivered += stop - start
+            return stop
+        position = self.order[start]
+        bus._deliver(group.senders[position], group.dest,
+                     self.batch.message(position))
+        return start + 1
+
+
 class MessageBus:
     """Registry of actors plus the delivery machinery."""
 
@@ -92,6 +164,9 @@ class MessageBus:
         self.messages_delivered = 0
         self.messages_dropped = 0
         self.messages_duplicated = 0
+        #: the sender cohort opened last on this bus; senders arming in
+        #: the same loop step join it (see repro.core.heartbeat)
+        self.open_cohort: Any = None
 
     # --------------------------------------------------------------- #
     # registry
@@ -180,6 +255,75 @@ class MessageBus:
             return
         self.messages_delivered += 1
         actor.deliver(sender, message)
+
+    # --------------------------------------------------------------- #
+    # delivery runs: one message from each of many senders
+    # --------------------------------------------------------------- #
+
+    def edge_group(self, senders: Sequence[str], dest: str) -> EdgeGroup:
+        """The edges from ``senders`` to ``dest``, for :meth:`send_run`."""
+        senders = list(senders)
+        return EdgeGroup(senders, dest,
+                         [self._edge(sender, dest) for sender in senders])
+
+    def plan_delays_many(self, group: EdgeGroup) -> Tuple[Any, Any]:
+        """:meth:`plan_delays` for the next message on every edge of
+        ``group`` at once, for a transport that neither duplicates nor
+        reorders.  Returns ``(delays, dropped)`` columns — lists on the
+        python backend, scratch arrays on numpy; ``dropped`` is ``None``
+        when nothing can be — bit-identical to one :meth:`plan_delays` call
+        per sender, and advances every edge counter by exactly one.
+        """
+        config = self.config
+        if config.duplicate_prob or config.reorder_prob:
+            raise ValueError("plan_delays_many does not model duplication "
+                             "or reordering; send the messages one by one")
+        if group.columns is None:
+            plan_one, dest = self.plan_delays, group.dest
+            planned = [plan_one(sender, dest) for sender in group.senders]
+            delays = [0.0 if one is None else one[0] for one in planned]
+            if not config.drop_prob:
+                return delays, None
+            return delays, [one is None for one in planned]
+        states = group.states
+        indices = [state[2] for state in states]
+        for state in states:
+            state[2] += 1
+        return group.columns.delays(indices, config.latency, config.jitter,
+                                    config.drop_prob)
+
+    def send_run(self, group: EdgeGroup, batch: Any) -> None:
+        """Send one message from every sender of ``group``, now.
+
+        ``batch`` stands for the messages, by sender position:
+        ``batch.message(position)`` materialises one, and
+        ``batch.absorb(actor, order, times, start, end)`` lets the
+        destination fold the arrivals ``order[start:end]`` (sender
+        positions; ``times`` are their arrival times) that change nothing
+        and returns the index of the first it left alone.  Counters,
+        per-edge delays and arrival order are exactly those of
+        ``send(sender, dest, batch.message(position))`` per sender, in
+        sender order.
+        """
+        sent = len(group.senders)
+        self.messages_sent += sent
+        order, times = arrival_order(self.loop.now,
+                                     *self.plan_delays_many(group))
+        arriving = len(order)
+        self.messages_dropped += sent - arriving
+        if not arriving:
+            return
+        # One reserved sequence number per message that travels, in sender
+        # order — where send()'s call_after would have taken it.
+        first = self.loop.reserve_seqs(arriving)
+        if arriving == sent:
+            seqs = [first + position for position in order]
+        else:
+            rank = {position: first + index
+                    for index, position in enumerate(sorted(order))}
+            seqs = [rank[position] for position in order]
+        run = _DeliveryRun(self, group, batch, order, times)
+        self.loop.call_series(times, seqs, run.consume)
 
 
 def _draw(base: int, slot: int) -> float:

@@ -27,6 +27,7 @@ from typing import Callable, Dict, List, Optional, Set
 from repro.cluster.machine import MachineState
 from repro.core import messages as msg
 from repro.core.grant import Grant, book_entry_hash, books_digest
+from repro.core.heartbeat import HeartbeatCohort
 from repro.core.protocol import StreamHub
 from repro.core.resources import ResourceVector
 from repro.core.units import UnitKey
@@ -82,6 +83,8 @@ class FuxiAgent(Actor):
         self._workers_by_unit: Dict[UnitKey, Set[str]] = {}
         self.worker_restarts = 0
         self.launch_rejects = 0
+        # the periodic beat: a membership, not a timer of this agent's own
+        self._cohort: Optional[HeartbeatCohort] = None
         self._start_timers()
 
     # ------------------------------------------------------------------ #
@@ -101,21 +104,36 @@ class FuxiAgent(Actor):
         return self.machine_state.spec.capacity
 
     def _start_timers(self) -> None:
-        self.set_periodic_timer("heartbeat", self.config.heartbeat_interval,
-                                self._send_heartbeat)
+        # Beat every heartbeat_interval from now on, together with every
+        # agent started in this instant (first firing one interval out) ...
+        self._cohort = HeartbeatCohort.join(self)
         if self.hub.has_senders():
             self._arm_retransmit()
+        # ... and once right away, as a message of its own: the first beat
+        # is the one that registers the machine with the master.
         self.loop.call_after(0.0, self._send_heartbeat)
+
+    def cancel_all_timers(self) -> None:
+        """Cancel every timer, the periodic beat included (crash, dispose)."""
+        super().cancel_all_timers()
+        cohort, self._cohort = self._cohort, None
+        if cohort is not None:
+            cohort.leave(self)
 
     def _arm_retransmit(self) -> None:
         self.set_periodic_timer("retransmit", self.config.retransmit_interval,
                                 self.hub.retransmit_pending)
 
     def _send_heartbeat(self) -> None:
+        """One beat as a message of its own: the immediate beat of a
+        (re)started agent.  Periodic beats travel as a cohort batch
+        (:class:`~repro.core.heartbeat.HeartbeatBatch`) and come through
+        here only when the transport duplicates or reorders."""
         if not self.alive:
             return
-        # Fresh object per beat: a heartbeat is in flight for a network
-        # delay, so it must be a value snapshot taken at send time.
+        # A heartbeat is in flight for a network delay, so it carries value
+        # snapshots taken at send time (the health sample by reference: it
+        # is replaced, never mutated).
         self.send(self.config.master_address, msg.AgentHeartbeat(
             machine=self.machine, rack=self.rack,
             capacity=self.capacity,  # "can be changed at any time" (§3.2.1)

@@ -189,6 +189,12 @@ class AllocationLedger:
         """
         return self._machine_digest.get(machine, 0)
 
+    def machine_digests(self) -> Dict[str, int]:
+        """Live machine -> :meth:`machine_digest` mapping (a machine that
+        holds nothing is absent: its digest is 0), for tight read-only
+        loops (the heartbeat roll-up); do not modify."""
+        return self._machine_digest
+
     def drop_app(self, app_id: str) -> List[Grant]:
         """Remove all allocations of ``app_id``; returns the revocations applied."""
         revoked = [Grant(unit_key, machine, -count)

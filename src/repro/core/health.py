@@ -92,8 +92,11 @@ def default_plugins() -> List[HealthPlugin]:
 @dataclass
 class _MachineHealth:
     score: float = 1.0
-    # Copy of the last raw sample (copied because agents reuse the
-    # heartbeat's sample dict in place) and a memo of its score.
+    # Copy of the last raw sample and a memo of its score.  A copy because
+    # record_sample takes any mapping and its caller may change it later;
+    # the samples agents send (MachineState.health_sample) are replaced,
+    # never mutated, which is what lets HealthMonitor.folded certify "same
+    # sample" by identity without this comparison.
     last_sample: Optional[Dict[str, float]] = None
 
 
@@ -113,6 +116,11 @@ class HealthMonitor:
         # vectorized pass instead of an O(machines) scan per liveness tick.
         self._below_since = make_time_column()
         self._total_weight = sum(p.weight for p in self.plugins)
+        #: machine -> the sample object :meth:`record_sample` saw last.  For
+        #: a sample that is never mutated, ``folded.get(machine) is sample``
+        #: means folding it again would change nothing (the heartbeat
+        #: roll-up's test; live and read-only for callers).
+        self.folded: Dict[str, Mapping[str, float]] = {}
 
     def add_plugin(self, plugin: HealthPlugin) -> None:
         """Administrators can add more check items at runtime."""
@@ -121,10 +129,12 @@ class HealthMonitor:
         # The plugin set changed: memoized scores are no longer valid.
         for state in self._machines.values():
             state.last_sample = None
+        self.folded.clear()
 
     def record_sample(self, machine: str, sample: Mapping[str, float],
                       now: float) -> float:
         """Fold one raw sample in; returns the combined score."""
+        self.folded[machine] = sample
         state = self._machines.get(machine)
         if state is None:
             state = self._machines[machine] = _MachineHealth()
@@ -162,4 +172,5 @@ class HealthMonitor:
 
     def forget(self, machine: str) -> None:
         self._machines.pop(machine, None)
+        self.folded.pop(machine, None)
         self._below_since.pop(machine)

@@ -467,6 +467,56 @@ class FuxiMaster(Actor):
         # classifies it as heavy-but-not-urgent work handled "at a fixed
         # time interval ... in a roll-up manner" — see _check_liveness.
 
+    def absorb_heartbeats(self, beats, order: List[int], times: List[float],
+                          start: int, end: int) -> int:
+        """Roll up the beats that change nothing (§3.4's "roll-up manner").
+
+        ``order[start:end]`` are positions into the columns of ``beats``
+        (a :class:`~repro.core.heartbeat.HeartbeatBatch`), in arrival
+        order, with no other event between them; ``times`` are their
+        arrival times.  A beat is folded exactly when
+        :meth:`_handle_agent_heartbeat` would do nothing for it but stamp
+        its arrival and count its bytes — DESIGN.md's heartbeat-plane table
+        lists the statement behind each test below.  Returns the index of
+        the first beat that fails a test: that one takes the per-message
+        path (``deliver`` -> ``handle_message``), alone.
+        """
+        scheduler = self.scheduler
+        if (self.role != "primary" or scheduler is None
+                or self.tracer.enabled or scheduler.policy.heartbeat_paced):
+            return start
+        seen = self._last_agent_seen
+        known = seen.keys()
+        folded = self.health.folded.get
+        pool_capacity = scheduler.pool.capacities().get
+        # mid-recovery the books are not compared (see the per-message path)
+        ledger_digest = (None if self.recovering
+                         else scheduler.ledger.machine_digests().get)
+        machines, payload_bytes = beats.machines, beats.payload_bytes
+        samples, capacities, digests = (beats.samples, beats.capacities,
+                                        beats.digests)
+        stop = start
+        payload = 0
+        for position in order[start:end]:
+            machine = machines[position]
+            capacity = pool_capacity(machine)
+            if (folded(machine) is not samples[position]
+                    or machine not in known
+                    or (capacity is not capacities[position]
+                        and (capacity is None
+                             or capacity != capacities[position]))
+                    or (ledger_digest is not None
+                        and ledger_digest(machine, 0) != digests[position])):
+                break
+            payload += payload_bytes[position]
+            stop += 1
+        if stop > start:
+            seen.set_present([machines[position]
+                              for position in order[start:stop]],
+                             times[start:stop])
+            self.metrics.increment("fm.heartbeat_bytes", payload)
+        return stop
+
     def _handle_agent_resync_request(self, sender: str,
                                      request: msg.ResyncRequest) -> None:
         """A restarted agent asks for its allocation books."""

@@ -9,7 +9,7 @@ unreliable transport.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Tuple
+from typing import Any, ClassVar, Dict, Tuple
 
 from repro.core.grant import Grant
 from repro.core.request import RequestDelta
@@ -137,11 +137,19 @@ class AgentHeartbeat:
     (version, digest) pair additionally certifies the books have not moved
     between beats.
 
-    Agents build a fresh heartbeat per beat: the message is delivered a
-    network delay after it was sent (twice, if the bus duplicates it), so
-    it must be a value snapshot at send time, not a reference into mutable
-    agent state.
+    A beat is delivered a network delay after it was sent (twice, if the
+    bus duplicates it), so its fields are value snapshots taken at send
+    time, not references into mutable agent state; ``health_sample`` may be
+    shared between beats because ``MachineState`` replaces its sample dict
+    instead of mutating it.  Periodic beats travel as columns of a
+    :class:`~repro.core.heartbeat.HeartbeatBatch`; one is materialised as
+    this message only when the master cannot fold it as a no-op.
     """
+
+    #: :meth:`payload_bytes`: capacity vector + version + digest ...
+    HEADER_BYTES: ClassVar[int] = 48
+    #: ... and one key/value pair of the health sample
+    SAMPLE_ENTRY_BYTES: ClassVar[int] = 16
 
     machine: str
     rack: str
@@ -158,8 +166,8 @@ class AgentHeartbeat:
         heartbeat into ``fm.heartbeat_bytes`` to track the win over
         shipping a book dict copy (which cost ~40 bytes per entry).
         """
-        return (48 + len(self.machine) + len(self.rack)
-                + 16 * len(self.health_sample))
+        return (self.HEADER_BYTES + len(self.machine) + len(self.rack)
+                + self.SAMPLE_ENTRY_BYTES * len(self.health_sample))
 
 
 @dataclass(frozen=True, slots=True)

@@ -260,6 +260,11 @@ class FreeResourcePool:
     def capacity(self, machine: str) -> ResourceVector:
         return self._capacity.get(machine, _ZERO)
 
+    def capacities(self) -> Dict[str, ResourceVector]:
+        """Live machine -> capacity mapping of the registered machines, for
+        tight read-only loops (the heartbeat roll-up); do not modify."""
+        return self._capacity
+
     def free(self, machine: str) -> ResourceVector:
         return self._free.get(machine, _ZERO)
 

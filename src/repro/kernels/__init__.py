@@ -1,7 +1,9 @@
 """Struct-of-arrays compute kernels with a NumPy and a pure-Python backend.
 
-The simulator's hot tiers — the pool fit index and the heartbeat staleness
-roll-ups — funnel their batch work through this package.  Two interchangeable backends implement every kernel:
+The simulator's hot tiers — the pool fit index, the heartbeat staleness
+roll-ups and the edge delays of a heartbeat cohort's delivery run — funnel
+their batch work through this package.  Two interchangeable backends
+implement every kernel:
 
 * ``numpy`` — dense float64/int64 columns, vectorized passes; and
 * ``python`` — plain lists and loops producing **byte-identical** results.

@@ -18,7 +18,7 @@ the scalar code on both backends and results stay byte-identical.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, KeysView, List, Optional, Sequence
 
 from repro import kernels
 
@@ -34,6 +34,12 @@ class PyTimeColumn:
     def set(self, name: str, value: float) -> None:
         self._values[name] = value
 
+    def set_present(self, names: Sequence[str],
+                    values: Sequence[float]) -> None:
+        """``set(name, value)`` pairwise, for names already in the column
+        (none is inserted, so no position moves)."""
+        self._values.update(zip(names, values))
+
     def get(self, name: str, default: Optional[float] = None) -> Optional[float]:
         return self._values.get(name, default)
 
@@ -45,6 +51,11 @@ class PyTimeColumn:
 
     def __contains__(self, name: str) -> bool:
         return name in self._values
+
+    def keys(self) -> KeysView[str]:
+        """Live view of the names present, in insertion order (membership
+        tests on it skip the method call of ``name in column``)."""
+        return self._values.keys()
 
     def __len__(self) -> int:
         return len(self._values)
@@ -116,6 +127,12 @@ class NumpyTimeColumn:
             self._valid[slot] = True
         self._vals[slot] = value
 
+    def set_present(self, names: Sequence[str],
+                    values: Sequence[float]) -> None:
+        """``set(name, value)`` pairwise, for names already in the column:
+        one scattered store instead of a scalar store per name."""
+        self._vals[list(map(self._slots.__getitem__, names))] = values
+
     def get(self, name: str, default: Optional[float] = None) -> Optional[float]:
         slot = self._slots.get(name)
         return float(self._vals[slot]) if slot is not None else default
@@ -138,6 +155,11 @@ class NumpyTimeColumn:
 
     def __contains__(self, name: str) -> bool:
         return name in self._slots
+
+    def keys(self) -> KeysView[str]:
+        """Live view of the names present, in insertion order (membership
+        tests on it skip the method call of ``name in column``)."""
+        return self._slots.keys()
 
     def __len__(self) -> int:
         return len(self._slots)

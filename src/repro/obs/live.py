@@ -238,7 +238,7 @@ class ClusterSampler:
         if self._timer is None:
             loop = self.cluster.loop
             self._last_sim = loop.now
-            self._last_events = loop.events_executed
+            self._last_events = self.cluster.events_total
             self._last_wall = _time.perf_counter()
             self._timer = loop.call_after(self.interval, self._tick,
                                           wheel=True)
@@ -259,7 +259,7 @@ class ClusterSampler:
         loop: EventLoop = self.cluster.loop
         row = self.cluster.telemetry_snapshot()
         now = loop.now
-        events = loop.events_executed
+        events = self.cluster.events_total
         wall = _time.perf_counter()
         if self._last_sim is not None:
             dt_sim = now - self._last_sim
@@ -286,6 +286,7 @@ class ClusterSampler:
 _SUBSYSTEM_BY_MODULE: Dict[str, str] = {
     "repro.core.master": "master",
     "repro.core.agent": "agent",
+    "repro.core.heartbeat": "agent",
     "repro.core.appmaster": "jobmaster",
     "repro.jobs.jobmaster": "jobmaster",
     "repro.jobs.taskmaster": "jobmaster",

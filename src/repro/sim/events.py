@@ -30,6 +30,15 @@ churning the main heap:
   deliveries and self-re-arming periodic timers that replace their handle
   inside the callback.
 
+A third path serves *runs* of occurrences that would otherwise each be an
+event of their own (the heartbeat plane's deliveries): an
+:class:`EventSeries` (``call_series``) rides one re-arming heap event and
+hands its consumer every occurrence that sorts before the loop's next other
+event, so each occurrence is still processed at its own position in the
+global ``(time, seq)`` order.  Occurrences handled inside another event's
+callback are counted in :attr:`EventLoop.events_absorbed`;
+:attr:`EventLoop.events_executed` stays the number of loop steps.
+
 For observability the loop supports per-event hooks (see
 :meth:`EventLoop.add_hook` and the legacy single-hook
 :meth:`EventLoop.set_hook`): every ``sample_every``-th executed event is
@@ -44,9 +53,9 @@ coherent Event.
 from __future__ import annotations
 
 import heapq
-import itertools
 import time as _time
-from typing import Any, Callable, Dict, List, Optional
+from bisect import bisect_left, bisect_right
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 #: below this heap size compaction is pointless (rebuild cost > scan cost)
 _COMPACT_MIN = 64
@@ -120,6 +129,70 @@ class Event:
         return f"<Event t={self.time:.6f} seq={self.seq} {state} {self.callback!r}>"
 
 
+class EventSeries:
+    """A sorted run of occurrences that share one re-arming loop event.
+
+    Created by :meth:`EventLoop.call_series`.  Each invocation reads the key
+    of the loop's next other event and calls ``consume(start, end)`` for the
+    occurrences ``[start, end)`` that sort strictly before it (ties on time
+    broken by the reserved sequence numbers) and no later than the bound of
+    the ``run_until`` in progress; it then re-arms under the key of the
+    first occurrence left, so that one is popped exactly where an event of
+    its own would have been.
+
+    ``consume`` handles at least occurrence ``start`` and returns the index
+    it stopped at.  ``loop.now`` is ``times[start]`` on entry; a call that
+    handles more than one occurrence must neither schedule nor cancel events
+    nor read the clock for the later ones (the bound was taken before the
+    call).  An occurrence that needs either is therefore handled by a call
+    of its own, after which the bound is read again — whatever it scheduled
+    inside the rest of the run is honoured.  After an invocation ``loop.now``
+    is the time of the last occurrence consumed.
+
+    The consumer is kept as ``callback`` so that profilers unwrap a series
+    the way they unwrap a periodic-timer chain.
+    """
+
+    __slots__ = ("_loop", "times", "seqs", "pos", "callback")
+
+    def __init__(self, loop: "EventLoop", times: Sequence[float],
+                 seqs: Sequence[int], consume: Callable[[int, int], int]):
+        self._loop = loop
+        self.times = times
+        self.seqs = seqs
+        self.pos = 0
+        self.callback = consume
+
+    def __call__(self) -> None:
+        loop = self._loop
+        times = self.times
+        seqs = self.seqs
+        consume = self.callback
+        total = len(times)
+        first = pos = self.pos
+        until = loop._until
+        while pos < total and not (loop._stopped and pos > first):
+            head = loop._peek()
+            if head is None:
+                end = total
+            else:
+                when, seq = head[0], head[1]
+                end = bisect_left(times, when, pos, total)
+                while end < total and times[end] == when and seqs[end] < seq:
+                    end += 1
+            if end > pos and times[end - 1] > until:
+                end = bisect_right(times, until, pos, end)
+            if end <= pos:
+                break
+            loop._now = times[pos]
+            pos = consume(pos, end)
+            loop._now = times[pos - 1]
+        self.pos = pos
+        loop.events_absorbed += pos - first - 1
+        if pos < total:
+            loop._call_reserved(times[pos], seqs[pos], self)
+
+
 class EventLoop:
     """Deterministic discrete-event scheduler.
 
@@ -137,10 +210,21 @@ class EventLoop:
         self._now = float(start_time)
         # heap of (time, seq, event): unique seq => pure tuple comparison
         self._heap: List[tuple] = []
-        self._seq = itertools.count()
+        self._seq = 0
         self._running = False
         self._stopped = False
+        #: loop steps: one per executed callback (what hooks, the profiler,
+        #: the flight recorder and ``run(max_events=)`` count)
         self.events_executed = 0
+        #: occurrences handled inside another event's callback: the members
+        #: a heartbeat cohort fires beyond the first, the occurrences an
+        #: :class:`EventSeries` invocation consumes beyond the first.
+        #: ``events_executed + events_absorbed`` is what a run with one
+        #: event per occurrence would have executed.
+        self.events_absorbed = 0
+        # the bound of the run_until in progress (an EventSeries invocation
+        # must not consume occurrences beyond it)
+        self._until = float("inf")
         # live/cancelled counters: pending() must be O(1) and compaction
         # needs to know when the heap is mostly garbage.  Wheel-tier
         # cancellations are counted separately — they are reclaimed on slot
@@ -177,7 +261,8 @@ class EventLoop:
             raise SimulationError(
                 f"cannot schedule event at {when} before current time {self._now}"
             )
-        seq = next(self._seq)
+        seq = self._seq
+        self._seq = seq + 1
         free = self._free
         if free:
             event = free.pop()
@@ -211,6 +296,41 @@ class EventLoop:
         heapq.heappush(self._heap, entry)
         self._live += 1
         return event
+
+    def reserve_seqs(self, count: int) -> int:
+        """Take ``count`` consecutive tie-break sequence numbers; returns
+        the first.  For :meth:`call_series`: an occurrence that is not an
+        event of its own still needs its place among equal timestamps."""
+        first = self._seq
+        self._seq = first + count
+        return first
+
+    def call_series(self, times: Sequence[float], seqs: Sequence[int],
+                    consume: Callable[[int, int], int]) -> "EventSeries":
+        """Schedule a run of occurrences behind one re-arming event.
+
+        Occurrence ``i`` happens at ``(times[i], seqs[i])``; both sequences
+        are sorted by that key and the sequence numbers come from
+        :meth:`reserve_seqs`.  See :class:`EventSeries` for the contract of
+        ``consume``.
+        """
+        series = EventSeries(self, times, seqs, consume)
+        if times:
+            self._call_reserved(times[0], seqs[0], series)
+        return series
+
+    def _call_reserved(self, when: float, seq: int,
+                       callback: Callable[[], Any]) -> None:
+        """Heap-schedule ``callback`` under an already reserved ``seq``."""
+        if when < self._now:
+            raise SimulationError(
+                f"cannot schedule event at {when} before current time {self._now}"
+            )
+        # A fresh Event, recycled after it fires: this runs once per series
+        # invocation, not once per occurrence.
+        event = Event(when, seq, callback, (), loop=self, recycle=True)
+        heapq.heappush(self._heap, (when, seq, event))
+        self._live += 1
 
     def call_after(self, delay: float, callback: Callable[..., Any], *args: Any,
                    wheel: bool = False, recycle: bool = False) -> Event:
@@ -278,8 +398,8 @@ class EventLoop:
 
         Skips cancelled heads and drains every wheel slot that could hold an
         earlier event than the current candidate, so the returned entry is
-        the true global minimum.  The entry is left in place; :meth:`step`
-        consumes it.
+        the true global minimum.  The entry is left in place;
+        :meth:`_execute` consumes it.
         """
         heap = self._heap
         while True:
@@ -357,6 +477,11 @@ class EventLoop:
         entry = self._peek()
         if entry is None:
             return False
+        self._execute(entry)
+        return True
+
+    def _execute(self, entry: tuple) -> None:
+        """Consume and run ``entry``, the head :meth:`_peek` just returned."""
         ready = self._ready
         pos = self._ready_pos
         if pos < len(ready) and ready[pos] is entry:
@@ -398,7 +523,6 @@ class EventLoop:
                 event.args = ()
                 event._loop = None
                 free.append(event)
-        return True
 
     def run(self, max_events: Optional[int] = None) -> None:
         """Run until the heap drains, :meth:`stop` is called, or ``max_events`` fire."""
@@ -425,14 +549,16 @@ class EventLoop:
             raise SimulationError("event loop is already running")
         self._running = True
         self._stopped = False
+        self._until = until
         try:
             while not self._stopped:
                 entry = self._peek()
                 if entry is None or entry[0] > until:
                     break
-                self.step()
+                self._execute(entry)
         finally:
             self._running = False
+            self._until = float("inf")
         if self._now < until:
             self._now = until
 

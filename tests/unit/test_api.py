@@ -79,7 +79,7 @@ def _digest(result):
         "sched_n": len(sched.points),
         "sched_times": repr(sched.times()),
         "now": repr(result.cluster.loop.now),
-        "events": result.cluster.loop.events_executed,
+        "events": result.cluster.events_total,
     }, sort_keys=True).encode()
 
 

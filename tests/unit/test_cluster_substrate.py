@@ -264,3 +264,44 @@ def test_drop_machine_removes_replicas():
 def test_invalid_file_size():
     with pytest.raises(ValueError):
         make_store().create_file("/f", 0.0)
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "interleaved",
+                                    "one-rack", "unracked"])
+def test_off_rack_view_is_the_off_rack_list(layout):
+    """Off-rack candidates are a view skipping the rack's slice of the
+    sorted machine list when the rack is one, a list otherwise: either way
+    the same sequence, so every placement draw is the same."""
+    machines = [f"m{index:03d}" for index in range(24)]
+    if layout == "contiguous":
+        rack_of = {m: f"rack{index // 6}" for index, m in enumerate(machines)}
+    elif layout == "interleaved":
+        rack_of = {m: f"rack{index % 4}" for index, m in enumerate(machines)}
+    elif layout == "one-rack":
+        rack_of = {m: "rack0" for m in machines}
+    else:  # the middle third has no rack entry at all
+        rack_of = {m: "rack0" for m in machines[:8] + machines[16:]}
+    store = BlockStore(machines, rack_of, rng=SplitRandom(9))
+    for rack in set(rack_of.values()) | {rack_of.get("m010")}:
+        expected = [m for m in machines if rack_of.get(m) != rack]
+        view = store._off_rack(rack)
+        assert len(view) == len(expected)
+        assert list(view) == expected
+        assert [view[i] for i in range(len(view))] == expected
+        assert bool(view) == bool(expected)
+        if expected:
+            assert view[-1] == expected[-1]
+            assert view[-len(expected)] == expected[0]
+        with pytest.raises(IndexError):
+            view[len(expected)]
+        is_view = not isinstance(view, list)
+        assert is_view == (layout in ("contiguous", "one-rack", "unracked")
+                           and (layout != "unracked" or rack is None))
+
+    # same draws, same placements as the list-only store
+    reference = BlockStore(machines, rack_of, rng=SplitRandom(9))
+    reference._off_rack = lambda rack: [m for m in machines
+                                        if rack_of.get(m) != rack]
+    store.create_file("/f", 256.0 * 40)
+    reference.create_file("/f", 256.0 * 40)
+    assert store.blocks("/f") == reference.blocks("/f")

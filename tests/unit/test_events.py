@@ -306,3 +306,143 @@ def test_timed_and_untimed_hooks_coexist():
     # the wall reading already paid for the timed hook is shared with the
     # untimed one (untimed means "doesn't *require* timing", not "gets 0")
     assert seen["untimed"] == seen["timed"]
+
+
+# --------------------------------------------------------------------- #
+# event series: many occurrences behind one re-arming event
+# --------------------------------------------------------------------- #
+
+def _series(loop, times, log, greedy=True, single=()):
+    """Schedule ``times`` as a series.  The consumer logs what it handles;
+    ``greedy`` takes the whole offered chunk, except that an occurrence in
+    ``single`` is only ever handled by a call of its own."""
+    first = loop.reserve_seqs(len(times))
+    seqs = list(range(first, first + len(times)))
+    chunks = []
+
+    def consume(start, end):
+        assert loop.now == times[start]
+        stop = end if greedy else start + 1
+        for index in range(start, stop):
+            if index in single and index > start:
+                stop = index
+                break
+        if start in single:
+            stop = start + 1
+        chunks.append((start, stop))
+        log.extend(("series", index) for index in range(start, stop))
+        return stop
+
+    return loop.call_series(times, seqs, consume), chunks
+
+
+def test_series_occurrences_keep_their_place_among_other_events():
+    loop = EventLoop()
+    log = []
+    loop.call_at(2.5, log.append, "foreign@2.5")
+    series, chunks = _series(loop, [1.0, 2.0, 3.0, 4.0], log)
+    loop.call_at(3.5, log.append, "foreign@3.5")
+    loop.run()
+    assert log == [("series", 0), ("series", 1), "foreign@2.5",
+                   ("series", 2), "foreign@3.5", ("series", 3)]
+    assert chunks == [(0, 2), (2, 3), (3, 4)]
+    assert series.pos == 4
+    # three invocations + two foreign events are loop steps; the fourth
+    # occurrence was absorbed inside another's invocation
+    assert loop.events_executed == 5
+    assert loop.events_absorbed == 1
+    assert loop.now == 4.0
+    assert loop.pending() == 0
+
+
+def test_series_ties_break_by_reserved_sequence_number():
+    """A foreign event at exactly an occurrence's time runs before it when
+    it was scheduled before the seqs were reserved, after it otherwise."""
+    loop = EventLoop()
+    log = []
+    loop.call_at(2.0, log.append, "earlier-seq")
+    _series(loop, [1.0, 2.0, 2.0, 3.0], log)
+    loop.call_at(2.0, log.append, "later-seq")
+    loop.run()
+    assert log == [("series", 0), "earlier-seq", ("series", 1),
+                   ("series", 2), "later-seq", ("series", 3)]
+
+
+def test_series_stops_at_the_run_until_bound():
+    loop = EventLoop()
+    log = []
+    series, _ = _series(loop, [1.0, 2.0, 3.0, 4.0], log)
+    loop.run_until(2.0)            # boundary events included, like step()
+    assert log == [("series", 0), ("series", 1)]
+    assert loop.now == 2.0 and series.pos == 2
+    assert loop.pending() == 1     # re-armed under occurrence 2's key
+    loop.run_until(2.5)
+    assert log == [("series", 0), ("series", 1)] and loop.now == 2.5
+    loop.run_until(10.0)
+    assert [entry[1] for entry in log] == [0, 1, 2, 3]
+    assert loop.now == 10.0
+    assert loop.events_executed + loop.events_absorbed == 4
+
+
+def test_series_rereads_the_bound_after_a_single_occurrence():
+    """An occurrence handled alone may schedule an event inside the rest
+    of the run; the occurrences after it must wait for that event."""
+    loop = EventLoop()
+    log = []
+    times = [1.0, 2.0, 3.0, 4.0]
+    first = loop.reserve_seqs(4)
+    seqs = list(range(first, first + 4))
+
+    def consume(start, end):
+        if start == 0:
+            # the "slow" occurrence: alone, and it schedules into the run
+            log.append(("series", 0))
+            loop.call_at(2.5, log.append, "scheduled-by-0")
+            return 1
+        log.extend(("series", index) for index in range(start, end))
+        return end
+
+    loop.call_series(times, seqs, consume)
+    loop.run()
+    assert log == [("series", 0), ("series", 1), "scheduled-by-0",
+                   ("series", 2), ("series", 3)]
+
+
+def test_series_one_at_a_time_consumer_counts_every_occurrence_once():
+    loop = EventLoop()
+    log = []
+    series, chunks = _series(loop, [1.0, 1.5, 2.0], log, greedy=False)
+    steps = 0
+    while loop.step():
+        steps += 1
+    # nothing else is pending, so one invocation walks the whole series,
+    # one occurrence per consume call
+    assert chunks == [(0, 1), (1, 2), (2, 3)]
+    assert steps == loop.events_executed == 1
+    assert loop.events_absorbed == 2
+
+
+def test_series_honours_stop_between_occurrences():
+    loop = EventLoop()
+    log = []
+    times = [1.0, 2.0, 3.0]
+    first = loop.reserve_seqs(3)
+    seqs = list(range(first, first + 3))
+
+    def consume(start, end):
+        log.append(start)
+        if start == 0:
+            loop.stop()
+        return start + 1
+
+    loop.call_series(times, seqs, consume)
+    loop.run()
+    assert log == [0]
+    loop.run()
+    assert log == [0, 1, 2]
+
+
+def test_empty_series_schedules_nothing():
+    loop = EventLoop()
+    series = loop.call_series([], [], lambda start, end: end)
+    assert series.pos == 0 and loop.pending() == 0
