@@ -84,6 +84,9 @@ class AllocationLedger:
         self._by_machine: Dict[str, Dict[UnitKey, int]] = {}
         self._by_unit: Dict[UnitKey, Dict[str, int]] = {}
         self._by_app: Dict[str, set] = {}
+        # unit -> units granted across all machines, so the max_count cap
+        # check costs one probe instead of a sum over the unit's machines
+        self._unit_total: Dict[UnitKey, int] = {}
         # machine -> XOR of book_entry_hash over its books; lets the agent
         # heartbeat digest check (§3.1 safety sync) run in O(1).
         self._machine_digest: Dict[str, int] = {}
@@ -92,6 +95,11 @@ class AllocationLedger:
         key = (unit_key, machine)
         old = self._counts.get(key, 0)
         if count != old:
+            total = self._unit_total.get(unit_key, 0) + count - old
+            if total:
+                self._unit_total[unit_key] = total
+            else:
+                del self._unit_total[unit_key]
             digest = self._machine_digest.get(machine, 0)
             if old:
                 digest ^= book_entry_hash(unit_key, old)
@@ -146,7 +154,13 @@ class AllocationLedger:
         return sum(self._by_machine.get(machine, {}).values())
 
     def total_units(self, unit_key: UnitKey) -> int:
-        return sum(self._by_unit.get(unit_key, {}).values())
+        return self._unit_total.get(unit_key, 0)
+
+    def unit_totals(self) -> Dict[UnitKey, int]:
+        """Live unit -> :meth:`total_units` mapping (a unit holding nothing
+        is absent), for tight read-only loops (the machine-event walk's
+        cap check); do not modify."""
+        return self._unit_total
 
     def machines_of(self, unit_key: UnitKey) -> List[Tuple[str, int]]:
         return sorted(self._by_unit.get(unit_key, {}).items())
@@ -238,6 +252,7 @@ class AllocationLedger:
         clone._by_unit = {u: dict(machines)
                           for u, machines in self._by_unit.items()}
         clone._by_app = {a: set(units) for a, units in self._by_app.items()}
+        clone._unit_total = dict(self._unit_total)
         clone._machine_digest = dict(self._machine_digest)
         return clone
 

@@ -180,14 +180,17 @@ class FuxiMaster(Actor):
             self.send(f"app:{app_id}", msg.MasterHello(self.name, self.failovers))
 
     def _load_hard_state(self) -> None:
-        """Hard states: quota groups, app configs, cluster blacklist (§4.3.1)."""
-        for _, group in self.checkpoint.items("quota/"):
+        """Hard states: quota groups, app configs, cluster blacklist (§4.3.1).
+
+        The records are only read, so they are peeked, not deep-copied: an
+        app record carries its whole job description."""
+        for _, group in self.checkpoint.peek_items("quota/"):
             self.scheduler.quota.define_group(QuotaGroup(
                 name=group["name"],
                 min_quota=_vector_from(group.get("min", {})),
                 max_quota=(_vector_from(group["max"]) if group.get("max") else None),
             ))
-        for _, app in self.checkpoint.items("app/"):
+        for _, app in self.checkpoint.peek_items("app/"):
             self.scheduler.register_app(app["app_id"], app.get("group", DEFAULT_GROUP))
         snapshot = self.checkpoint.get("blacklist")
         if snapshot:
@@ -195,7 +198,8 @@ class FuxiMaster(Actor):
                 snapshot, self.config.blacklist)
 
     def _known_app_ids(self) -> List[str]:
-        return [app["app_id"] for _, app in self.checkpoint.items("app/")]
+        return [app["app_id"]
+                for _, app in self.checkpoint.peek_items("app/")]
 
     def _renew(self) -> None:
         if not self.locks.renew(self.config.lock_name, self.name,

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.config import ConfigBase, conf
 from repro.core.grant import AllocationLedger, Grant
-from repro.core.locality import LocalityTree
+from repro.core.locality import PASS, REREAD, RESTART, LocalityTree
 from repro.core.policy import SchedulerPolicy, create_policy
 from repro.core.pool import FreeResourcePool
 from repro.core.preemption import PreemptionPlanner
@@ -45,11 +45,14 @@ class SchedulerConfig(ConfigBase):
         enable_preemption: turn the two-level preemption of §3.4 on/off.
         preemption_scan_limit: how many machines to consider as preemption
             sites for one starved request (bounds worst-case planning work).
-        schedule_scan_limit: stop serving a machine's queues after this many
-            consecutive waiting entries that want resources but cannot fit
-            (bounds per-event work under pathological unit-size mixes and
-            behind demands at their ``max_count``; the waiting-shape census
-            ends the scan as soon as nothing waiting fits what is free).
+        schedule_scan_limit: stop serving a machine's queues after passing
+            over this many consecutive waiting entries the event cannot
+            serve — no fit, at ``max_count`` or over quota (bounds per-event
+            work under pathological unit-size mixes; demands at their
+            ``max_count`` still count toward it, see DESIGN.md "Known
+            defects").  A passed-over entry stays where it is queued; the
+            waiting-shape census ends the walk as soon as nothing waiting
+            fits what is free.
         place_scan_limit: cap on machines taken from the cluster-wide fit
             ranking for one placement decision.  ``wanted + len(avoid)``
             machines provably suffice for an exact result (every ranked
@@ -66,8 +69,8 @@ class SchedulerConfig(ConfigBase):
         20, min=1, help="machines considered as preemption sites per "
                         "starved request")
     schedule_scan_limit: int = conf(
-        64, min=1, help="consecutive non-fitting waiting entries served "
-                        "per machine event")
+        64, min=1, help="consecutive unservable waiting entries passed "
+                        "over per machine event")
     place_scan_limit: int = conf(
         512, min=1, help="machines taken from the cluster-wide ranking "
                          "per placement decision")
@@ -141,8 +144,10 @@ class FuxiScheduler:
         # whose free vector fits no census shape cannot grant anything.
         self._waiting_shapes: Dict[ResourceVector, int] = {}
         self._counted_shape: Dict[UnitKey, ResourceVector] = {}
-        # The early exit skips pop/reject/re-push rounds, which is a no-op
-        # only while a re-push cannot move an entry in its queue.
+        # The early exit skips pop/reject/re-push rounds, and the machine-
+        # event walk passes over rejected entries instead of doing them:
+        # both are no-ops only while a re-push cannot move an entry in its
+        # queue.
         self._exact_exit = not self.policy.drifting_priority
         self._preemption = PreemptionPlanner(self.quota, self.units.get)
         self.policy.attach(self)
@@ -519,7 +524,10 @@ class FuxiScheduler:
         cap = unit.max_count - self.ledger.total_units(unit.key)
         if cap <= 0:
             return 0
-        allowed = min(wanted, fit, cap)
+        return self._quota_limit(unit, min(wanted, fit, cap))
+
+    def _quota_limit(self, unit: ScheduleUnit, allowed: int) -> int:
+        """``allowed`` units, less any that would exceed the app's quota."""
         while allowed > 0 and not self.quota.within_max(
                 unit.app_id, unit.resources * allowed):
             allowed -= 1
@@ -624,84 +632,116 @@ class FuxiScheduler:
         """Resources freed up on ``machine``: serve its locality-path queues."""
         if not self.pool.has_machine(machine) or self.pool.is_disabled(machine):
             return []
-        exact_exit = self._exact_exit
-        if exact_exit and not self._waiting_fits(self.pool.free(machine)):
+        if self._exact_exit and not self._waiting_fits(self.pool.free(machine)):
             return []
-        grants: List[Grant] = []
-        skipped: List[Tuple[UnitKey, WaitingDemand]] = []
+        return self._walk_path(machine)
+
+    def _walk_path(self, machine: str) -> List[Grant]:
+        """Serve ``machine``'s machine, rack and cluster queues in §3.3
+        order until its free space, the waiting demands or the scan
+        budget run out.
+
+        For fixed-key policies the walk is non-destructive: a demand
+        this event cannot serve is passed over where it is queued, which
+        is where popping and re-pushing it would have put it back
+        (DESIGN.md §4).  Drifting-priority policies walk destructively —
+        a passed entry is consumed and re-indexed after the event, which
+        is what re-ranks it.
+        """
+        pool = self.pool
+        demands = self._demands
+        exact_exit = self._exact_exit
+        passthrough = self._passthrough
+        # Rejected this event (cannot be served here now): passed over
+        # for the rest of it.
         skip_keys: Set[UnitKey] = set()
+        skipped: List[Tuple[UnitKey, WaitingDemand]] = []
         # Mesos-style exclusive offer: once an app takes from this event,
-        # the rest of the event is its alone (None = not locked yet;
-        # candidates from other apps then read as stale via ``wants``).
-        exclusive = (not self._passthrough) and self.policy.exclusive_event
+        # the rest of the event is its alone (None = not locked yet).
+        exclusive = not passthrough and self.policy.exclusive_event
         locked_app: Optional[str] = None
-        # Entries turned away for this event only — by the exclusivity
-        # lock, or because their demand avoids this machine: the queues'
-        # lazy peek evicts anything reading 0 (from the shared rack and
-        # cluster queues too), so they must be re-indexed after the event
-        # (same repair the ``skipped`` list gets) or they vanish until
-        # their next request delta.  Insertion-ordered dict, not a set:
-        # re-index order assigns queue tie-break sequence numbers, so it
-        # must not depend on hash salting.
+        # Demands turned away by the lock or their avoid list.  A policy
+        # path re-indexes them, and the skipped ones, after the event: a
+        # destructive walk consumed their entries.  Insertion-ordered
+        # dict, not a set, so that order never depends on hash salting.
         turned_away: Dict[UnitKey, None] = {}
 
-        def wants(unit_key: UnitKey, level: LocalityLevel, name: str) -> int:
+        # Bound once: classify runs for every entry the walk passes, and
+        # looking an enum member up on its class is slow on that path.
+        cluster_level = LocalityLevel.CLUSTER
+        machine_level = LocalityLevel.MACHINE
+
+        def classify(unit_key: UnitKey, level: LocalityLevel,
+                     name: str) -> int:
             if unit_key in skip_keys:
-                return 0
+                return -1
             if locked_app is not None and unit_key.app_id != locked_app:
                 turned_away[unit_key] = None
-                return 0
-            demand = self._demands.get(unit_key)
+                return -1
+            demand = demands.get(unit_key)
             if demand is None:
                 return 0
             if machine in demand.avoid:
                 turned_away[unit_key] = None
-                return 0
-            if level is LocalityLevel.MACHINE:
+                return -1
+            if level is cluster_level:
+                return demand.total
+            if level is machine_level:
                 return demand.wants_machine(name)
-            if level is LocalityLevel.RACK:
-                return demand.wants_rack(name)
-            return demand.wants_anywhere()
+            return demand.wants_rack(name)
 
+        walk = self.tree.walk(machine, classify, destructive=not exact_exit)
+        totals = self.ledger.unit_totals()
+        units = self.units.definitions()
+        scan_limit = self.config.schedule_scan_limit
+        grants: List[Grant] = []
         consecutive_skips = 0
-        for unit_key, level in self.tree.candidates_for_machine(machine, wants):
-            demand = self._demands[unit_key]
-            unit = self.units.get(unit_key)
-            if level is LocalityLevel.MACHINE:
-                wanted = demand.wants_machine(machine)
-            elif level is LocalityLevel.RACK:
-                wanted = demand.wants_rack(self.rack_of(machine))
-            else:
-                wanted = demand.wants_anywhere()
-            count = self._grant_limit(unit, machine, wanted)
+        head = walk.send(None)
+        while head is not None:
+            unit_key, level, wanted = head
+            unit = units[unit_key]
+            # _grant_limit with the cap tested first — one probe of the
+            # live totals, and no fit check for a demand at max_count
+            # (the result is 0 in either order).
+            cap = unit.max_count - totals.get(unit_key, 0)
+            count = 0
+            if cap > 0:
+                fit = pool.max_units(machine, unit.resources)
+                if fit > 0:
+                    count = self._quota_limit(unit, min(wanted, fit, cap))
             if count <= 0:
-                # Wants but cannot be served here now; keep out of this pass.
                 skip_keys.add(unit_key)
-                skipped.append((unit_key, demand))
+                if not passthrough:
+                    skipped.append((unit_key, demands[unit_key]))
                 consecutive_skips += 1
-                if consecutive_skips >= self.config.schedule_scan_limit:
+                if consecutive_skips >= scan_limit:
                     break
+                head = walk.send(PASS)
                 continue
             consecutive_skips = 0
+            demand = demands[unit_key]
             grants.append(self._apply_grant(unit, demand, machine, count,
                                             level))
-            if exclusive:
-                locked_app = unit_key.app_id
             self._reindex(unit_key, demand)
-            free = self.pool.free(machine)
+            free = pool.free(machine)
             if free.is_zero() or (exact_exit
                                   and not self._waiting_fits(free)):
-                # Nothing left that anyone waiting could take: every
-                # further candidate would be popped, rejected and
-                # re-pushed where it was.
+                # Nothing left that anyone waiting could take.
                 break
-        for unit_key, demand in skipped:
-            self._reindex(unit_key, demand)
-        for unit_key in turned_away:
-            if unit_key not in skip_keys:
-                demand = self._demands.get(unit_key)
-                if demand is not None:
-                    self._reindex(unit_key, demand)
+            if exclusive and locked_app is None:
+                locked_app = unit_key.app_id
+                head = walk.send(RESTART)
+            else:
+                head = walk.send(REREAD)
+        walk.close()
+        if not passthrough:
+            for unit_key, demand in skipped:
+                self._reindex(unit_key, demand)
+            for unit_key in turned_away:
+                if unit_key not in skip_keys:
+                    demand = demands.get(unit_key)
+                    if demand is not None:
+                        self._reindex(unit_key, demand)
         return grants
 
     def _waiting_fits(self, free: ResourceVector) -> bool:

@@ -10,6 +10,7 @@ and priorities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.core.resources import ResourceVector
 
@@ -50,9 +51,15 @@ class ScheduleUnit:
         )
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class UnitKey:
-    """Globally unique ScheduleUnit identifier."""
+class UnitKey(NamedTuple):
+    """Globally unique ScheduleUnit identifier.
+
+    A named tuple so hashing and comparison run in C: the scheduler's
+    dicts and sets probe these keys millions of times a run.  The hash
+    must stay that of the plain tuple ``(app_id, slot_id)``: sets of keys
+    iterate in hash order, so a different hash could reorder whatever is
+    decided while iterating one.
+    """
 
     app_id: str
     slot_id: int
@@ -79,6 +86,11 @@ class UnitRegistry:
             return self._units[key]
         except KeyError:
             raise KeyError(f"unknown ScheduleUnit {key!r}") from None
+
+    def definitions(self) -> dict:
+        """Live UnitKey -> ScheduleUnit mapping, for tight read-only loops
+        (the machine-event walk); do not modify."""
+        return self._units
 
     def drop_app(self, app_id: str) -> None:
         """Remove every unit belonging to ``app_id`` (application exit)."""

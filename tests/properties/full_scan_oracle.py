@@ -1,26 +1,143 @@
-"""The machine-event scan as it was before the waiting-shape census.
+"""The machine-event scan as it was before the waiting-shape census, on
+the lazy-heap queues it ran on before the locality-queue walk.
 
 :class:`FullScanScheduler` overrides ``FuxiScheduler._schedule_machine``
 with the body that method had at the commit before the census (the
 avoid-eviction fix), kept verbatim: it has no early exit, so after the last
 grant a free-up allows it still pops, rejects and re-pushes up to
-``schedule_scan_limit`` candidates.  Slow and obviously complete — the
-oracle ``test_machine_event_differential.py`` drives the fast path against.
-Do not "tidy" the copied body; its value is that it is the old code.
+``schedule_scan_limit`` candidates.  Its tree, :class:`HeapLocalityTree`,
+keeps the heap ``_Queue`` and ``candidates_for_machine`` the locality tree
+had before its queues became sorted lists, also verbatim.  Slow and
+obviously complete — the oracle ``test_machine_event_differential.py``
+drives the fast path against.  Do not "tidy" the copied bodies; their
+value is that they are the old code.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+import heapq
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.grant import Grant
+from repro.core.locality import _LEVEL_RANK, CLUSTER_NODE, LocalityTree
 from repro.core.request import LocalityLevel, WaitingDemand
 from repro.core.scheduler import FuxiScheduler
 from repro.core.units import UnitKey
 
 
+class _Queue:
+    """A single tree node's waiting queue: lazy heap + live-entry table.
+
+    ``members`` maps each queued demand to the submission sequence number
+    it was pushed with.  A heap entry is live only while its sequence
+    number is the recorded one: entries left behind by ``discard`` stay
+    dead even if the same unit queues again later under a new number,
+    so whether an earlier event happened to drain them cannot change the
+    order.
+    """
+
+    __slots__ = ("heap", "members")
+
+    def __init__(self) -> None:
+        self.heap: List[Tuple[int, int, UnitKey]] = []
+        self.members: Dict[UnitKey, int] = {}
+
+    def push(self, priority: int, seq: int, unit_key: UnitKey) -> None:
+        if self.members.get(unit_key) == seq:
+            return
+        self.members[unit_key] = seq
+        heapq.heappush(self.heap, (priority, seq, unit_key))
+
+    def discard(self, unit_key: UnitKey) -> None:
+        # Lazy: entry stays in the heap, invalidated by the live-entry table.
+        self.members.pop(unit_key, None)
+
+    def peek(self, valid: Callable[[UnitKey], bool]) -> Optional[Tuple[int, int, UnitKey]]:
+        """Top live entry, dropping stale heads along the way."""
+        members = self.members
+        while self.heap:
+            priority, seq, unit_key = self.heap[0]
+            live = members.get(unit_key) == seq
+            if live and valid(unit_key):
+                return priority, seq, unit_key
+            heapq.heappop(self.heap)
+            if live:
+                del members[unit_key]
+        return None
+
+    def pop(self) -> None:
+        if self.heap:
+            _, seq, unit_key = heapq.heappop(self.heap)
+            if self.members.get(unit_key) == seq:
+                del self.members[unit_key]
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+
+class HeapLocalityTree(LocalityTree):
+    """LocalityTree on the heap queues, with their candidate iterator."""
+
+    def __init__(self, machine_rack: Optional[Dict[str, str]] = None):
+        super().__init__(machine_rack)
+        self._cluster_queue = _Queue()
+
+    def _machine_queue(self, machine: str) -> _Queue:
+        queue = self._machine_queues.get(machine)
+        if queue is None:
+            queue = self._machine_queues[machine] = _Queue()
+        return queue
+
+    def _rack_queue(self, rack: str) -> _Queue:
+        queue = self._rack_queues.get(rack)
+        if queue is None:
+            queue = self._rack_queues[rack] = _Queue()
+        return queue
+
+    def candidates_for_machine(
+        self,
+        machine: str,
+        wants: Callable[[UnitKey, LocalityLevel, str], int],
+    ) -> Iterator[Tuple[UnitKey, LocalityLevel]]:
+        """Yield waiting (unit, level) pairs servable by free resources on ``machine``.
+
+        ``wants(unit_key, level, node_name)`` must return how many units that
+        demand would currently accept at that scope; zero marks the entry
+        stale.  Yields in scheduling order: (priority, level rank, FIFO seq).
+        The caller is expected to consume (grant and update demand) between
+        ``next()`` calls; consumed entries whose demand remains are
+        re-indexed by the scheduler, so this iterator re-reads queue heads
+        each step.
+        """
+        rack = self.rack_of(machine)
+        sources: List[Tuple[LocalityLevel, str, _Queue]] = [
+            (LocalityLevel.MACHINE, machine, self._machine_queue(machine)),
+            (LocalityLevel.RACK, rack, self._rack_queue(rack)),
+            (LocalityLevel.CLUSTER, CLUSTER_NODE, self._cluster_queue),
+        ]
+        while True:
+            best = None
+            for level, name, queue in sources:
+                head = queue.peek(lambda uk, lv=level, nm=name: wants(uk, lv, nm) > 0)
+                if head is None:
+                    continue
+                priority, seq, unit_key = head
+                order = (priority, _LEVEL_RANK[level], seq)
+                if best is None or order < best[0]:
+                    best = (order, level, queue, unit_key)
+            if best is None:
+                return
+            _, level, queue, unit_key = best
+            queue.pop()
+            yield unit_key, level
+
+
 class FullScanScheduler(FuxiScheduler):
-    """FuxiScheduler with the pre-census machine-event scan."""
+    """FuxiScheduler with the pre-census machine-event scan on heap queues."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.tree = HeapLocalityTree()
 
     def _schedule_machine(self, machine: str) -> List[Grant]:
         """Resources freed up on ``machine``: serve its locality-path queues."""

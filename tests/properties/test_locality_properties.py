@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.locality import CLUSTER_NODE, LocalityTree
+from repro.core.locality import CLUSTER_NODE, REREAD, LocalityTree
 from repro.core.request import LocalityLevel
 from repro.core.units import UnitKey
 
@@ -58,6 +58,41 @@ def drain_order(tree, demands, machine="m1"):
         order.append((key, level))
         remaining[key]["total"] = 0
     return order
+
+
+def walk_order(tree, demands, machine="m1"):
+    """:func:`drain_order` through the machine-event walk: each head is
+    consumed fully, then re-read."""
+    remaining = {k: d["total"] for k, d in demands.items()}
+
+    def classify(key, level, name):
+        if remaining.get(key, 0) <= 0:
+            return 0
+        hints = demands[key]["machine" if level is LocalityLevel.MACHINE
+                             else "rack"]
+        if level is LocalityLevel.CLUSTER:
+            return remaining[key]
+        return min(hints.get(name, 0), remaining[key])
+
+    order = []
+    walk = tree.walk(machine, classify)
+    head = walk.send(None)
+    while head is not None:
+        order.append(head[:2])
+        remaining[head[0]] = 0
+        head = walk.send(REREAD)
+    walk.close()
+    return order
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(entry_strategy, min_size=1, max_size=10),
+       st.sampled_from(sorted(MACHINES)))
+def test_walk_serves_in_the_candidate_order(entries, machine):
+    tree, demands = build_tree(entries)
+    twin, _ = build_tree(entries)
+    assert walk_order(tree, demands, machine) == drain_order(twin, demands,
+                                                             machine)
 
 
 @settings(max_examples=100, deadline=None)

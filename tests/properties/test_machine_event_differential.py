@@ -189,10 +189,10 @@ def test_the_saturated_start_takes_the_early_exit():
     exit although the machine still has free memory."""
     scheduler = build(FuxiScheduler, "fuxi", 64)
     scans = []
-    candidates = scheduler.tree.candidates_for_machine
-    scheduler.tree.candidates_for_machine = (
-        lambda machine, wants: scans.append(machine)
-        or candidates(machine, wants))
+    walk = scheduler.tree.walk
+    scheduler.tree.walk = (
+        lambda machine, *args, **kwargs: scans.append(machine)
+        or walk(machine, *args, **kwargs))
     filler = ScheduleUnit("filler", 1, SHAPES[0]).key
     scheduler.register_app("b")
     big = ScheduleUnit("b", 1, SHAPES[3])

@@ -60,6 +60,16 @@ def test_prefix_iteration():
     assert dict(store.items("quota/")) == {"quota/g": {"y": 3}}
 
 
+def test_peek_items_reads_without_copying():
+    store = CheckpointStore()
+    store.put("app/2", {"x": 2})
+    store.put("app/1", {"x": 1})
+    store.put("quota/g", {"y": 3})
+    assert list(store.peek_items("app/")) == list(store.items("app/"))
+    (_, record), _ = store.peek_items("app/")
+    assert record is store.peek("app/1")
+
+
 def test_json_roundtrip():
     store = CheckpointStore()
     store.put("app/1", {"group": "g", "n": 3})

@@ -153,6 +153,48 @@ def test_indexes_stay_consistent(grants):
     assert flat_total == by_machine == by_unit
 
 
+ledger_op = st.one_of(
+    st.tuples(st.just("apply"), grant_strategy, st.booleans()),
+    st.tuples(st.just("set_count"), st.sampled_from([K1, K2, K3]),
+              st.sampled_from(["m1", "m2", "m3"]), st.integers(0, 5)),
+    st.tuples(st.just("drop_app"), st.sampled_from(["app1", "app2"])),
+    st.tuples(st.just("drop_machine"), st.sampled_from(["m1", "m2", "m3"])),
+    st.tuples(st.just("copy")))
+
+
+@given(st.lists(ledger_op, max_size=40))
+def test_unit_totals_equal_the_sum_over_machines(ops):
+    """``total_units`` is kept, not summed: it must equal the per-machine
+    sum after any sequence of changes, on the ledger and on its copies."""
+    ledger = AllocationLedger()
+    for op in ops:
+        if op[0] == "apply":
+            _, grant, revoke = op
+            if revoke:
+                held = ledger.count(grant.unit_key, grant.machine)
+                if not held:
+                    continue
+                grant = Grant(grant.unit_key, grant.machine,
+                              -min(grant.count, held))
+            ledger.apply(grant)
+        elif op[0] == "set_count":
+            ledger.set_count(*op[1:])
+        elif op[0] == "drop_app":
+            ledger.drop_app(op[1])
+        elif op[0] == "drop_machine":
+            ledger.drop_machine(op[1])
+        else:
+            clone = ledger.copy()
+            assert clone.unit_totals() is not ledger.unit_totals()
+            ledger = clone
+        for key in (K1, K2, K3):
+            assert ledger.total_units(key) == sum(
+                count for _, count in ledger.machines_of(key))
+        assert ledger.unit_totals() == {
+            key: ledger.total_units(key) for key in (K1, K2, K3)
+            if ledger.total_units(key)}
+
+
 @given(st.lists(grant_strategy, max_size=30))
 def test_drop_app_removes_everything(grants):
     ledger = AllocationLedger()

@@ -136,6 +136,48 @@ def test_capped_demands_do_not_starve_an_open_one():
     assert [(g.unit_key, g.count) for g in decisions] == [(open_unit.key, 1)]
 
 
+@pytest.mark.parametrize("capped", [63, 64])
+def test_capped_heads_are_passed_over_without_a_fit_check(capped,
+                                                          monkeypatch):
+    """``capped`` demands already at their max_count queue ahead of one
+    that can take the freed slot.  They still use up the scan budget of 64
+    (the known defect above): 63 leave room to reach the open demand, 64 do
+    not.  But the walk prices each with the cap alone — no
+    ``pool.max_units`` call — and passes over it in place: no queue push."""
+    from repro.core import locality
+
+    scheduler = FuxiScheduler(SchedulerConfig(enable_preemption=False))
+    scheduler.add_machine("m0", "r0", SLOT * (capped + 1))
+    for i in range(capped):
+        unit = app_unit(scheduler, f"capped{i:02d}", max_count=1)
+        scheduler.apply_request_delta(RequestDelta.initial(unit.key, 2))
+    filler = app_unit(scheduler, "filler")
+    scheduler.apply_request_delta(RequestDelta.initial(filler.key, 1))
+    open_unit = app_unit(scheduler, "open")
+    scheduler.apply_request_delta(RequestDelta.initial(open_unit.key, 1))
+    fit_checked, pushed = [], []
+    max_units = scheduler.pool.max_units
+    scheduler.pool.max_units = (
+        lambda machine, shape: fit_checked.append(shape) or max_units(
+            machine, shape))
+    push = locality._Queue.push
+    monkeypatch.setattr(
+        locality._Queue, "push",
+        lambda queue, priority, seq, unit_key: pushed.append(unit_key)
+        or push(queue, priority, seq, unit_key))
+    decisions = scheduler.return_resource(filler.key, "m0", 1)
+    if capped < 64:
+        assert [(g.unit_key, g.count) for g in decisions] == [
+            (open_unit.key, 1)]
+        assert len(fit_checked) == 1
+    else:
+        assert decisions == []
+        assert fit_checked == []
+    assert all(key.app_id in ("open", "filler") for key in pushed)
+    queue = scheduler.tree._cluster_queue
+    assert len(queue) == capped + (capped >= 64)
+
+
 def test_avoid_list_respected():
     scheduler = make_scheduler(machines=2)
     unit = app_unit(scheduler)

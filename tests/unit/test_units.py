@@ -28,6 +28,18 @@ def test_unit_keys_order_deterministically():
     assert sorted(keys) == [UnitKey("a", 1), UnitKey("a", 5), UnitKey("b", 2)]
 
 
+def test_unit_key_fields_hash_and_text():
+    key = UnitKey("job-7", 3)
+    assert key == UnitKey(app_id="job-7", slot_id=3)
+    assert (key.app_id, key.slot_id) == ("job-7", 3)
+    # the hash a frozen dataclass of these two fields had: every set of
+    # keys keeps its iteration order
+    assert hash(key) == hash(("job-7", 3))
+    assert repr(key) == str(key) == f"{key}" == "job-7#3"
+    with pytest.raises(AttributeError):
+        key.slot_id = 4
+
+
 def test_registry_define_and_get():
     registry = UnitRegistry()
     unit = ScheduleUnit("app1", 1, SLOT)
