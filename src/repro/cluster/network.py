@@ -26,6 +26,12 @@ exactly the same float timestamp, which removes the only case where the
 heap's global tie-break sequence — a function of every send in the run, not
 of the edge — could decide the order of cross-edge deliveries.
 
+**One frame per send.**  :meth:`MessageBus.plan_delays` is the definition of
+a message's delays; :meth:`MessageBus.send` computes the same bits inline
+and puts the delivery on the loop's heap itself, so a message costs one
+Python frame on the way out instead of eight (DESIGN.md, "The message
+path").
+
 **Delivery runs.**  Senders that send to one destination in the same
 instant (a heartbeat cohort, :mod:`repro.core.heartbeat`) hand the bus the
 whole batch: :meth:`MessageBus.send_run` draws every edge's delay in one
@@ -41,12 +47,14 @@ message goes through :meth:`MessageBus._deliver` as a single send would.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from heapq import heappush
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import kernels
 from repro.kernels.edgedelay import EdgeColumns, arrival_order
 from repro.sim.actor import Actor
-from repro.sim.events import EventLoop
+from repro.sim.events import Event, EventLoop
 from repro.sim.rng import SplitRandom
 
 _M64 = (1 << 64) - 1
@@ -235,21 +243,72 @@ class MessageBus:
     # --------------------------------------------------------------- #
 
     def send(self, sender: str, dest: str, message: Any) -> None:
+        """Send one message: :meth:`plan_delays` and one recycled
+        ``loop.call_after(delay, self._deliver, ...)`` per delivery, in one
+        frame.
+
+        Every message pays for this call, so the common case is written
+        out: the edge's slot-2 jitter draw (the splitmix64 finalizer of
+        :func:`_mix64`, inline) and the loop's ``call_at`` body.  The drop
+        draw is inline too, since a network burst turns it on for every
+        send; duplication and reordering take :meth:`_one_delay`.  The
+        config is read on every send (bursts change it mid-run), and the
+        result — delays, counters, tie-break sequence numbers — is bit for
+        bit that of the two calls it stands for.
+        """
         self.messages_sent += 1
-        delays = self.plan_delays(sender, dest)
-        if delays is None:
-            self.messages_dropped += 1
-            return
-        if len(delays) > 1:
-            self.messages_duplicated += 1
-        for delay in delays:
-            # recycle: delivery events are fire-and-forget — nothing retains
-            # the handle, so the loop can reuse the Event object.
-            self.loop.call_after(delay, self._deliver, sender, dest, message,
-                                 recycle=True)
+        state = self._edges.get((sender, dest))
+        if state is None:
+            state = self._edge(sender, dest)
+        key, epsilon, index = state
+        state[2] = index + 1
+        base = key ^ (index << 3)
+        config = self.config
+        if config.drop_prob:
+            x = base  # slot 0
+            x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _M64
+            x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _M64
+            if ((x ^ (x >> 31)) >> 11) * _TO_UNIT < config.drop_prob:
+                self.messages_dropped += 1
+                return
+        if config.reorder_prob or config.duplicate_prob:
+            delay = self._one_delay(config, base, epsilon, 2)
+            if (config.duplicate_prob
+                    and _draw(base, 1) < config.duplicate_prob):
+                self.messages_duplicated += 1
+                self.loop.call_after(delay, self._deliver, sender, dest,
+                                     message, recycle=True)
+                delay = self._one_delay(config, base, epsilon, 5)
+        else:
+            delay = config.latency + epsilon
+            if config.jitter:
+                x = base ^ 2
+                x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _M64
+                x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _M64
+                delay += ((x ^ (x >> 31)) >> 11) * _TO_UNIT * config.jitter
+        # loop.call_after(delay, self._deliver, sender, dest, message,
+        # recycle=True), inline: delivery events are fire-and-forget, so
+        # the loop reuses the Event object (see EventLoop.call_at).
+        loop = self.loop
+        when = loop._now + delay
+        seq = loop._seq
+        loop._seq = seq + 1
+        free = loop._free
+        if free:
+            event = free.pop()
+            event.time = when
+            event.seq = seq
+            event.callback = self._deliver
+            event.args = (sender, dest, message)
+            event.done = False
+        else:
+            event = Event(when, seq, self._deliver, (sender, dest, message),
+                          recycle=True)
+        heappush(loop._heap, (when, seq, event))
+        loop._live += 1
 
     def _deliver(self, sender: str, dest: str, message: Any) -> None:
-        actor = self._actors.get(self.resolve(dest))
+        actor = self._actors.get(self._aliases.get(dest, dest))
         if actor is None or not actor.alive:
             self.messages_dropped += 1
             return
@@ -331,8 +390,12 @@ def _draw(base: int, slot: int) -> float:
     return (_mix64(base ^ slot) >> 11) * _TO_UNIT
 
 
+@lru_cache(maxsize=1 << 16)
 def hash_str(text: str) -> int:
-    """Process-stable 64-bit hash of a string (``hash()`` is salted)."""
+    """Process-stable 64-bit hash of a string (``hash()`` is salted).
+
+    Memoised per name: every new edge hashes both of its ends, and the
+    same agent, master and application names end thousands of edges."""
     acc = 0xCBF29CE484222325
     for byte in text.encode("utf-8"):
         acc = (acc ^ byte) * 0x100000001B3 & _M64

@@ -146,20 +146,20 @@ class FuxiAgent(Actor):
     # ------------------------------------------------------------------ #
 
     def handle_message(self, sender: str, message) -> None:
-        if isinstance(message, msg.Envelope):
-            self.hub.on_envelope(sender, message.inner, self._receiver_factory)
-        elif isinstance(message, msg.Ack):
-            self.hub.on_ack(message)
-        elif isinstance(message, msg.WorkPlan):
-            self._handle_work_plan(sender, message)
-        elif isinstance(message, msg.StopWorker):
-            self._handle_stop_worker(sender, message)
-        elif isinstance(message, msg.WorkerListReply):
-            self._handle_worker_list_reply(message)
-        elif isinstance(message, msg.ResyncRequest):
-            self._send_full_state()
-        elif isinstance(message, msg.LaunchAppMaster):
-            self._handle_launch_app_master(sender, message)
+        # One lookup on the message type (see _HANDLERS at the class end).
+        handler = self._HANDLERS.get(type(message))
+        if handler is not None:
+            handler(self, sender, message)
+
+    def _on_envelope(self, sender: str, message: msg.Envelope) -> None:
+        self.hub.on_envelope(sender, message.inner, self._receiver_factory)
+
+    def _on_ack(self, sender: str, message: msg.Ack) -> None:
+        self.hub.on_ack(message)
+
+    def _on_resync_request(self, sender: str,
+                           message: msg.ResyncRequest) -> None:
+        self._send_full_state()
 
     def _receiver_factory(self, peer: str, kind: str):
         if kind == "alloc":
@@ -338,7 +338,8 @@ class FuxiAgent(Actor):
                 plans.append(plan)
         return plans
 
-    def _handle_worker_list_reply(self, reply: msg.WorkerListReply) -> None:
+    def _handle_worker_list_reply(self, sender: str,
+                                  reply: msg.WorkerListReply) -> None:
         """Reconcile adopted workers against the AM's expectations."""
         expected = {plan.worker_id: plan for plan in reply.plans}
         for worker_id, plan in list(self.workers.items()):
@@ -383,3 +384,15 @@ class FuxiAgent(Actor):
                       msg.AppMasterStarted(message.app_id, self.machine))
 
         self.loop.call_after(delay * self.machine_state.slow_factor, start)
+
+    #: message type -> handler(self, sender, message).  Keyed on the exact
+    #: type: messages are slotted dataclasses and none subclasses another.
+    _HANDLERS = {
+        msg.Envelope: _on_envelope,
+        msg.Ack: _on_ack,
+        msg.WorkPlan: _handle_work_plan,
+        msg.StopWorker: _handle_stop_worker,
+        msg.WorkerListReply: _handle_worker_list_reply,
+        msg.ResyncRequest: _on_resync_request,
+        msg.LaunchAppMaster: _handle_launch_app_master,
+    }

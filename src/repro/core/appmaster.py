@@ -62,6 +62,8 @@ class ApplicationMaster(Actor):
         self.units: Dict[UnitKey, ScheduleUnit] = {}
         self.demands: Dict[UnitKey, WaitingDemand] = {}
         self.holdings: Dict[UnitKey, Dict[str, int]] = {}
+        #: bumped on every change to ``holdings``
+        self.holdings_version = 0
         self.work_plans: Dict[str, msg.WorkPlan] = {}
         self.worker_machines: Dict[str, str] = {}
         self._pending_deltas: List[RequestDelta] = []
@@ -118,7 +120,10 @@ class ApplicationMaster(Actor):
         """Merge buffered deltas into one compact message per unit."""
         pending, self._pending_deltas = self._pending_deltas, []
         merged: Dict[UnitKey, RequestDelta] = {}
+        #: deltas merged into each unit's message (its payload item count)
+        items: Dict[UnitKey, int] = {}
         for delta in pending:
+            items[delta.unit_key] = items.get(delta.unit_key, 0) + 1
             existing = merged.get(delta.unit_key)
             if existing is None:
                 merged[delta.unit_key] = delta
@@ -132,9 +137,9 @@ class ApplicationMaster(Actor):
                     avoid_remove=(existing.avoid_remove | delta.avoid_remove)
                     - delta.avoid_add,
                 )
-        for delta in merged.values():
+        for unit_key, delta in merged.items():
             self._send_request_delta(msg.DemandDelta(delta),
-                                     items=len(pending))
+                                     items=items[unit_key])
 
     def return_grant(self, unit_key: UnitKey, machine: str, count: int) -> None:
         """Give containers back ("only the unit number needs to be sent")."""
@@ -219,27 +224,39 @@ class ApplicationMaster(Actor):
     # ------------------------------------------------------------------ #
 
     def handle_message(self, sender: str, message) -> None:
-        if isinstance(message, msg.Envelope):
-            self.hub.on_envelope(sender, message.inner, self._receiver_factory)
-        elif isinstance(message, msg.Ack):
-            self.hub.on_ack(message)
-        elif isinstance(message, msg.WorkerStarted):
-            self.on_worker_started(message.worker_id, message.machine)
-        elif isinstance(message, (msg.WorkerLaunchFailed, msg.WorkerExited)):
-            reason = getattr(message, "reason", "exited")
-            if reason != "stopped":
-                self.on_worker_failed(message.worker_id, message.machine, reason)
-            else:
-                self.forget_worker(message.worker_id)
-        elif isinstance(message, msg.WorkerListRequest):
-            self._handle_worker_list_request(sender, message)
-        elif isinstance(message, (msg.ResyncRequest, msg.MasterHello)):
-            self._resync_with_master()
+        # One lookup on the message type: the class's _HANDLERS table, which
+        # a subclass extends with its own messages (DagJobMaster routes its
+        # workers' messages straight to their handlers this way).
+        handler = self._HANDLERS.get(type(message))
+        if handler is not None:
+            handler(self, sender, message)
         else:
             self.handle_app_message(sender, message)
 
     def handle_app_message(self, sender: str, message) -> None:
-        """Subclass extension point for application-specific messages."""
+        """Subclass extension point for messages outside ``_HANDLERS``."""
+
+    def _on_envelope(self, sender: str, message: msg.Envelope) -> None:
+        self.hub.on_envelope(sender, message.inner, self._receiver_factory)
+
+    def _on_ack(self, sender: str, message: msg.Ack) -> None:
+        self.hub.on_ack(message)
+
+    def _on_worker_started(self, sender: str,
+                           message: msg.WorkerStarted) -> None:
+        self.on_worker_started(message.worker_id, message.machine)
+
+    def _on_worker_gone(self, sender: str, message) -> None:
+        """``WorkerLaunchFailed`` or ``WorkerExited``."""
+        if message.reason != "stopped":
+            self.on_worker_failed(message.worker_id, message.machine,
+                                  message.reason)
+        else:
+            self.forget_worker(message.worker_id)
+
+    def _on_resync(self, sender: str, message) -> None:
+        """``ResyncRequest`` or ``MasterHello``."""
+        self._resync_with_master()
 
     def _receiver_factory(self, peer: str, kind: str):
         if kind == "grant":
@@ -283,6 +300,7 @@ class ApplicationMaster(Actor):
             for k, machines in state.items()
         }
         old = self.holdings
+        self.holdings_version += 1
         keys = set(old) | set(new)
         for unit_key in sorted(keys):
             machines = set(old.get(unit_key, {})) | set(new.get(unit_key, {}))
@@ -298,6 +316,7 @@ class ApplicationMaster(Actor):
         self.holdings = new
 
     def _adjust_holding(self, unit_key: UnitKey, machine: str, delta: int) -> None:
+        self.holdings_version += 1
         machines = self.holdings.setdefault(unit_key, {})
         count = machines.get(machine, 0) + delta
         if count > 0:
@@ -362,6 +381,7 @@ class ApplicationMaster(Actor):
         self.units = {}
         self.demands = {}
         self.holdings = {}
+        self.holdings_version += 1
         self.work_plans = {}
         self.worker_machines = {}
 
@@ -387,3 +407,16 @@ class ApplicationMaster(Actor):
             if w in self.work_plans
         )
         self.send(sender, msg.WorkerListReply(self.app_id, plans))
+
+    #: message type -> handler(self, sender, message).  Keyed on the exact
+    #: type: messages are slotted dataclasses and none subclasses another.
+    _HANDLERS = {
+        msg.Envelope: _on_envelope,
+        msg.Ack: _on_ack,
+        msg.WorkerStarted: _on_worker_started,
+        msg.WorkerLaunchFailed: _on_worker_gone,
+        msg.WorkerExited: _on_worker_gone,
+        msg.WorkerListRequest: _handle_worker_list_request,
+        msg.ResyncRequest: _on_resync,
+        msg.MasterHello: _on_resync,
+    }

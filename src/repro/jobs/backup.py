@@ -40,11 +40,18 @@ class BackupPolicy:
             return None
         return sum(elapsed) / len(elapsed)
 
-    def candidates(self, instances: List[Instance], now: float) -> List[BackupDecision]:
-        """Instances deserving a backup right now."""
+    def candidates(self, instances: List[Instance], now: float,
+                   finished: Optional[int] = None) -> List[BackupDecision]:
+        """Instances deserving a backup right now.
+
+        ``finished`` is how many of ``instances`` have finished, when the
+        caller keeps that count (a TaskMaster does); otherwise they are
+        counted here."""
         if not self.spec.enabled or not instances:
             return []
-        finished = sum(1 for i in instances if i.state == InstanceState.FINISHED)
+        if finished is None:
+            finished = sum(1 for i in instances
+                           if i.state == InstanceState.FINISHED)
         if finished < self.spec.finished_fraction * len(instances):
             return []
         average = self.average_finished_time(instances)

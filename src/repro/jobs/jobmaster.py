@@ -21,6 +21,7 @@ The JobMaster is the application master of a DAG job.  It:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush, heapreplace
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core import messages as msg
@@ -62,7 +63,7 @@ class JobResult:
         return self.started_at - self.submitted_at
 
 
-@dataclass
+@dataclass(slots=True)
 class _WorkerInfo:
     worker_id: str
     task: str
@@ -102,7 +103,7 @@ class DagJobMaster(ApplicationMaster):
         self.task_masters: Dict[str, TaskMaster] = {}
         self._slot_of_task: Dict[str, int] = {}
         self._task_of_slot: Dict[int, str] = {}
-        self._workers: Dict[str, _WorkerInfo] = {}
+        self._forget_workers()
         self._worker_seq = 0
         self._launch_failures: Dict[str, int] = {}
         self._worker_start_overheads: List[float] = []
@@ -201,13 +202,81 @@ class DagJobMaster(ApplicationMaster):
     def _retire_worker(self, info: _WorkerInfo) -> None:
         if info.state == "gone":
             return
-        info.state = "gone"
+        self._set_state(info, "gone")
         self.stop_worker(info.worker_id)
         held = self.held_count(info.unit_key, info.machine)
         if held > 0:
             self.return_grant(info.unit_key, info.machine, 1)
-        self._workers.pop(info.worker_id, None)
+        self._drop_worker(info)
         self.forget_worker(info.worker_id)
+
+    # ------------------------------------------------------------------ #
+    # the worker roster and what _housekeeping tests before walking it
+    # ------------------------------------------------------------------ #
+
+    def _forget_workers(self) -> None:
+        self._workers: Dict[str, _WorkerInfo] = {}
+        #: task -> how many of its workers are idle (absent when none)
+        self._idle: Dict[str, int] = {}
+        #: heap of (last_seen, worker_id): see _silence_overdue
+        self._silence: List[Tuple[float, str]] = []
+        #: bumped whenever a worker joins or leaves _workers
+        self._roster_version = 0
+        #: (holdings_version, _roster_version) the reconciliation pass
+        #: last ran at
+        self._reconciled: Tuple[int, int] = (-1, -1)
+
+    def _add_worker(self, info: _WorkerInfo) -> None:
+        self._workers[info.worker_id] = info
+        self._roster_version += 1
+        heappush(self._silence, (info.last_seen, info.worker_id))
+        if info.state == "idle":
+            self._idle[info.task] = self._idle.get(info.task, 0) + 1
+
+    def _drop_worker(self, info: _WorkerInfo) -> None:
+        """Remove a worker already moved to "gone"."""
+        self._workers.pop(info.worker_id, None)
+        self._roster_version += 1
+
+    def _set_state(self, info: _WorkerInfo, state: str) -> None:
+        """Move a worker to ``state``, keeping the per-task idle counts."""
+        idle = self._idle
+        if info.state == "idle":
+            left = idle[info.task] - 1
+            if left:
+                idle[info.task] = left
+            else:
+                del idle[info.task]
+        if state == "idle":
+            idle[info.task] = idle.get(info.task, 0) + 1
+        info.state = state
+
+    def _silence_overdue(self, now: float) -> bool:
+        """Whether some worker's ``last_seen`` lies more than
+        WORKER_SILENCE_TIMEOUT behind ``now``: the only case in which the
+        re-send and dead-worker passes of :meth:`_housekeeping` act (a
+        starting worker's ``planned_at`` never exceeds its ``last_seen``).
+
+        ``_silence`` holds at least one ``(last_seen, worker_id)`` entry
+        per worker, each at most the worker's current stamp — stamps only
+        grow, and an entry is refreshed only when it comes due — so its
+        head bounds every stamp from below, and ``now - stamp`` is largest
+        there.  A due head is refreshed from its worker before it is
+        believed.
+        """
+        heap = self._silence
+        workers = self._workers
+        timeout = self.WORKER_SILENCE_TIMEOUT
+        while heap and now - heap[0][0] > timeout:
+            seen, worker_id = heap[0]
+            info = workers.get(worker_id)
+            if info is None:
+                heappop(heap)
+            elif info.last_seen != seen:
+                heapreplace(heap, (info.last_seen, worker_id))
+            else:
+                return True
+        return False
 
     def _complete_job(self, success: bool, reason: str = "") -> None:
         if self.result is not None:
@@ -259,7 +328,7 @@ class DagJobMaster(ApplicationMaster):
             info = _WorkerInfo(worker_id, task, machine, unit_key,
                                planned_at=self.loop.now,
                                last_seen=self.loop.now)
-            self._workers[worker_id] = info
+            self._add_worker(info)
             self.send_work_plan(worker_id, unit_key, machine,
                                 spec={"task": task})
 
@@ -314,7 +383,7 @@ class DagJobMaster(ApplicationMaster):
                      avoid=self.blacklist.task_avoids(task))
 
     def _worker_lost(self, info: _WorkerInfo, blame_machine: bool) -> None:
-        info.state = "gone"
+        self._set_state(info, "gone")
         master = self.task_masters.get(info.task)
         if master is not None:
             instance_id = master.assignment_of(info.worker_id)
@@ -328,24 +397,14 @@ class DagJobMaster(ApplicationMaster):
                 released = master.release_worker(info.worker_id, self.loop.now)
                 if released is not None:
                     self._snapshot_instance(info.task, released)
-        self._workers.pop(info.worker_id, None)
+        self._drop_worker(info)
         self.forget_worker(info.worker_id)
 
     # ------------------------------------------------------------------ #
-    # worker messages (instance execution)
+    # worker messages (instance execution), routed here by _HANDLERS
     # ------------------------------------------------------------------ #
 
-    def handle_app_message(self, sender: str, message) -> None:
-        if isinstance(message, wmsg.WorkerReady):
-            self._on_worker_ready(message)
-        elif isinstance(message, wmsg.InstanceCompleted):
-            self._on_instance_completed(message)
-        elif isinstance(message, wmsg.InstanceFailed):
-            self._on_instance_failed(message)
-        elif isinstance(message, wmsg.WorkerStatusReport):
-            self._on_status_report(message)
-
-    def _on_worker_ready(self, message: wmsg.WorkerReady) -> None:
+    def _on_worker_ready(self, sender: str, message: wmsg.WorkerReady) -> None:
         info = self._workers.get(message.worker_id)
         if info is None:
             # A worker we no longer track (e.g. recovered master): stop it.
@@ -374,7 +433,7 @@ class DagJobMaster(ApplicationMaster):
             self._reconcile_idle_worker(info, last_completed)
             assigned = master.assignment_of(info.worker_id)
         if assigned is None and info.state in ("starting", "idle", "busy"):
-            info.state = "idle"
+            self._set_state(info, "idle")
             self._dispatch_work(info)
 
     def _reconcile_idle_worker(self, info: _WorkerInfo,
@@ -409,7 +468,7 @@ class DagJobMaster(ApplicationMaster):
         instance = master.next_assignment(info.worker_id, info.machine,
                                           self.loop.now)
         if instance is not None:
-            info.state = "busy"
+            self._set_state(info, "busy")
             info.dispatched_at = self.loop.now
             self.send(f"worker:{info.worker_id}", wmsg.ExecuteInstance(
                 instance.instance_id, instance.duration, {}))
@@ -421,14 +480,15 @@ class DagJobMaster(ApplicationMaster):
         if master.is_complete():
             self._finish_task(info.task)
 
-    def _on_instance_completed(self, message: wmsg.InstanceCompleted) -> None:
+    def _on_instance_completed(self, sender: str,
+                               message: wmsg.InstanceCompleted) -> None:
         info = self._workers.get(message.worker_id)
         if info is None:
             return
         master = self.task_masters.get(info.task)
         if master is None:
             return
-        info.state = "idle"
+        self._set_state(info, "idle")
         info.last_seen = self.loop.now
         self._record_completion(info, master, message.instance_id,
                                 worker_elapsed=message.elapsed)
@@ -454,9 +514,10 @@ class DagJobMaster(ApplicationMaster):
                       wmsg.CancelInstance(instance_id))
             twin = self._workers.get(twin_worker)
             if twin is not None:
-                twin.state = "idle"
+                self._set_state(twin, "idle")
 
-    def _on_instance_failed(self, message: wmsg.InstanceFailed) -> None:
+    def _on_instance_failed(self, sender: str,
+                            message: wmsg.InstanceFailed) -> None:
         info = self._workers.get(message.worker_id)
         if info is None:
             return
@@ -467,7 +528,7 @@ class DagJobMaster(ApplicationMaster):
         master = self.task_masters.get(info.task)
         if master is None:
             return
-        info.state = "idle"
+        self._set_state(info, "idle")
         result = master.on_failed(message.worker_id, message.instance_id,
                                   message.machine, self.loop.now)
         self._snapshot_instance(info.task, message.instance_id)
@@ -501,7 +562,8 @@ class DagJobMaster(ApplicationMaster):
             if task not in self.finished_tasks:
                 self.send_avoid(UnitKey(self.app_id, slot_id), [machine])
 
-    def _on_status_report(self, message: wmsg.WorkerStatusReport) -> None:
+    def _on_status_report(self, sender: str,
+                          message: wmsg.WorkerStatusReport) -> None:
         info = self._workers.get(message.worker_id)
         if info is None:
             # Unknown worker still running (JobMaster failover): adopt it.
@@ -516,54 +578,68 @@ class DagJobMaster(ApplicationMaster):
     # ------------------------------------------------------------------ #
 
     def _housekeeping(self) -> None:
+        """The once-a-second checks.  Each pass first asks, in O(1),
+        whether it can act this tick, and walks ``_workers`` (in insertion
+        order, as it always did) only if it can."""
         if self.finished:
             return
         now = self.loop.now
-        # A work plan that never came up (lost in transit or agent busy):
-        # re-send it; the agent handles duplicates idempotently.
-        for info in list(self._workers.values()):
-            if (info.state == "starting"
-                    and now - max(info.planned_at, info.last_seen)
-                    > self.WORKER_SILENCE_TIMEOUT
-                    and info.worker_id in self.work_plans):
-                info.last_seen = now
-                self.send(f"agent:{info.machine}",
-                          self.work_plans[info.worker_id])
-        # Dead-worker detection: a worker that stopped reporting is treated
-        # as failed and its container replaced (paper §4.3.2, job level).
-        for info in list(self._workers.values()):
-            if (info.state in ("idle", "busy")
-                    and now - info.last_seen > self.WORKER_SILENCE_TIMEOUT):
-                self.tracer.event("job.container_replace", job=self.app_id,
-                                  task=info.task, machine=info.machine)
-                self.on_worker_failed(info.worker_id, info.machine, "crashed")
-        # Self-healing dispatch: a dropped WorkerReady must not idle a
-        # container forever while instances wait.
-        for info in list(self._workers.values()):
-            if info.state == "idle":
-                self._dispatch_work(info)
-        # Holdings/worker reconciliation: an agent can kill a worker as
-        # "capacity-revoked" on a transient allocation dip (our return
-        # delta landing after the master's re-grant) with no master-side
-        # revocation behind it, so no on_revoked ever replaces the worker.
-        # A held container with no worker attached is invisible to
-        # dispatch: re-plan into it (or hand it back if the task is done).
-        planned: Dict[Tuple[UnitKey, str], int] = {}
-        for info in self._workers.values():
-            if info.state != "gone":
-                slot = (info.unit_key, info.machine)
-                planned[slot] = planned.get(slot, 0) + 1
-        for unit_key, machines in list(self.holdings.items()):
-            for machine, held in list(machines.items()):
-                missing = held - planned.get((unit_key, machine), 0)
-                if missing > 0:
-                    self.on_granted(unit_key, machine, missing)
+        if self._silence_overdue(now):
+            # A work plan that never came up (lost in transit or agent
+            # busy): re-send it; the agent handles duplicates idempotently.
+            for info in list(self._workers.values()):
+                if (info.state == "starting"
+                        and now - max(info.planned_at, info.last_seen)
+                        > self.WORKER_SILENCE_TIMEOUT
+                        and info.worker_id in self.work_plans):
+                    info.last_seen = now
+                    self.send(f"agent:{info.machine}",
+                              self.work_plans[info.worker_id])
+            # Dead-worker detection: a worker that stopped reporting is
+            # treated as failed and its container replaced (paper §4.3.2,
+            # job level).
+            for info in list(self._workers.values()):
+                if (info.state in ("idle", "busy")
+                        and now - info.last_seen
+                        > self.WORKER_SILENCE_TIMEOUT):
+                    self.tracer.event("job.container_replace",
+                                      job=self.app_id, task=info.task,
+                                      machine=info.machine)
+                    self.on_worker_failed(info.worker_id, info.machine,
+                                          "crashed")
+        if self._idle:
+            # Self-healing dispatch: a dropped WorkerReady must not idle a
+            # container forever while instances wait.
+            for info in list(self._workers.values()):
+                if info.state == "idle":
+                    self._dispatch_work(info)
+        books = (self.holdings_version, self._roster_version)
+        if books != self._reconciled:
+            # Nothing this pass reads has changed since it last ran.
+            self._reconciled = books
+            # Holdings/worker reconciliation: an agent can kill a worker as
+            # "capacity-revoked" on a transient allocation dip (our return
+            # delta landing after the master's re-grant) with no
+            # master-side revocation behind it, so no on_revoked ever
+            # replaces the worker.  A held container with no worker
+            # attached is invisible to dispatch: re-plan into it (or hand
+            # it back if the task is done).
+            planned: Dict[Tuple[UnitKey, str], int] = {}
+            for info in self._workers.values():
+                if info.state != "gone":
+                    slot = (info.unit_key, info.machine)
+                    planned[slot] = planned.get(slot, 0) + 1
+            for unit_key, machines in list(self.holdings.items()):
+                for machine, held in list(machines.items()):
+                    missing = held - planned.get((unit_key, machine), 0)
+                    if missing > 0:
+                        self.on_granted(unit_key, machine, missing)
         # Early container return (§2.2: "when a worker is no longer needed,
         # the application master ... returns the granted resource"): keep
         # one idle spare per task for retries/backups, release the rest.
         for task, master in list(self.task_masters.items()):
-            if task in self.finished_tasks:
-                continue
+            if task in self.finished_tasks or self._idle.get(task, 0) < 2:
+                continue  # (one idle worker is the spare)
             outstanding_work = master.pending_count + master.running_count
             idle = [
                 w for w in self._workers.values()
@@ -598,7 +674,7 @@ class DagJobMaster(ApplicationMaster):
                                           task=task,
                                           instance=instance.instance_id,
                                           machine=info.machine)
-                        info.state = "busy"
+                        self._set_state(info, "busy")
                         info.dispatched_at = now
                         idle.remove(info)
                         self.send(f"worker:{info.worker_id}",
@@ -661,7 +737,7 @@ class DagJobMaster(ApplicationMaster):
         self.task_masters = {}
         self._slot_of_task = {}
         self._task_of_slot = {}
-        self._workers = {}
+        self._forget_workers()
         self.result = None
         self._instances_finished = 0   # recounted from the snapshot below
         store = getattr(self.services, "job_snapshots", None)
@@ -688,11 +764,9 @@ class DagJobMaster(ApplicationMaster):
         for instance in master.instances:
             record = snap["instances"].get(instance.instance_id)
             if record and record["state"] == InstanceState.FINISHED.value:
-                # Mark finished without a worker attempt (result is durable).
-                instance.state = InstanceState.FINISHED
-                instance.started_at = record.get("started_at")
-                instance.finished_at = record.get("finished_at")
-                master._pending_set.discard(instance.index)
+                master.restore_finished(instance.index,
+                                        record.get("started_at"),
+                                        record.get("finished_at"))
                 self._instances_finished += 1
         if master.is_complete():
             self._finish_task(task)
@@ -716,20 +790,16 @@ class DagJobMaster(ApplicationMaster):
         info = _WorkerInfo(worker_id, task, message.machine, unit_key,
                            state="idle", planned_at=self.loop.now,
                            last_seen=self.loop.now)
-        self._workers[worker_id] = info
+        self._add_worker(info)
         self.worker_machines[worker_id] = message.machine
         self.work_plans[worker_id] = msg.WorkPlan(
             self.app_id, worker_id, unit_key,
             self.spec.tasks[task].resources, {"task": task})
-        if message.instance_id is not None:
-            # Re-attach the running attempt so completion lands correctly.
-            instance = master.instance(message.instance_id)
-            if instance.state not in (InstanceState.FINISHED,):
-                master._pending_set.discard(instance.index)
-                instance.start_attempt(worker_id, message.machine,
-                                       self.loop.now - message.running_for)
-                master._assignment[worker_id] = message.instance_id
-                info.state = "busy"
+        if message.instance_id is not None and master.adopt_attempt(
+                worker_id, message.instance_id, message.machine,
+                self.loop.now - message.running_for):
+            # the running attempt is re-attached, so its completion lands
+            self._set_state(info, "busy")
         if info.state == "idle":
             self._dispatch_work(info)
 
@@ -763,3 +833,13 @@ class DagJobMaster(ApplicationMaster):
                     "total": len(master.instances),
                 }
         return report
+
+    #: the base table plus the workers' messages, each straight to its
+    #: handler (no second dispatch through handle_app_message)
+    _HANDLERS = {
+        **ApplicationMaster._HANDLERS,
+        wmsg.WorkerReady: _on_worker_ready,
+        wmsg.InstanceCompleted: _on_instance_completed,
+        wmsg.InstanceFailed: _on_instance_failed,
+        wmsg.WorkerStatusReport: _on_status_report,
+    }

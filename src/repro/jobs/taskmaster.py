@@ -68,6 +68,11 @@ class TaskMaster:
         self._assignment: Dict[str, str] = {}   # worker_id -> instance_id
         self.backup_policy = BackupPolicy(spec.backup)
         self.backups_launched = 0
+        # Instances per state (WAITING is the rest), kept by _moved: every
+        # state change goes through a method of this class.
+        self._running = 0
+        self._finished = 0
+        self._failed = 0
 
     # ------------------------------------------------------------------ #
     # setup
@@ -102,7 +107,9 @@ class TaskMaster:
         if index is None:
             return None
         instance = self.instances[index]
+        before = instance.state
         instance.start_attempt(worker_id, machine, now)
+        self._moved(before, instance.state)
         self._assignment[worker_id] = instance.instance_id
         return instance
 
@@ -162,9 +169,11 @@ class TaskMaster:
             return CompletionResult(won=False, duplicate=True)
         if instance.state == InstanceState.FINISHED:
             return CompletionResult(won=False, duplicate=True)
+        before = instance.state
         attempt = instance.complete(worker_id, now)
         if attempt is None:
             return CompletionResult(won=False, duplicate=True)
+        self._moved(before, InstanceState.FINISHED)
         cancelled = instance.abandon_others(worker_id, now)
         cancel_workers = []
         for twin in cancelled:
@@ -183,11 +192,14 @@ class TaskMaster:
             return FailureResult(terminal=False, requeued=False)
         escalations = self.blacklist.record_failure(
             self.spec.name, instance_id, machine)
+        before = instance.state
         instance.fail_attempt(worker_id, now)
         if instance.failures >= self.spec.max_attempts:
             instance.state = InstanceState.FAILED
+            self._moved(before, InstanceState.FAILED)
             return FailureResult(terminal=True, requeued=False,
                                  escalations=escalations)
+        self._moved(before, instance.state)
         if not instance.running_attempts:
             self._requeue(instance.index)
         return FailureResult(terminal=False, requeued=True,
@@ -204,7 +216,9 @@ class TaskMaster:
         if instance_id is None:
             return None
         instance = self._by_id[instance_id]
+        before = instance.state
         instance.fail_attempt(worker_id, now)
+        self._moved(before, instance.state)
         if (instance.state not in (InstanceState.FINISHED, InstanceState.FAILED)
                 and not instance.running_attempts):
             self._requeue(instance.index)
@@ -212,6 +226,7 @@ class TaskMaster:
 
     def _requeue(self, index: int) -> None:
         instance = self.instances[index]
+        self._moved(instance.state, InstanceState.WAITING)
         instance.state = InstanceState.WAITING
         if index not in self._pending_set:
             self._pending_set.add(index)
@@ -227,7 +242,8 @@ class TaskMaster:
     def backup_candidates(self, now: float) -> List[Instance]:
         """Instances the §4.3.2 policy wants duplicated right now."""
         return [d.instance
-                for d in self.backup_policy.candidates(self.instances, now)]
+                for d in self.backup_policy.candidates(
+                    self.instances, now, finished=self._finished)]
 
     def start_backup(self, instance: Instance, worker_id: str, machine: str,
                      now: float) -> bool:
@@ -247,17 +263,63 @@ class TaskMaster:
         return True
 
     # ------------------------------------------------------------------ #
+    # recovery (a restarted JobMaster folding its snapshot back in)
+    # ------------------------------------------------------------------ #
+
+    def restore_finished(self, index: int, started_at: Optional[float],
+                         finished_at: Optional[float]) -> None:
+        """Mark an instance finished without a worker attempt: its result
+        is durable (the JobMaster snapshot recorded it)."""
+        instance = self.instances[index]
+        self._moved(instance.state, InstanceState.FINISHED)
+        instance.state = InstanceState.FINISHED
+        instance.started_at = started_at
+        instance.finished_at = finished_at
+        self._pending_set.discard(index)
+
+    def adopt_attempt(self, worker_id: str, instance_id: str, machine: str,
+                      started_at: float) -> bool:
+        """Re-attach an attempt that kept running while the JobMaster was
+        down, so its completion lands; False if the instance has already
+        finished."""
+        instance = self._by_id[instance_id]
+        if instance.state == InstanceState.FINISHED:
+            return False
+        self._pending_set.discard(instance.index)
+        before = instance.state
+        instance.start_attempt(worker_id, machine, started_at)
+        self._moved(before, instance.state)
+        self._assignment[worker_id] = instance_id
+        return True
+
+    # ------------------------------------------------------------------ #
     # progress
     # ------------------------------------------------------------------ #
 
+    def _moved(self, before: InstanceState, after: InstanceState) -> None:
+        """Keep the per-state counts in step with one instance's move."""
+        if before is after:
+            return
+        if before is InstanceState.RUNNING:
+            self._running -= 1
+        elif before is InstanceState.FINISHED:
+            self._finished -= 1
+        elif before is InstanceState.FAILED:
+            self._failed -= 1
+        if after is InstanceState.RUNNING:
+            self._running += 1
+        elif after is InstanceState.FINISHED:
+            self._finished += 1
+        elif after is InstanceState.FAILED:
+            self._failed += 1
+
     @property
     def finished_count(self) -> int:
-        return sum(1 for i in self.instances
-                   if i.state == InstanceState.FINISHED)
+        return self._finished
 
     @property
     def failed_count(self) -> int:
-        return sum(1 for i in self.instances if i.state == InstanceState.FAILED)
+        return self._failed
 
     @property
     def pending_count(self) -> int:
@@ -265,12 +327,11 @@ class TaskMaster:
 
     @property
     def running_count(self) -> int:
-        return sum(1 for i in self.instances
-                   if i.state == InstanceState.RUNNING)
+        return self._running
 
     def is_complete(self) -> bool:
         """True when every instance has finished."""
-        return self.finished_count == len(self.instances)
+        return self._finished == len(self.instances)
 
     def has_terminal_failure(self) -> bool:
         """True if any instance exhausted its attempts."""

@@ -26,7 +26,7 @@ from repro.sim.events import EventLoop
 # worker <-> job master messages
 # ------------------------------------------------------------------ #
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WorkerReady:
     """Worker -> JobMaster: registered and idle, give me an instance.
 
@@ -39,23 +39,23 @@ class WorkerReady:
     last_completed: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExecuteInstance:
     """JobMaster -> worker: run one task instance."""
 
     instance_id: str
     duration: float
-    payload: dict = None  # type: ignore[assignment]
+    payload: Optional[dict] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CancelInstance:
     """JobMaster -> worker: abandon the current instance (backup won)."""
 
     instance_id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstanceCompleted:
     """Worker -> JobMaster: instance finished successfully."""
 
@@ -65,7 +65,7 @@ class InstanceCompleted:
     elapsed: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstanceFailed:
     """Worker -> JobMaster: instance aborted."""
 
@@ -75,7 +75,7 @@ class InstanceFailed:
     reason: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WorkerStatusReport:
     """Worker -> JobMaster: periodic progress (drives long-tail detection)."""
 
@@ -96,6 +96,10 @@ class TaskWorker(Actor):
         super().__init__(loop, f"worker:{plan.worker_id}", bus)
         self.plan = plan
         self.machine_state = machine_state
+        # fixed for the worker's life, and read by every message it sends
+        self.worker_id = plan.worker_id
+        self.machine = machine_state.spec.name
+        self.master_address = f"app:{plan.app_id}"
         self.report_interval = report_interval
         self.current_instance: Optional[str] = None
         self.instance_started_at: float = 0.0
@@ -103,18 +107,6 @@ class TaskWorker(Actor):
         self.instances_run = 0
         self.last_completed: Optional[str] = None
         self._register()
-
-    @property
-    def worker_id(self) -> str:
-        return self.plan.worker_id
-
-    @property
-    def machine(self) -> str:
-        return self.machine_state.spec.name
-
-    @property
-    def master_address(self) -> str:
-        return f"app:{self.plan.app_id}"
 
     def _register(self) -> None:
         # "the application worker also registers itself to the application
@@ -128,14 +120,17 @@ class TaskWorker(Actor):
     # ------------------------------------------------------------------ #
 
     def handle_message(self, sender: str, message) -> None:
-        if isinstance(message, ExecuteInstance):
-            self._execute(message)
-        elif isinstance(message, CancelInstance):
-            if self.current_instance == message.instance_id:
-                self.cancel_timer("finish")
-                self.current_instance = None
+        # One lookup on the message type (see _HANDLERS at the class end).
+        handler = self._HANDLERS.get(type(message))
+        if handler is not None:
+            handler(self, sender, message)
 
-    def _execute(self, command: ExecuteInstance) -> None:
+    def _cancel(self, sender: str, message: CancelInstance) -> None:
+        if self.current_instance == message.instance_id:
+            self.cancel_timer("finish")
+            self.current_instance = None
+
+    def _execute(self, sender: str, command: ExecuteInstance) -> None:
         if self.current_instance == command.instance_id:
             return  # duplicated command; already running it
         if self.current_instance is not None:
@@ -176,3 +171,7 @@ class TaskWorker(Actor):
 
     def on_crash(self) -> None:
         self.current_instance = None
+
+    #: message type -> handler(self, sender, message).  Keyed on the exact
+    #: type: messages are slotted dataclasses and none subclasses another.
+    _HANDLERS = {ExecuteInstance: _execute, CancelInstance: _cancel}

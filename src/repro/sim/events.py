@@ -256,6 +256,10 @@ class EventLoop:
         execution order, cheaper for far-out recurring timers).  With
         ``recycle=True`` the returned handle is reused after the callback
         fires and must not be retained past that point.
+
+        :meth:`repro.cluster.network.MessageBus.send` carries a copy of the
+        heap-tier ``recycle=True`` path, the one every message takes; a
+        change to how an entry is made here must be made there too.
         """
         if when < self._now:
             raise SimulationError(

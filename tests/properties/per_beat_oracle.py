@@ -21,7 +21,7 @@ under; it mirrors ``repro.api.simulate`` slice for slice but takes a
 from __future__ import annotations
 
 import contextlib
-from typing import Dict, Iterator, Optional
+from typing import Callable, Dict, Iterator, Optional
 
 import repro._runtime as runtime
 from repro.api import ClusterBuilder, RunResult, RunSpec
@@ -70,9 +70,11 @@ def per_beat_agents() -> Iterator[None]:
 
 
 def drive(spec: RunSpec, network: Optional[NetworkConfig] = None,
-          per_beat: bool = False):
+          per_beat: bool = False,
+          prepare: Optional[Callable[[runtime.FuxiCluster], None]] = None):
     """Build, warm up and drive ``spec`` closed-loop; returns the cluster
-    and its :class:`RunResult` (for ``summary_dict()``)."""
+    and its :class:`RunResult` (for ``summary_dict()``).  ``prepare`` sees
+    the built cluster before it warms up (to arm extra events)."""
     builder = ClusterBuilder(
         racks=spec.racks, machines_per_rack=spec.machines_per_rack,
         machine_cpu=spec.machine_cpu, machine_memory=spec.machine_memory,
@@ -84,6 +86,8 @@ def drive(spec: RunSpec, network: Optional[NetworkConfig] = None,
         cluster = builder.build(warm_up=False)
     if spec.fault_spec:
         cluster.schedule_faults(FaultPlan.from_spec(spec.fault_spec))
+    if prepare is not None:
+        prepare(cluster)
     cluster.enable_utilization_sampling(spec.utilization_sample_interval)
     cluster.warm_up()
     workload = SyntheticWorkload(

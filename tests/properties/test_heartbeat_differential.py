@@ -11,12 +11,14 @@ included: the two-counter sum is the oracle that no beat was lost or
 doubled), the same bus counters, the same ``fm.*`` counters, the same
 last-seen stamps in the same order, and the same agent books.
 
-Ran once at 2,000 examples (``max_examples=2000``) with no counter-example
-before this was committed; the committed budget keeps tier-1 short.
+Ran once at 2,000 examples with no counter-example before this was
+committed; the committed budget keeps tier-1 short, and
+``test_..._at_scale`` is that run (``pytest -m slow``).
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import RunSpec
@@ -150,6 +152,13 @@ def check_case(case) -> None:
 @settings(max_examples=20, deadline=None)
 @given(cases)
 def test_cohort_plane_matches_the_per_beat_plane(case):
+    check_case(case)
+
+
+@pytest.mark.slow
+@settings(max_examples=2000, deadline=None)
+@given(cases)
+def test_cohort_plane_matches_the_per_beat_plane_at_scale(case):
     check_case(case)
 
 

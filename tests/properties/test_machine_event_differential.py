@@ -7,7 +7,8 @@ every registered policy.  After every operation the returned decisions and
 ``queue_depths()`` must be equal, and a final drain (an event on every
 machine, then every held unit returned one by one) must keep producing
 equal grants — a skipped scan that had left a queue in another order would
-show there.
+show there.  ``test_..._at_scale`` is the 2,000-examples-per-policy run
+(``pytest -m slow``).
 """
 
 import pytest
@@ -165,10 +166,7 @@ def drain(scheduler: FuxiScheduler):
         yield scheduler.return_resource(unit_key, machine, 1)
 
 
-@pytest.mark.parametrize("policy", known_policies())
-@settings(max_examples=300, deadline=None)
-@given(ops=operations, scan_limit=st.sampled_from((2, 64)))
-def test_census_exit_matches_the_full_scan(policy, ops, scan_limit):
+def check_ops(policy: str, ops: list, scan_limit: int) -> None:
     fast = build(FuxiScheduler, policy, scan_limit)
     oracle = build(FullScanScheduler, policy, scan_limit)
     for step, op in enumerate(ops):
@@ -180,6 +178,21 @@ def test_census_exit_matches_the_full_scan(policy, ops, scan_limit):
         assert got == expected, ("drain", step)
     assert fast.ledger.equals(oracle.ledger)
     assert fast.queue_depths() == oracle.queue_depths()
+
+
+@pytest.mark.parametrize("policy", known_policies())
+@settings(max_examples=300, deadline=None)
+@given(ops=operations, scan_limit=st.sampled_from((2, 64)))
+def test_census_exit_matches_the_full_scan(policy, ops, scan_limit):
+    check_ops(policy, ops, scan_limit)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("policy", known_policies())
+@settings(max_examples=2000, deadline=None)
+@given(ops=operations, scan_limit=st.sampled_from((2, 64)))
+def test_census_exit_matches_the_full_scan_at_scale(policy, ops, scan_limit):
+    check_ops(policy, ops, scan_limit)
 
 
 def test_the_saturated_start_takes_the_early_exit():

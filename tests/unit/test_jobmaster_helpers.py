@@ -88,3 +88,30 @@ def test_housekeeping_requests_container_for_backup_when_none_idle():
     assert cluster.run_until_complete([app], timeout=300)
     result = cluster.job_results[app]
     assert result.success
+
+
+def test_two_idle_workers_and_nothing_outstanding_keep_one_spare():
+    """The smallest surplus the early-return pass acts on: two idle workers
+    of a task with nothing pending or running (its last instances failed
+    for good) — one goes back, one stays as the spare."""
+    cluster = make_cluster()
+    app, am = running_master(cluster, mappers=4, duration=60.0, workers=2)
+    master = am.task_masters["map"]
+    workers = [info for info in am._workers.values() if info.task == "map"]
+    assert [info.state for info in workers] == ["busy", "busy"]
+    now = cluster.loop.now
+    for info in workers:  # their completions are in our books, not theirs
+        master.on_completed(info.worker_id,
+                            master.assignment_of(info.worker_id), now)
+        am._set_state(info, "idle")
+    for attempt in range(2 * master.spec.max_attempts):
+        instance = master.next_assignment("ghost", f"elsewhere{attempt}", now)
+        if instance is None:
+            break
+        master.on_failed("ghost", instance.instance_id,
+                         f"elsewhere{attempt}", now)
+    assert master.pending_count == master.running_count == 0
+    assert not master.is_complete()
+    cluster.run_for(4)
+    assert [info.worker_id for info in am._workers.values()
+            if info.task == "map"] == [workers[1].worker_id]

@@ -64,6 +64,21 @@ def test_avoid_merges_within_window():
     assert set(am.holdings.get(unit.key, {})) <= {"m1"}
 
 
+def test_merged_messages_count_only_their_own_deltas():
+    """Two units in one window, 3 + 1 deltas: 4 payload items, not each
+    unit's message counting all 4 (8)."""
+    loop, master, am = setup_coalescing(window=0.1)
+    first = am.define_unit(1, SLOT)
+    second = am.define_unit(2, SLOT)
+    before = am.hub.stats.payload_items_sent
+    for _ in range(3):
+        am.request(first.key, 1)
+    am.request(second.key, 1)
+    loop.run_until(1.0)
+    assert am.hub.stats.deltas_sent == 4   # two definitions + two merged
+    assert am.hub.stats.payload_items_sent - before == 4
+
+
 def test_separate_windows_send_separate_deltas():
     loop, master, am = setup_coalescing(window=0.05)
     unit = am.define_unit(1, SLOT)

@@ -1,7 +1,10 @@
 """Unit tests for TaskMaster instance scheduling (paper §4.4)."""
 
+from hypothesis import example, given, settings, strategies as st
+
 from repro.core.blacklist import BlacklistConfig, JobBlacklist
 from repro.core.resources import ResourceVector
+from repro.jobs.instance import InstanceState
 from repro.jobs.spec import BackupSpec, TaskSpec
 from repro.jobs.taskmaster import TaskMaster
 
@@ -163,3 +166,76 @@ def test_snapshot_lists_every_instance():
     snap = master.snapshot()
     assert len(snap) == 3
     assert all(record["state"] == "waiting" for record in snap)
+
+
+# ---------------------------------------------------------------------- #
+# the kept per-state counts against a scan of the instances
+# ---------------------------------------------------------------------- #
+
+worker = st.integers(0, 3)
+instance_index = st.integers(0, 3)
+machine = st.integers(0, 1)
+operations = st.lists(st.one_of(
+    st.tuples(st.just("assign"), worker, machine),
+    st.tuples(st.just("complete"), worker, instance_index),
+    st.tuples(st.just("fail"), worker, instance_index, machine),
+    st.tuples(st.just("release"), worker),
+    st.tuples(st.just("backup"), worker, instance_index, machine),
+    st.tuples(st.just("restore"), instance_index),
+    st.tuples(st.just("adopt"), worker, instance_index, machine),
+), max_size=80)
+
+
+def apply(master: TaskMaster, op: tuple, now: float) -> None:
+    kind, *args = op
+    ids = [instance.instance_id for instance in master.instances]
+    if kind == "assign":
+        try:
+            master.next_assignment(f"w{args[0]}", f"m{args[1]}", now)
+        except ValueError:
+            # an instance marked failed while it waited in the queue (by an
+            # on_failed naming a worker with no attempt on it, which
+            # DagJobMaster does not send) takes no attempt
+            pass
+    elif kind == "complete":
+        master.on_completed(f"w{args[0]}", ids[args[1]], now)
+    elif kind == "fail":
+        master.on_failed(f"w{args[0]}", ids[args[1]], f"m{args[2]}", now)
+    elif kind == "release":
+        master.release_worker(f"w{args[0]}", now)
+    elif kind == "backup":
+        master.start_backup(master.instances[args[1]], f"w{args[0]}",
+                            f"m{args[2]}", now)
+    elif kind == "restore":
+        master.restore_finished(args[0], now - 1.0, now)
+    else:
+        try:
+            master.adopt_attempt(f"w{args[0]}", ids[args[1]], f"m{args[2]}",
+                                 now - 1.0)
+        except ValueError:
+            pass  # a terminally failed instance takes no attempt
+
+
+@settings(max_examples=500, deadline=None)
+@given(ops=operations, max_attempts=st.sampled_from((1, 2)))
+# a terminally failed instance whose twin then wins: FAILED -> FINISHED
+@example(ops=[("assign", 0, 0), ("adopt", 1, 0, 1), ("fail", 0, 0, 0),
+              ("complete", 1, 0)], max_attempts=1)
+def test_kept_counts_equal_a_scan_of_the_instances(ops, max_attempts):
+    master = make_master(4, max_attempts=max_attempts, backup=BackupSpec(
+        enabled=True, finished_fraction=0.5, slowdown_factor=1.0,
+        normal_duration=0.0))
+    for step, op in enumerate(ops):
+        now = 10.0 * (step + 1)
+        apply(master, op, now)
+        states = [instance.state for instance in master.instances]
+        assert master.finished_count == states.count(InstanceState.FINISHED)
+        assert master.running_count == states.count(InstanceState.RUNNING)
+        assert master.failed_count == states.count(InstanceState.FAILED)
+        assert master.is_complete() == all(
+            state is InstanceState.FINISHED for state in states)
+        # the backup gate reads the kept count; the policy's own scan
+        # must agree with it
+        assert master.backup_candidates(now) == [
+            decision.instance for decision in
+            master.backup_policy.candidates(master.instances, now)]
