@@ -3,7 +3,7 @@
 
 The :class:`repro.core.policy.SchedulerPolicy` seam puts all six policies
 (fuxi, yarn, mesos, hadoop10, size-based, fractional) on the *same*
-fit-indexed pools, ledger, digest sync and timer wheel — so this grid
+fit-indexed pools, ledger, digest sync and event loop — so this grid
 compares scheduling decisions, not bookkeeping implementations.  Each cell
 is one ``arena`` sweep task (policy × machines_per_rack × workload mix at
 one shared seed) fanned over ``repro.parallel``, and records:

@@ -7,7 +7,7 @@ The traced mode is measured too, for the record (it is allowed to cost
 more; it buys a full span/event timeline).
 
 Re-baselined for the live telemetry plane (PR 6) against the current
-fast path (timer-wheel tier + sampled hooks): two additional gates pin
+fast path (Event freelist + sampled hooks): two additional gates pin
 the cluster snapshot sampler at <= 5 % closed-loop wall overhead with
 sampling *on* and <= 1 % event-loop throughput loss with it *off* (the
 off path is byte-for-byte the pre-sampler dispatch, so anything beyond

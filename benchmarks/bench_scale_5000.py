@@ -36,7 +36,7 @@ Usage::
     # 20,000-machine run
     python benchmarks/bench_scale_5000.py --xl --record current
 
-    # 100,000-machine run — the tier the vectorized kernels target
+    # 100,000-machine run
     python benchmarks/bench_scale_5000.py --xxl --record current
 
     # telemetry cost + per-subsystem attribution (hooks stay off for
@@ -70,8 +70,8 @@ QUICK = dict(racks=25, machines_per_rack=20, jobs=150, duration=20.0)
 #: beyond-paper scale: 20,000 machines; shorter steady state so the leg
 #: stays recordable on small hosts
 XL = dict(racks=200, machines_per_rack=100, jobs=400, duration=15.0)
-#: internet scale: 100,000 machines — the tier the vectorized kernels
-#: exist for; a short steady state keeps the leg recordable anywhere
+#: internet scale: 100,000 machines; a short steady state keeps the leg
+#: recordable anywhere
 XXL = dict(racks=1000, machines_per_rack=100, jobs=200, duration=5.0)
 
 #: BENCH_scale.json schema: 3 adds the kernel backend + numpy version to
@@ -87,12 +87,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--xl", action="store_true",
                         help="20,000-machine run (4x paper scale)")
     parser.add_argument("--xxl", action="store_true",
-                        help="100,000-machine run (20x paper scale; the "
-                             "vectorized kernels' target tier)")
-    parser.add_argument("--kernels", default="auto",
-                        choices=("auto", "numpy", "python"),
-                        help="compute-kernel backend (default auto; "
-                             "results are byte-identical either way)")
+                        help="100,000-machine run (20x paper scale)")
     parser.add_argument("--racks", type=int, default=None)
     parser.add_argument("--machines-per-rack", type=int, default=None)
     parser.add_argument("--jobs", type=int, default=None,
@@ -134,20 +129,17 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 def run_benchmark(racks: int, machines_per_rack: int, jobs: int,
                   duration: float, seed: int,
-                  live_sample: bool = False, profile: bool = False,
-                  kernels: str = "auto") -> dict:
+                  live_sample: bool = False, profile: bool = False) -> dict:
     """One closed-loop synthetic run; returns the measured result dict."""
     from repro import kernels as kernel_backends
     from repro.api import RunSpec, simulate
 
     spec = RunSpec(racks=racks, machines_per_rack=machines_per_rack,
                    concurrent_jobs=jobs, duration=duration,
-                   live_sample=live_sample, profile=profile,
-                   kernels=kernels)
+                   live_sample=live_sample, profile=profile)
     machines = racks * machines_per_rack
     extras = "".join(f" [{name}]" for name, on in
-                     (("live-sample", live_sample), ("profile", profile),
-                      (f"kernels={kernels}", kernels != "auto"))
+                     (("live-sample", live_sample), ("profile", profile))
                      if on)
     print(f"running {machines} machines / {jobs} concurrent jobs / "
           f"{duration:.0f}s steady state (seed {seed}){extras} ...",
@@ -389,7 +381,7 @@ def main(argv=None) -> int:
 
     result = run_benchmark(racks, machines_per_rack, jobs, duration,
                            args.seed, live_sample=args.live_sample,
-                           profile=args.profile, kernels=args.kernels)
+                           profile=args.profile)
     print(json.dumps(result, indent=2))
 
     claims = fig09_claims(result)

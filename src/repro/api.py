@@ -108,12 +108,6 @@ class RunSpec(ConfigBase):
         True, help="freeze the setup heap and defer GC to slice "
                    "boundaries (kills multi-hundred-ms collection pauses "
                    "inside timed scheduling sections)")
-    kernels: str = conf(
-        "auto", help="compute-kernel backend for the pool/heartbeat hot "
-                     "paths: vectorized numpy, pure-python reference, or "
-                     "auto-pick by availability; results are byte-identical "
-                     "either way",
-        choices=("auto", "numpy", "python"))
     fault_spec: str = conf(
         "", help="semicolon-separated fault plan applied to the run, "
                  "kind@time[:machine][:key=value] tokens "
@@ -198,13 +192,8 @@ class RunResult:
         This is the payload the parallel sweep engine ships back from
         worker processes instead of the (unpicklable) live cluster.
         """
-        # The kernel backend is dropped from the spec echo: it changes how
-        # the run executes, not what it is, and both backends must produce
-        # the byte-identical summary.
-        spec_dict = self.spec.to_dict()
-        spec_dict.pop("kernels", None)
         summary = {
-            "spec": spec_dict,
+            "spec": self.spec.to_dict(),
             "seed": self.spec.seed,
             "jobs_submitted": len(self.submitted),
             "jobs_completed": self.jobs_completed,
@@ -436,11 +425,6 @@ def simulate(spec: Optional[RunSpec] = None, *,
         overrides["trace"] = trace
     if overrides:
         spec = spec.replace(**overrides)
-
-    # Kernel backend is process-global (pools/heartbeat columns consult it
-    # at construction time), so pin it before any cluster objects exist.
-    from repro import kernels as kernel_backends
-    kernel_backends.select(spec.kernels)
 
     cluster = (ClusterBuilder(racks=spec.racks,
                               machines_per_rack=spec.machines_per_rack,

@@ -1,7 +1,7 @@
 """Comparator policies on the Fuxi substrate (paper §6 + PAPERS.md).
 
 Each class here is a :class:`repro.core.policy.SchedulerPolicy` running on
-the *same* fit-indexed pool, ledger, digest sync and timer-wheel substrate
+the *same* fit-indexed pool, ledger, digest sync and event-loop substrate
 as Fuxi itself — only the decision surface differs, so the arena benchmark
 (``benchmarks/bench_arena.py``) compares policies, not bookkeeping
 implementations.  The standalone micro-models in

@@ -226,20 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output HTML path (default: INPUT + .html)")
     report.add_argument("--title", default=None, help="report title")
 
-    kernelcheck = sub.add_parser(
-        "kernelcheck",
-        help="prove the vectorized kernel backend reproduces the pure-"
-             "python reference byte-for-byte: one spec runs with kernels "
-             "off and on, and every deterministic artifact is compared "
-             "against the python oracle")
-    add_config_args(kernelcheck, RunSpec,
-                    only=("racks", "machines_per_rack", "concurrent_jobs",
-                          "duration", "workload_scale", "seed",
-                          "fault_spec"))
-    kernelcheck.add_argument("--quick", action="store_true",
-                             help="small fixed workload (2 racks x 5 "
-                                  "machines, 20 sim-s) for CI smoke")
-
     experiment = sub.add_parser("experiment", help="run a paper experiment")
     experiment.add_argument("name", choices=EXPERIMENTS)
     experiment.add_argument("--trace-out", metavar="FILE", default=None,
@@ -673,58 +659,6 @@ def cmd_top(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_kernelcheck(args: argparse.Namespace) -> int:
-    """Byte-identity gate for the kernel layer: the same spec runs with
-    kernels off and on, and the numpy leg's grant stream, summary JSON and
-    trace export must match the python oracle.  Exit 2 without numpy:
-    there is nothing to compare."""
-    import time
-
-    from repro import kernels
-    from repro.api import simulate
-    from repro.obs.export import dumps_trace
-
-    if not kernels.numpy_available():
-        print("numpy not installed: nothing to compare", file=sys.stderr)
-        return 2
-    overrides = {}
-    if args.quick:
-        overrides.update(racks=2, machines_per_rack=5, concurrent_jobs=6,
-                         duration=20.0, workload_scale=20, workers_cap=4)
-    base = config_from_args(RunSpec, args, trace=True, kernels="python",
-                            **overrides)
-
-    def run_leg(spec: RunSpec):
-        started = time.perf_counter()
-        result = simulate(spec)
-        wall = time.perf_counter() - started
-        summary = result.summary_dict()
-        return wall, {
-            "grant stream": json.dumps(summary["grant_stream"]),
-            "summary JSON": json.dumps(summary, sort_keys=True),
-            "trace export": dumps_trace(result.cluster.tracer),
-        }
-
-    _, oracle = run_leg(base)
-    wall, numpy_leg = run_leg(base.replace(kernels="numpy"))
-    kernels.select("auto")  # leave the process in its default state
-
-    failed = [name for name in oracle if numpy_leg[name] != oracle[name]]
-    verdicts = ["MISMATCH" if name in failed else "match" for name in oracle]
-    print(format_table(
-        ["leg (vs python)"] + list(oracle) + ["wall"],
-        [["numpy"] + verdicts + [f"{wall:.2f}s"]],
-        title=f"kernelcheck seed={base.seed} machines={base.machines} "
-              f"duration={base.duration:g}"
-              + (f" faults={base.fault_spec!r}" if base.fault_spec else "")))
-    if failed:
-        print(f"MISMATCH: {', '.join(failed)} — the numpy backend diverged "
-              f"from the python oracle", file=sys.stderr)
-        return 1
-    print(f"byte-identical across 2 legs (numpy {kernels.numpy_version()})")
-    return 0
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     """Render a JSONL artifact as a static self-contained HTML report."""
     from repro.obs.report import write_report
@@ -799,7 +733,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "fuzz": cmd_fuzz,
         "sweep": cmd_sweep,
         "top": cmd_top,
-        "kernelcheck": cmd_kernelcheck,
         "report": cmd_report,
         "experiment": cmd_experiment,
     }

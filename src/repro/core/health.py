@@ -111,9 +111,8 @@ class HealthMonitor:
         self.threshold = threshold
         self.grace_seconds = grace_seconds
         self._machines: Dict[str, _MachineHealth] = {}
-        # When each below-threshold machine first dipped, in a columnar
-        # time column (repro.kernels): the grace-period roll-up is one
-        # vectorized pass instead of an O(machines) scan per liveness tick.
+        # When each below-threshold machine first dipped (only those
+        # machines): the grace-period roll-up scans this column alone.
         self._below_since = make_time_column()
         self._total_weight = sum(p.weight for p in self.plugins)
         #: machine -> the sample object :meth:`record_sample` saw last.  For

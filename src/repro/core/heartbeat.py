@@ -6,7 +6,7 @@ instant, so their timers fire back to back — adjacent in the loop's
 ``(time, seq)`` order, with nothing between them — and each firing does the
 same thing: snapshot four fields, draw one edge delay, schedule one
 delivery.  A :class:`HeartbeatCohort` is that group made explicit: one
-wheel event that, in arming order, snapshots every member into columns
+loop event that, in arming order, snapshots every member into columns
 (:class:`HeartbeatBatch`) and hands the bus the whole batch
 (:meth:`repro.cluster.network.MessageBus.send_run`).  Firing the members
 in one callback performs the same reads and writes in the same order as
@@ -98,7 +98,7 @@ class _Roster:
 
 class HeartbeatCohort:
     """Agents armed in the same instant, with the same interval and
-    destination: one periodic wheel event instead of one per agent."""
+    destination: one periodic loop event instead of one per agent."""
 
     __slots__ = ("loop", "bus", "dest", "interval", "fires_at", "members",
                  "_opened_in_step", "_event", "_roster")
@@ -113,8 +113,7 @@ class HeartbeatCohort:
         #: batch in flight keeps the list it was fired with)
         self.members: List["FuxiAgent"] = []
         self._opened_in_step = loop.events_executed
-        self._event = loop.call_at(self.fires_at, self, wheel=True,
-                                   recycle=True)
+        self._event = loop.call_at(self.fires_at, self, recycle=True)
         self._roster: Optional[_Roster] = None
 
     @classmethod
@@ -172,5 +171,4 @@ class HeartbeatCohort:
             bus.send_run(roster.group, HeartbeatBatch(roster))
         self.fires_at = loop.now + self.interval
         # recycle=True: the handle is replaced here, inside the firing
-        self._event = loop.call_at(self.fires_at, self, wheel=True,
-                                   recycle=True)
+        self._event = loop.call_at(self.fires_at, self, recycle=True)

@@ -91,9 +91,8 @@ class FuxiMaster(Actor):
         # (reported as summary_dict()["grant_stream"]).
         self.grant_stream_digest = 0xCBF29CE484222325
         self.grants_disseminated = 0
-        # Columnar last-beat timestamps (repro.kernels): per-beat updates
-        # are O(1) stores; the periodic staleness roll-up of _check_liveness
-        # is one vectorized threshold pass instead of an O(machines) loop.
+        # Last-beat timestamps in arrival order: per-beat updates are O(1)
+        # dict stores; _check_liveness's staleness roll-up is one pass.
         self._last_agent_seen = make_time_column()
         self._last_app_seen: Dict[str, float] = {}
         self._app_master_machine: Dict[str, str] = {}

@@ -8,7 +8,7 @@ placed the moment it arrives or deferred to node heartbeats, how the
 cluster-wide candidate ranking is ordered, what a unit's effective
 priority is, and whether §3.4 preemption is consulted.  Every policy —
 Fuxi itself and every comparator in :mod:`repro.baselines` — therefore
-runs on the same indexed pools, ledger, digest sync and timer-wheel
+runs on the same indexed pools, ledger, digest sync and event-loop
 substrate, so arena benchmarks compare scheduling *policies*, never
 bookkeeping implementations.
 

@@ -21,7 +21,6 @@ from bisect import bisect_left, insort
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.resources import ResourceVector
-from repro.kernels.fitindex import make_fit_columns, rank as _rank
 
 #: stop indexing new shapes beyond this many distinct unit sizes (real
 #: workloads use a handful; the fallback scan keeps exotic callers correct).
@@ -126,8 +125,6 @@ class FreeResourcePool:
         # unit-size -> incrementally maintained fit index (see module doc)
         self._shape_indexes: Dict[ResourceVector, _ShapeIndex] = {}
         self._sorted_machines: Optional[List[str]] = None
-        # columnar free-vector store for bulk fit-count sweeps (repro.kernels)
-        self._columns = make_fit_columns(self._free)
         # Running per-dimension totals, maintained by delta on every
         # capacity/free change: total_capacity/total_free are O(dims) reads
         # instead of O(machines) rebuilds (the live sampler polls them
@@ -152,7 +149,6 @@ class FreeResourcePool:
         self._totals_shift(self._free_totals, self._free.get(machine), free)
         self._free_total_vec = None
         self._free[machine] = free
-        self._columns.set_free(machine, free)
         if free.is_zero():
             self._has_free.discard(machine)
             for index in self._shape_indexes.values():
@@ -166,9 +162,9 @@ class FreeResourcePool:
     def _shape_index(self, unit_size: ResourceVector) -> Optional[_ShapeIndex]:
         """The (lazily built) index for this unit size, or None if over cap.
 
-        First build is one columnar ``bulk_units`` sweep over the machines
-        with free resources plus a linear bucket fill — no per-machine
-        scalar fit math, no insort (see ``_ShapeIndex.bulk_build``).
+        First build is one fit-count pass over the machines with free
+        resources plus a linear bucket fill — no insort (see
+        ``_ShapeIndex.bulk_build``).
         """
         index = self._shape_indexes.get(unit_size)
         if index is None:
@@ -176,8 +172,10 @@ class FreeResourcePool:
                 return None
             index = _ShapeIndex(unit_size)
             machines = sorted(self._has_free)
+            free = self._free
+            max_units_in = unit_size.max_units_in
             index.bulk_build(machines,
-                             self._columns.bulk_units(unit_size, machines))
+                             [max_units_in(free[m]) for m in machines])
             self._shape_indexes[unit_size] = index
         return index
 
@@ -216,7 +214,6 @@ class FreeResourcePool:
         if free is not None:
             self._totals_shift(self._free_totals, free, None)
             self._free_total_vec = None
-        self._columns.drop(machine)
         self._disabled.discard(machine)
         self._has_free.discard(machine)
         for index in self._shape_indexes.values():
@@ -368,28 +365,23 @@ class FreeResourcePool:
         (exact prefix — see :meth:`_ShapeIndex.ranked`).
         """
         index = self._shape_index(unit_size)
-        if candidates is not None:
-            disabled = self._disabled
-            if index is not None:
-                fit_units = index.units
-                scored = [(machine, fit_units[machine])
-                          for machine in candidates
-                          if machine in fit_units
-                          and machine not in disabled]
-            else:
-                scored = []
-                for machine in candidates:
-                    units = self.max_units(machine, unit_size)
-                    if units > 0:
-                        scored.append((machine, units))
-            scored.sort(key=lambda pair: (-pair[1], pair[0]))
-            return scored if limit is None else scored[:limit]
-        if index is not None:
+        if index is not None and candidates is None:
             return index.ranked(self._disabled, limit)
-        # over the shape cap: bulk fit-count sweep over eligible machines
-        machines = sorted(m for m in self._has_free
-                          if m not in self._disabled)
-        counts = self._columns.bulk_units(unit_size, machines)
-        return _rank([(machine, units)
-                      for machine, units in zip(machines, counts)
-                      if units > 0], limit)
+        disabled = self._disabled
+        if index is not None:
+            fit_units = index.units
+            scored = [(machine, fit_units[machine])
+                      for machine in candidates
+                      if machine in fit_units and machine not in disabled]
+        else:
+            # over the shape cap: a fit-count scan of the candidates, or of
+            # every machine with free resources
+            if candidates is None:
+                candidates = self._has_free
+            scored = []
+            for machine in candidates:
+                units = self.max_units(machine, unit_size)
+                if units > 0:
+                    scored.append((machine, units))
+        scored.sort(key=lambda pair: (-pair[1], pair[0]))
+        return scored if limit is None else scored[:limit]

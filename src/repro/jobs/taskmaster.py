@@ -197,6 +197,9 @@ class TaskMaster:
         if instance.failures >= self.spec.max_attempts:
             instance.state = InstanceState.FAILED
             self._moved(before, InstanceState.FAILED)
+            # it may be waiting (release_worker requeued it): a failed
+            # instance takes no further attempt
+            self._pending_set.discard(instance.index)
             return FailureResult(terminal=True, requeued=False,
                                  escalations=escalations)
         self._moved(before, instance.state)

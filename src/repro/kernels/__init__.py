@@ -1,30 +1,24 @@
-"""Struct-of-arrays compute kernels with a NumPy and a pure-Python backend.
+"""The simulator's one vectorised kernel and the backend switch it reads.
 
-The simulator's hot tiers — the pool fit index, the heartbeat staleness
-roll-ups and the edge delays of a heartbeat cohort's delivery run — funnel
-their batch work through this package.  Two interchangeable backends
-implement every kernel:
+A heartbeat cohort's delivery run needs the edge delay of every member at
+once (:mod:`repro.kernels.edgedelay`).  When numpy imports, that pass runs
+on ``uint64``/``float64`` columns; otherwise the bus loops over its scalar
+draw.  Both produce **byte-identical** delays: the float formulas are kept
+operation-for-operation equal to the scalar code (IEEE-754 elementwise ops
+match CPython float ops bit for bit), so grant streams, summaries and
+traces do not depend on which one ran.
 
-* ``numpy`` — dense float64/int64 columns, vectorized passes; and
-* ``python`` — plain lists and loops producing **byte-identical** results.
-
-Backends never change *what* is computed, only *how*: the float formulas are
-kept operation-for-operation equal to the scalar code (IEEE-754 elementwise
-ops match CPython float ops bit for bit), so grant streams, summaries and
-traces are invariant under backend choice — ``fuxi-sim kernelcheck`` pins
-this end to end.
-
-Selection: ``select("auto" | "numpy" | "python")``, defaulting to the
-``FUXI_KERNELS`` environment variable, then ``auto`` (numpy when
-importable).  ``RunSpec(kernels=...)`` plumbs the choice through the API.
+The backend is a platform fact, not a user option: numpy when importable.
+:class:`use` substitutes one for the length of a ``with`` block (tests run
+both legs); :func:`select`, :func:`current` and :func:`numpy_version` serve
+the layered benchmark, which records the backend in its provenance.  The
+other whole-pool passes — the pool's fit index and the liveness time
+columns — priced no better vectorised and run in Python (DESIGN.md §11).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
-
-KERNEL_BACKENDS = ("auto", "numpy", "python")
 
 try:  # optional dependency: everything must work without it
     import numpy as _np
@@ -53,24 +47,20 @@ def np():
     return _np if _active == "numpy" else None
 
 
-def resolve(name: Optional[str]) -> str:
-    """Map a requested backend name to a concrete one ("numpy"/"python")."""
+def select(name: Optional[str]) -> str:
+    """Activate ``"numpy"``, ``"python"`` or ``"auto"`` (numpy when
+    importable); returns the concrete name."""
+    global _active
     if not name or name == "auto":
-        return "numpy" if _np is not None else "python"
-    if name not in ("numpy", "python"):
-        raise ValueError(
-            f"unknown kernel backend {name!r}; choose from {KERNEL_BACKENDS}")
-    if name == "numpy" and _np is None:
+        name = "numpy" if _np is not None else "python"
+    elif name not in ("numpy", "python"):
+        raise ValueError(f"unknown kernel backend {name!r}; "
+                         f"choose from auto, numpy, python")
+    elif name == "numpy" and _np is None:
         raise RuntimeError("kernel backend 'numpy' requested but numpy "
                            "is not importable on this host")
+    _active = name
     return name
-
-
-def select(name: Optional[str]) -> str:
-    """Activate a backend ("auto" resolves); returns the concrete name."""
-    global _active
-    _active = resolve(name)
-    return _active
 
 
 def current() -> str:
@@ -94,6 +84,4 @@ class use:
         _active = self._prev
 
 
-# Activate the default backend at import time so library users that never
-# touch RunSpec still get a resolved backend.  FUXI_KERNELS overrides.
-select(os.environ.get("FUXI_KERNELS") or "auto")
+select("auto")

@@ -15,7 +15,7 @@ Three pieces:
   deterministic columns, so two same-seed runs export byte-identical
   feeds; wall columns stay available in-memory for ``top`` and profiling.
 - :class:`ClusterSampler` — captures one row per sampling interval on a
-  timer-wheel periodic: per-pool free/allocated vectors, pending
+  periodic timer: per-pool free/allocated vectors, pending
   ScheduleUnit queue depth by locality tier, heartbeat staleness,
   blacklist size, job progress, event-loop rates.
 - :class:`SubsystemProfiler` — rides the sampled event-loop hooks and
@@ -197,7 +197,7 @@ class TimeSeriesStore:
 
 
 class ClusterSampler:
-    """Periodic cluster state snapshots riding the timer-wheel tier.
+    """Periodic cluster state snapshots on a self-re-arming loop event.
 
     One :meth:`sample_now` per ``interval`` simulated seconds captures the
     deterministic cluster state (see :meth:`repro._runtime.FuxiCluster.
@@ -209,10 +209,8 @@ class ClusterSampler:
       the interval (``wall_``-prefixed: excluded from deterministic
       export, rendered by ``fuxi-sim top``).
 
-    The periodic is scheduled with ``wheel=True``: at a multi-second
-    cadence it batches with the heartbeat tier instead of churning the
-    main heap, and the regression tests in ``tests/unit/test_events.py``
-    pin that wheel-tier events pass through the sampled hooks too.
+    Its ticks are ordinary loop events, so they pass through the sampled
+    hooks like every other event.
     """
 
     def __init__(self, cluster, interval: float = 5.0,
@@ -240,8 +238,7 @@ class ClusterSampler:
             self._last_sim = loop.now
             self._last_events = self.cluster.events_total
             self._last_wall = _time.perf_counter()
-            self._timer = loop.call_after(self.interval, self._tick,
-                                          wheel=True)
+            self._timer = loop.call_after(self.interval, self._tick)
         return self
 
     def detach(self) -> None:
@@ -251,8 +248,7 @@ class ClusterSampler:
 
     def _tick(self) -> None:
         self.sample_now()
-        self._timer = self.cluster.loop.call_after(self.interval, self._tick,
-                                                   wheel=True)
+        self._timer = self.cluster.loop.call_after(self.interval, self._tick)
 
     def sample_now(self) -> dict:
         """Capture one row immediately (also what the periodic calls)."""

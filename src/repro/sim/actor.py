@@ -46,8 +46,7 @@ class _PeriodicChain:
         # ``key not in timers``: the callback may have re-registered the
         # timer (new chain, possibly new interval) — that chain wins.
         if interval is not None and owner.alive and key not in timers:
-            timers[key] = owner.loop.call_after(interval, self,
-                                                wheel=True, recycle=True)
+            timers[key] = owner.loop.call_after(interval, self, recycle=True)
 
 
 class Actor:
@@ -118,8 +117,8 @@ class Actor:
         The handler (or anyone else) can stop the cycle with
         :meth:`cancel_timer`; crashing the actor stops it too.
 
-        Periodic timers ride the event loop's timer-wheel/freelist tier:
-        one :class:`_PeriodicChain` is created here and reused for every
+        Periodic timers ride the event loop's Event freelist: one
+        :class:`_PeriodicChain` is created here and reused for every
         period, and the Event handle is recycled after each firing.  That
         is safe because the chain drops its own handle from ``_timers``
         before the loop recycles it, so cancellation never touches a
@@ -130,8 +129,7 @@ class Actor:
         if previous is not None:
             previous.cancel()
         self._timers[key] = self.loop.call_after(
-            interval, _PeriodicChain(self, key, callback),
-            wheel=True, recycle=True)
+            interval, _PeriodicChain(self, key, callback), recycle=True)
 
     def cancel_timer(self, key: str) -> None:
         self._periodic.pop(key, None)

@@ -13,24 +13,16 @@ heavy timer churn stay bounded in memory.  Heap entries are plain
 ordering is decided entirely by C-level tuple comparison and the
 :class:`Event` object itself is never compared on the hot path.
 
-Two fast paths keep the periodic-timer tier (heartbeats, housekeeping,
-health probes — thousands of recurring timers at cluster scale) from
-churning the main heap:
+An **Event freelist** (``call_at(..., recycle=True)``) keeps the
+periodic-timer tier (heartbeats, housekeeping, health probes) and message
+deliveries from allocating an Event per firing: the loop reuses the Event
+object after the callback fires.  Callers opting in MUST NOT retain the
+returned handle past the firing (a recycled handle may already belong to a
+different scheduled event); it is safe for fire-and-forget deliveries and
+self-re-arming periodic timers that replace their handle inside the
+callback.
 
-- a **timer wheel** (``call_at(..., wheel=True)``): events land in coarse
-  time slots keyed by ``int(time / tick)``; a slot is drained — filtered of
-  cancellations and sorted once — only when the clock approaches it.  The
-  merge against the main heap preserves the exact global ``(time, seq)``
-  order, so a wheel-scheduled run is event-for-event identical to a
-  heap-scheduled one; the wheel only changes *how* the order is computed.
-- an **Event freelist** (``call_at(..., recycle=True)``): the loop reuses
-  the Event object after the callback fires.  Callers opting in MUST NOT
-  retain the returned handle past the firing (a recycled handle may already
-  belong to a different scheduled event); it is safe for fire-and-forget
-  deliveries and self-re-arming periodic timers that replace their handle
-  inside the callback.
-
-A third path serves *runs* of occurrences that would otherwise each be an
+A second path serves *runs* of occurrences that would otherwise each be an
 event of their own (the heartbeat plane's deliveries): an
 :class:`EventSeries` (``call_series``) rides one re-arming heap event and
 hands its consumer every occurrence that sorts before the loop's next other
@@ -55,14 +47,10 @@ from __future__ import annotations
 import heapq
 import time as _time
 from bisect import bisect_left, bisect_right
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 #: below this heap size compaction is pointless (rebuild cost > scan cost)
 _COMPACT_MIN = 64
-
-#: wheel slot width in simulated seconds; coarse enough that a slot batches
-#: many periodic timers, fine enough that near-term one-shots skip the wheel
-_WHEEL_TICK = 0.25
 
 #: recycled Event objects kept around at most
 _FREELIST_MAX = 4096
@@ -88,13 +76,12 @@ class Event:
     """A scheduled callback.
 
     Events are returned by :meth:`EventLoop.call_at` / :meth:`EventLoop.call_after`
-    and can be cancelled.  A cancelled event stays in its tier (heap or wheel
-    slot) but is skipped when popped (and reclaimed wholesale when the loop
-    compacts or drains the slot).
+    and can be cancelled.  A cancelled event stays in the heap but is skipped
+    when popped (and reclaimed wholesale when the loop compacts).
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "done",
-                 "wheel", "recycle", "_loop")
+                 "recycle", "_loop")
 
     def __init__(self, time: float, seq: int, callback: Callable[..., Any],
                  args: tuple, loop: Optional["EventLoop"] = None,
@@ -105,7 +92,6 @@ class Event:
         self.args = args
         self.cancelled = False
         self.done = False
-        self.wheel = False
         self.recycle = recycle
         self._loop = loop
 
@@ -116,7 +102,7 @@ class Event:
             return
         self.cancelled = True
         if self._loop is not None:
-            self._loop._on_cancel(self)
+            self._loop._on_cancel()
 
     def __lt__(self, other: "Event") -> bool:
         # Kept for external sorting convenience; the loop's heap orders
@@ -226,19 +212,9 @@ class EventLoop:
         # must not consume occurrences beyond it)
         self._until = float("inf")
         # live/cancelled counters: pending() must be O(1) and compaction
-        # needs to know when the heap is mostly garbage.  Wheel-tier
-        # cancellations are counted separately — they are reclaimed on slot
-        # drain and must not trigger (or skew) heap compaction.
+        # needs to know when the heap is mostly garbage.
         self._live = 0
         self._cancelled = 0
-        self._wheel_cancelled = 0
-        # timer wheel: slot id -> [(time, seq, event)], plus a min-heap of
-        # populated slot ids and the sorted ready run of the drained slots.
-        self._wheel: Dict[int, List[tuple]] = {}
-        self._wheel_slots: List[int] = []
-        self._wheel_drained = -1
-        self._ready: List[tuple] = []
-        self._ready_pos = 0
         self._free: List[Event] = []
         # optional instrumentation (see add_hook / set_hook)
         self._hooks: List[LoopHook] = []
@@ -252,14 +228,15 @@ class EventLoop:
                 wheel: bool = False, recycle: bool = False) -> Event:
         """Schedule ``callback(*args)`` at absolute simulated time ``when``.
 
-        ``wheel=True`` routes the event through the timer-wheel tier (same
-        execution order, cheaper for far-out recurring timers).  With
-        ``recycle=True`` the returned handle is reused after the callback
-        fires and must not be retained past that point.
+        With ``recycle=True`` the returned handle is reused after the
+        callback fires and must not be retained past that point.  ``wheel``
+        is accepted and ignored: it selected a timer-wheel tier that priced
+        no better than the heap, and the layered benchmark's micro-ops
+        still pass it.
 
         :meth:`repro.cluster.network.MessageBus.send` carries a copy of the
-        heap-tier ``recycle=True`` path, the one every message takes; a
-        change to how an entry is made here must be made there too.
+        ``recycle=True`` path, the one every message takes; a change to how
+        an entry is made here must be made there too.
         """
         if when < self._now:
             raise SimulationError(
@@ -281,23 +258,7 @@ class EventLoop:
         else:
             event = Event(when, seq, callback, args, loop=self,
                           recycle=recycle)
-        entry = (when, seq, event)
-        if wheel:
-            slot = int(when * (1.0 / _WHEEL_TICK))
-            if when < slot * _WHEEL_TICK:
-                slot -= 1  # float rounding pushed us across a boundary
-            if slot > self._wheel_drained:
-                event.wheel = True
-                bucket = self._wheel.get(slot)
-                if bucket is None:
-                    self._wheel[slot] = [entry]
-                    heapq.heappush(self._wheel_slots, slot)
-                else:
-                    bucket.append(entry)
-                self._live += 1
-                return event
-        event.wheel = False
-        heapq.heappush(self._heap, entry)
+        heapq.heappush(self._heap, (when, seq, event))
         self._live += 1
         return event
 
@@ -342,7 +303,7 @@ class EventLoop:
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         return self.call_at(self._now + delay, callback, *args,
-                            wheel=wheel, recycle=recycle)
+                            recycle=recycle)
 
     def stop(self) -> None:
         """Make the currently running :meth:`run` loop return after this event."""
@@ -352,14 +313,9 @@ class EventLoop:
     # cancellation bookkeeping
     # ------------------------------------------------------------------ #
 
-    def _on_cancel(self, event: Event) -> None:
+    def _on_cancel(self) -> None:
         """Called by :meth:`Event.cancel`; compacts the heap when mostly garbage."""
         self._live -= 1
-        if event.wheel:
-            # Reclaimed when the slot drains; slot lifetime is bounded by
-            # the timer interval, so no compaction pass is needed.
-            self._wheel_cancelled += 1
-            return
         self._cancelled += 1
         if (self._cancelled * 2 > len(self._heap)
                 and len(self._heap) >= _COMPACT_MIN):
@@ -370,61 +326,6 @@ class EventLoop:
         self._heap = [entry for entry in self._heap if not entry[2].cancelled]
         heapq.heapify(self._heap)
         self._cancelled = 0
-
-    # ------------------------------------------------------------------ #
-    # timer wheel
-    # ------------------------------------------------------------------ #
-
-    def _drain_slot(self) -> None:
-        """Move the earliest wheel slot into the sorted ready run."""
-        slot = heapq.heappop(self._wheel_slots)
-        entries = self._wheel.pop(slot)
-        live = [entry for entry in entries if not entry[2].cancelled]
-        self._wheel_cancelled -= len(entries) - len(live)
-        live.sort()
-        remaining = self._ready[self._ready_pos:] if self._ready else []
-        if remaining:
-            if live and remaining[-1] > live[0]:
-                # Float rounding let an entry land one slot early; a merge
-                # keeps the ready run globally sorted.
-                remaining.extend(live)
-                remaining.sort()
-                live = remaining
-            else:
-                remaining.extend(live)
-                live = remaining
-        self._ready = live
-        self._ready_pos = 0
-        self._wheel_drained = slot
-
-    def _peek(self) -> Optional[tuple]:
-        """Next runnable (time, seq, event) across heap, ready run and wheel.
-
-        Skips cancelled heads and drains every wheel slot that could hold an
-        earlier event than the current candidate, so the returned entry is
-        the true global minimum.  The entry is left in place;
-        :meth:`_execute` consumes it.
-        """
-        heap = self._heap
-        while True:
-            while heap and heap[0][2].cancelled:
-                heapq.heappop(heap)
-                self._cancelled -= 1
-            ready = self._ready
-            pos = self._ready_pos
-            while pos < len(ready) and ready[pos][2].cancelled:
-                self._wheel_cancelled -= 1
-                pos += 1
-            self._ready_pos = pos
-            candidate = ready[pos] if pos < len(ready) else None
-            if heap and (candidate is None or heap[0] < candidate):
-                candidate = heap[0]
-            slots = self._wheel_slots
-            if slots and (candidate is None
-                          or slots[0] * _WHEEL_TICK <= candidate[0]):
-                self._drain_slot()
-                continue
-            return candidate
 
     # ------------------------------------------------------------------ #
     # instrumentation
@@ -439,14 +340,13 @@ class EventLoop:
         callback returns.  Which events are sampled depends only on the
         deterministic execution count, so a seeded run samples the same
         events every time (the wall-time *values* are of course not
-        reproducible).  Sampling covers every tier — heap, timer-wheel
-        and ready-run events all pass through :meth:`step`, so a hook
-        sees the uniform event stream regardless of how an event was
-        scheduled.  ``timed=False`` skips the ``perf_counter`` pair when
-        only untimed hooks are due (the hook then receives ``0.0`` as
-        the wall time) — the cheap tier for per-event observers like the
-        flight recorder that want the event, not its cost.  Returns a
-        handle for :meth:`remove_hook`.
+        reproducible).  Every loop step passes through :meth:`_execute`,
+        so a hook sees the uniform event stream regardless of how an
+        event was scheduled.  ``timed=False`` skips the ``perf_counter``
+        pair when only untimed hooks are due (the hook then receives
+        ``0.0`` as the wall time) — the cheap tier for per-event
+        observers like the flight recorder that want the event, not its
+        cost.  Returns a handle for :meth:`remove_hook`.
         """
         if sample_every < 1:
             raise ValueError(f"sample_every must be >= 1, got {sample_every}")
@@ -484,19 +384,20 @@ class EventLoop:
         self._execute(entry)
         return True
 
+    def _peek(self) -> Optional[tuple]:
+        """Next runnable ``(time, seq, event)``, skipping cancelled heads.
+
+        The entry is left on the heap; :meth:`_execute` pops it.
+        """
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+            self._cancelled -= 1
+        return heap[0] if heap else None
+
     def _execute(self, entry: tuple) -> None:
         """Consume and run ``entry``, the head :meth:`_peek` just returned."""
-        ready = self._ready
-        pos = self._ready_pos
-        if pos < len(ready) and ready[pos] is entry:
-            pos += 1
-            if pos >= len(ready):
-                self._ready = []
-                self._ready_pos = 0
-            else:
-                self._ready_pos = pos
-        else:
-            heapq.heappop(self._heap)
+        heapq.heappop(self._heap)
         event = entry[2]
         event.done = True
         self._live -= 1

@@ -26,6 +26,8 @@ def test_runspec_validation():
         RunSpec.from_dict({"machines": 10})  # derived, not a field
     with pytest.raises(ValueError, match="shards"):
         RunSpec.from_dict({"shards": 2})  # one engine: no such field
+    with pytest.raises(ValueError, match="kernels"):
+        RunSpec.from_dict({"kernels": "numpy"})  # a platform fact, not a knob
     with pytest.raises(ValueError):
         RunSpec(hint_fraction=1.5).validate()
     RunSpec(hint_fraction=0.5).validate()
@@ -131,10 +133,7 @@ def test_summary_dict_is_deterministic_and_json_able():
     assert json.dumps(first, sort_keys=True) == \
         json.dumps(second, sort_keys=True)
     assert first["seed"] == 7
-    # the kernel backend is dropped so numpy/python summaries compare
-    expected_spec = spec.to_dict()
-    expected_spec.pop("kernels")
-    assert first["spec"] == expected_spec
+    assert first["spec"] == spec.to_dict()
     assert first["jobs_submitted"] > 0
     assert first["events"] > 0
 
@@ -180,9 +179,9 @@ GOLDEN = {
                               "node-down-off-tick", "restart-plan",
                               "six-kind-chaos"])
 def test_grant_stream_matches_golden(fault_spec, backend):
-    with kernels.use(backend):  # simulate() pins the backend process-wide
+    with kernels.use(backend):
         summary = simulate(GOLDEN_SPEC.replace(
-            fault_spec=fault_spec, kernels=backend)).summary_dict()
+            fault_spec=fault_spec)).summary_dict()
     stream = [f"{e['master']}:{e['digest']}:{e['grants']}"
               for e in summary["grant_stream"]]
     assert (stream, summary["events"]) == GOLDEN[fault_spec]

@@ -410,20 +410,3 @@ def test_fuzz_replay_without_corpus_exits_two(capsys):
     code = main(["fuzz", "--replay", "0"])
     assert code == 2
     assert "--replay needs --corpus" in capsys.readouterr().err
-
-
-def test_kernelcheck_quick_two_legs(capsys):
-    pytest.importorskip("numpy")
-    code = main(["kernelcheck", "--quick"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "byte-identical across 2 legs" in out
-
-
-def test_kernelcheck_without_numpy_exits_two(monkeypatch, capsys):
-    monkeypatch.setattr("repro.kernels.numpy_available", lambda: False)
-    code = main(["kernelcheck", "--quick"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "numpy not installed: nothing to compare" in captured.err
-    assert "byte-identical" not in captured.out

@@ -202,15 +202,14 @@ def test_survivors_fire_in_order_after_compaction():
 
 
 # --------------------------------------------------------------------- #
-# Event.cancel racing the wheel tier
+# cancellation, tie-breaks and hooks on the one heap tier
 # --------------------------------------------------------------------- #
 
 
-def test_cancel_wheel_timer_before_slot_drains():
+def test_cancel_before_firing_leaves_nothing_to_run():
     loop = EventLoop()
     seen = []
-    event = loop.call_after(5.0, seen.append, "wheel", wheel=True)
-    assert event.wheel
+    event = loop.call_after(5.0, seen.append, "timer", recycle=True)
     event.cancel()
     assert loop.pending() == 0
     loop.run()
@@ -218,65 +217,40 @@ def test_cancel_wheel_timer_before_slot_drains():
     assert loop.events_executed == 0
 
 
-def test_cancel_wheel_timer_after_slot_drained_into_ready_run():
-    # Both events share one wheel slot, so when the first fires the second
-    # already sits in the drained ready run; cancelling it there must still
-    # suppress the callback.
-    loop = EventLoop()
-    seen = []
-    handles = {}
-
-    def first():
-        seen.append("first")
-        handles["second"].cancel()
-        handles["second"].cancel()  # idempotent on the ready run too
-
-    loop.call_at(1.0, first, wheel=True)
-    handles["second"] = loop.call_at(1.05, seen.append, "second", wheel=True)
-    loop.call_at(1.1, seen.append, "tail", wheel=True)
-    loop.run()
-    assert seen == ["first", "tail"]
-    assert loop.pending() == 0
-
-
-def test_wheel_and_heap_ties_break_by_seq_across_tiers():
-    # The wheel only changes how the order is computed: simultaneous events
-    # interleave across tiers in scheduling order, exactly like a pure heap.
+def test_ties_break_by_seq_with_or_without_wheel():
+    # ``wheel=True`` is accepted and ignored: such a call takes its place
+    # in the (time, seq) order exactly like any other.
     loop = EventLoop()
     seen = []
     loop.call_at(2.0, seen.append, "a", wheel=True)
     loop.call_at(2.0, seen.append, "b")
-    loop.call_at(2.0, seen.append, "c", wheel=True)
+    loop.call_after(2.0, seen.append, "c", wheel=True, recycle=True)
+    loop.call_at(1.0, seen.append, "early", wheel=True)
     loop.call_at(2.0, seen.append, "d")
     loop.run()
-    assert seen == ["a", "b", "c", "d"]
+    assert seen == ["early", "a", "b", "c", "d"]
 
 
-# --------------------------------------------------------------------- #
-# per-event hooks across tiers (PR 6 regression: the live sampler and
-# flight recorder must see wheel-tier events, not just heap-tier ones)
-# --------------------------------------------------------------------- #
-
-def test_hooks_fire_for_wheel_tier_events():
+def test_hooks_see_every_event_in_order():
     loop = EventLoop()
     hooked = []
     loop.add_hook(lambda lp, event, wall: hooked.append(event.time))
-    loop.call_at(1.0, lambda: None)               # heap tier
-    loop.call_at(2.0, lambda: None, wheel=True)   # wheel tier
-    loop.call_at(2.05, lambda: None, wheel=True)  # same slot -> ready run
+    loop.call_at(2.05, lambda: None, recycle=True)
+    loop.call_at(1.0, lambda: None)
+    loop.call_at(2.0, lambda: None)
     loop.run()
     assert hooked == [1.0, 2.0, 2.05]
 
 
 def test_hook_sampling_counts_across_tiers():
     # sample_every follows the global executed-event counter, so the
-    # sampled subset is identical however events split across tiers.
+    # sampled subset does not depend on how an event was scheduled.
     loop = EventLoop()
     hooked = []
     loop.add_hook(lambda lp, event, wall: hooked.append(event.time),
                   sample_every=2)
     for i in range(6):
-        loop.call_at(float(i + 1), lambda: None, wheel=(i % 2 == 0))
+        loop.call_at(float(i + 1), lambda: None, recycle=(i % 2 == 0))
     loop.run()
     # events 2, 4, 6 of the interleaved run are sampled
     assert hooked == [2.0, 4.0, 6.0]
@@ -287,7 +261,7 @@ def test_untimed_hook_gets_zero_wall_and_fires_every_event():
     walls = []
     loop.add_hook(lambda lp, event, wall: walls.append(wall), timed=False)
     loop.call_at(1.0, lambda: None)
-    loop.call_at(2.0, lambda: None, wheel=True)
+    loop.call_at(2.0, lambda: None)
     loop.run()
     assert walls == [0.0, 0.0]
 
@@ -300,7 +274,7 @@ def test_timed_and_untimed_hooks_coexist():
     loop.add_hook(lambda lp, event, wall: seen["timed"].append(wall))
     loop.add_hook(lambda lp, event, wall: seen["untimed"].append(wall),
                   timed=False)
-    loop.call_at(1.0, lambda: None, wheel=True)
+    loop.call_at(1.0, lambda: None)
     loop.run()
     assert len(seen["timed"]) == 1 and seen["timed"][0] >= 0.0
     # the wall reading already paid for the timed hook is shared with the

@@ -1,24 +1,18 @@
-"""The kernel layer: backend selection, columnar equivalence."""
+"""The kernel layer: backend selection, the liveness time column."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro import kernels
-from repro.kernels.fitindex import NumpyFitColumns, PyFitColumns
-from repro.kernels.heartbeat import PyTimeColumn
-from repro.core.resources import ResourceVector
-
-needs_numpy = pytest.mark.skipif(not kernels.numpy_available(),
-                                 reason="numpy not installed")
+from repro.kernels.heartbeat import make_time_column
 
 
 # ------------------------- backend selection ------------------------ #
 
 def test_auto_resolves_to_an_available_backend():
-    resolved = kernels.resolve("auto")
-    assert resolved in ("numpy", "python")
-    if kernels.numpy_available():
-        assert resolved == "numpy"
+    with kernels.use("auto") as resolved:
+        assert resolved == kernels.current()
+    assert resolved == ("numpy" if kernels.numpy_available() else "python")
 
 
 def test_python_backend_always_available():
@@ -35,82 +29,20 @@ def test_use_restores_previous_backend():
 
 
 def test_unknown_backend_rejected():
+    before = kernels.current()
     with pytest.raises(ValueError):
-        kernels.resolve("fortran")
+        kernels.select("fortran")
+    assert kernels.current() == before
 
 
 def test_numpy_requested_but_absent_raises():
     if kernels.numpy_available():
         pytest.skip("numpy present; the error path needs it absent")
     with pytest.raises(RuntimeError):
-        kernels.resolve("numpy")
+        kernels.select("numpy")
 
 
-# -------------------- fit-columns backend equivalence ---------------- #
-
-_DIMS = ("cpu", "memory", "disk")
-
-
-def _vec(draw_units):
-    return ResourceVector.of(**{d: u for d, u in zip(_DIMS, draw_units)})
-
-
-@needs_numpy
-@given(ops=st.lists(
-    st.tuples(st.sampled_from([f"m{i}" for i in range(6)]),
-              st.sampled_from(["set", "drop"]),
-              st.tuples(*[st.floats(min_value=0.0, max_value=400.0,
-                                    allow_nan=False) for _ in _DIMS])),
-    max_size=50))
-def test_fit_columns_backends_agree(ops):
-    """bulk_units must match bit-for-bit between numpy and python."""
-    free_py: dict = {}
-    free_np: dict = {}
-    py = PyFitColumns(free_py)
-    np_cols = NumpyFitColumns(free_np)
-    for machine, op, units in ops:
-        if op == "set":
-            vec = _vec(units)
-            free_py[machine] = vec
-            free_np[machine] = vec
-            py.set_free(machine, vec)
-            np_cols.set_free(machine, vec)
-        else:
-            free_py.pop(machine, None)
-            free_np.pop(machine, None)
-            py.drop(machine)
-            np_cols.drop(machine)
-        machines = sorted(free_py)
-        for size in (ResourceVector.of(cpu=100.0, memory=64.0),
-                     ResourceVector.of(cpu=0.5, disk=3.0),
-                     ResourceVector.of(memory=1.0)):
-            assert py.bulk_units(size, machines) == \
-                np_cols.bulk_units(size, machines)
-
-
-@needs_numpy
-def test_fit_columns_dropped_machine_reports_zero():
-    free: dict = {}
-    cols = NumpyFitColumns(free)
-    vec = ResourceVector.of(cpu=200.0)
-    free["m1"] = vec
-    cols.set_free("m1", vec)
-    cols.drop("m1")
-    free.pop("m1")
-    free["m1"] = vec          # re-add reuses the interned slot
-    cols.set_free("m1", vec)
-    assert cols.bulk_units(ResourceVector.of(cpu=100.0), ["m1"]) == [2]
-
-
-# -------------------- time-column backend equivalence ---------------- #
-
-def _column_pair():
-    backends = [PyTimeColumn()]
-    if kernels.numpy_available():
-        from repro.kernels.heartbeat import NumpyTimeColumn
-        backends.append(NumpyTimeColumn())
-    return backends
-
+# ----------------------------- time column -------------------------- #
 
 @given(ops=st.lists(
     st.tuples(st.sampled_from([f"m{i}" for i in range(5)]),
@@ -118,54 +50,37 @@ def _column_pair():
               st.floats(min_value=0.0, max_value=1000.0,
                         allow_nan=False)),
     max_size=60))
-def test_time_column_backends_agree(ops):
-    """Order, staleness and threshold queries match across backends.
+def test_time_column_matches_ordered_dict_reference(ops):
+    """Order, staleness and threshold queries match a plain dict.
 
     The heartbeat tier depends on ordered-dict semantics: insertion order
     is preserved, an update keeps the slot, pop + re-add moves to the end.
     """
-    columns = _column_pair()
+    column = make_time_column()
+    reference: dict = {}
     now = 0.0
     for machine, op, value in ops:
         now = max(now, value)
-        for col in columns:
-            if op == "set":
-                col.set(machine, value)
-            elif op == "pop":
-                col.pop(machine)
-            else:
-                col.pop(machine)
-                col.set(machine, value)
-        first = columns[0]
-        for col in columns[1:]:
-            assert len(col) == len(first)
-            assert (machine in col) == (machine in first)
-            assert list(col.values()) == list(first.values())
-            for threshold in (0.0, 10.0, 250.0):
-                assert list(col.stale(now, threshold)) == \
-                    list(first.stale(now, threshold))
-                assert list(col.elapsed_at_least(now, threshold)) == \
-                    list(first.elapsed_at_least(now, threshold))
+        if op != "set":
+            column.pop(machine)
+            reference.pop(machine, None)
+        if op != "pop":
+            column.set(machine, value)
+            reference[machine] = value
+        assert len(column) == len(reference)
+        assert (machine in column) == (machine in reference)
+        assert list(column.values()) == list(reference.values())
+        for threshold in (0.0, 10.0, 250.0):
+            assert column.stale(now, threshold) == \
+                [m for m, v in reference.items() if now - v > threshold]
+            assert column.elapsed_at_least(now, threshold) == \
+                [m for m, v in reference.items() if now - v >= threshold]
 
 
 def test_time_column_clear():
-    for col in _column_pair():
-        col.set("a", 1.0)
-        col.set("b", 2.0)
-        col.clear()
-        assert len(col) == 0
-        assert list(col.values()) == []
-
-
-@needs_numpy
-def test_numpy_time_column_compacts_preserving_order():
-    from repro.kernels.heartbeat import NumpyTimeColumn
-    col = NumpyTimeColumn()
-    for i in range(200):
-        col.set(f"m{i}", float(i))
-    for i in range(0, 200, 2):
-        col.pop(f"m{i}")          # punch enough holes to force compaction
-    col.set("m1", 999.0)          # update keeps position
-    survivors = [f"m{i}" for i in range(1, 200, 2)]
-    assert list(col.stale(2000.0, 0.0)) == survivors
-    assert col.get("m1") == 999.0
+    col = make_time_column()
+    col.set("a", 1.0)
+    col.set("b", 2.0)
+    col.clear()
+    assert len(col) == 0
+    assert list(col.values()) == []

@@ -103,7 +103,7 @@ def frames_between(cluster, sender, dest: str, message, handler) -> list:
     assert calls[0] is type(sender).send.__code__
     out = [code.co_name for code in calls[1:]]
     # Step up to the delivery, so the profiled step below finds it at the
-    # head of the loop with every wheel slot before it already drained.
+    # head of the loop.
     while True:
         head = loop._peek()
         if head[2].args and head[2].args[-1] is message:

@@ -242,11 +242,11 @@ def _kernel_backends():
                                                "enable", "remove", "add"])),
                     max_size=40))
 def test_ranking_matches_reference_on_every_kernel_backend(backend, ops):
-    """Both kernel backends must reproduce the reference scan exactly.
+    """The pool ranks identically whichever kernel backend is active.
 
-    The vectorized fit columns and the pure-python fallback are selected at
-    pool construction; the same churn sequence must rank identically under
-    either — the byte-identity contract of :mod:`repro.kernels`.
+    The fit index runs in Python on every host; the same churn sequence
+    must still rank exactly as the reference scan with either backend
+    selected — the byte-identity contract of :mod:`repro.kernels`.
     """
     from repro import kernels
 
@@ -282,3 +282,24 @@ def test_ranking_with_candidates_matches_reference():
     expected = [entry for entry in reference_ranking(pool, SLOT)
                 if entry[0] in subset]
     assert pool.best_fit_machines(SLOT, candidates=iter(subset)) == expected
+
+
+def test_ranking_over_the_shape_cap_matches_reference():
+    """Unit sizes beyond the indexed ones are ranked by a plain scan, with
+    and without candidates, in the same ``(-units, name)`` order."""
+    from repro.core.pool import _MAX_SHAPE_INDEXES
+
+    pool = make_pool(MACHINES)
+    for position, machine in enumerate(MACHINES):
+        pool.allocate(machine, SLOT * (position % 4))
+    pool.disable("m03")
+    for extra in range(_MAX_SHAPE_INDEXES):
+        pool.best_fit_machines(ResourceVector.of(cpu=1.0 + extra))
+    size = ResourceVector.of(cpu=90, memory=1000)
+    assert pool.best_fit_machines(size) == reference_ranking(pool, size)
+    assert pool.best_fit_machines(size, limit=3) == \
+        reference_ranking(pool, size)[:3]
+    subset = ["m07", "m03", "m00", "m05"]
+    assert pool.best_fit_machines(size, candidates=iter(subset)) == \
+        [entry for entry in reference_ranking(pool, size)
+         if entry[0] in subset]

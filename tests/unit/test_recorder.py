@@ -25,11 +25,11 @@ def test_recorder_rejects_bad_capacity():
         FlightRecorder(capacity=0)
 
 
-def test_recorder_sees_wheel_tier_events():
+def test_recorder_sees_every_event():
     loop = EventLoop()
     recorder = FlightRecorder().attach(loop)
-    loop.call_at(1.0, lambda: None, wheel=True)
-    loop.call_at(1.05, lambda: None, wheel=True)
+    loop.call_at(1.05, lambda: None, recycle=True)
+    loop.call_at(1.0, lambda: None)
     loop.run()
     assert [e["t"] for e in recorder.entries()] == [1.0, 1.05]
 
@@ -84,7 +84,7 @@ def test_dump_is_byte_identical_for_identical_runs():
         loop = EventLoop()
         recorder = FlightRecorder(capacity=16).attach(loop)
         for i in range(5):
-            loop.call_at(float(i + 1), lambda: None, wheel=(i % 2 == 0))
+            loop.call_at(float(i + 1), lambda: None, recycle=(i % 2 == 0))
         loop.run()
         buffer = io.StringIO()
         recorder.dump(buffer, context={"seed": 1})

@@ -168,6 +168,22 @@ def test_snapshot_lists_every_instance():
     assert all(record["state"] == "waiting" for record in snap)
 
 
+def test_terminal_failure_of_a_waiting_instance_leaves_the_queue():
+    # release_worker spends the last attempt and requeues the instance;
+    # an on_failed naming a worker with no attempt then marks it FAILED.
+    # It must leave the pending set, or the next assignment hands a
+    # failed instance to a worker.
+    master = make_master(1, max_attempts=1)
+    instance = master.next_assignment("w0", "m0", now=0.0)
+    assert master.release_worker("w0", now=1.0) == instance.instance_id
+    assert master.pending_count == 1
+    result = master.on_failed("w1", instance.instance_id, "m1", now=2.0)
+    assert result.terminal
+    assert instance.state == InstanceState.FAILED
+    assert master.pending_count == 0
+    assert master.next_assignment("w2", "m2", now=3.0) is None
+
+
 # ---------------------------------------------------------------------- #
 # the kept per-state counts against a scan of the instances
 # ---------------------------------------------------------------------- #
@@ -190,13 +206,7 @@ def apply(master: TaskMaster, op: tuple, now: float) -> None:
     kind, *args = op
     ids = [instance.instance_id for instance in master.instances]
     if kind == "assign":
-        try:
-            master.next_assignment(f"w{args[0]}", f"m{args[1]}", now)
-        except ValueError:
-            # an instance marked failed while it waited in the queue (by an
-            # on_failed naming a worker with no attempt on it, which
-            # DagJobMaster does not send) takes no attempt
-            pass
+        master.next_assignment(f"w{args[0]}", f"m{args[1]}", now)
     elif kind == "complete":
         master.on_completed(f"w{args[0]}", ids[args[1]], now)
     elif kind == "fail":
