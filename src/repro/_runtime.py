@@ -43,6 +43,7 @@ from repro.obs.recorder import FlightRecorder
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim.actor import Actor
 from repro.sim.events import EventLoop
+from repro.sim.gctune import paused_gc
 from repro.sim.rng import SplitRandom
 
 
@@ -157,8 +158,13 @@ class FuxiCluster:
     def run_until(self, when: float) -> None:
         self.loop.run_until(when)
 
+    @paused_gc()
     def warm_up(self, seconds: float = 3.0) -> None:
-        """Let election, heartbeats and machine registration settle."""
+        """Let election, heartbeats and machine registration settle.
+
+        Registration builds the master's soft state for every machine and
+        frees little, so automatic collection is paused meanwhile
+        (:func:`repro.sim.gctune.paused_gc`)."""
         self.run_for(seconds)
 
     def run_until_complete(self, app_ids: List[str], timeout: float = 3600.0,

@@ -42,7 +42,7 @@ from repro.core.policy import validate_policy_name
 from repro.core.resources import ResourceVector
 from repro.core.scheduler import SchedulerConfig
 from repro.jobs.dag import critical_path_length
-from repro.sim.gctune import collect_young, deferred_gc
+from repro.sim.gctune import collect_young, deferred_gc, paused_gc
 from repro.workloads.synthetic import (MIXES, SyntheticWorkload,
                                        SyntheticWorkloadConfig,
                                        ensure_input_files)
@@ -374,9 +374,6 @@ class ClusterBuilder:
     def build(self, warm_up: bool = True) -> FuxiCluster:
         capacity = ResourceVector.of(cpu=self._machine_cpu,
                                      memory=self._machine_memory)
-        topology = ClusterTopology.build(self._racks,
-                                         self._machines_per_rack,
-                                         capacity=capacity)
         master_config = self._master_config
         if self._policy is not None:
             # Carry the policy as a config *name*, not a live object: the
@@ -385,15 +382,21 @@ class ClusterBuilder:
             master_config = master_config or FuxiMasterConfig()
             master_config.scheduler = master_config.scheduler.replace(
                 policy=self._policy)
-        cluster = FuxiCluster(topology, seed=self._seed,
-                              network=self._network,
-                              master_config=master_config,
-                              agent_config=self._agent_config,
-                              app_master_config=self._app_master_config,
-                              standby_master=self._standby_master,
-                              trace=self._trace)
-        if warm_up:
-            cluster.warm_up()
+        # the build only allocates: collecting on the way re-scans a heap
+        # that only grows (repro.sim.gctune)
+        with paused_gc():
+            topology = ClusterTopology.build(self._racks,
+                                             self._machines_per_rack,
+                                             capacity=capacity)
+            cluster = FuxiCluster(topology, seed=self._seed,
+                                  network=self._network,
+                                  master_config=master_config,
+                                  agent_config=self._agent_config,
+                                  app_master_config=self._app_master_config,
+                                  standby_master=self._standby_master,
+                                  trace=self._trace)
+            if warm_up:
+                cluster.warm_up()
         return cluster
 
 

@@ -32,14 +32,15 @@ and puts the delivery on the loop's heap itself, so a message costs one
 Python frame on the way out instead of eight (DESIGN.md, "The message
 path").
 
-**Delivery runs.**  Senders that send to one destination in the same
-instant (a heartbeat cohort, :mod:`repro.core.heartbeat`) hand the bus the
-whole batch: :meth:`MessageBus.send_run` draws every edge's delay in one
-kernel pass (:mod:`repro.kernels.edgedelay`, bit-identical to
+**Delivery runs.**  Messages sent on many edges in the same instant — a
+heartbeat cohort's beats to the master (:mod:`repro.core.heartbeat`), the
+master's post-recovery push to every agent — reach the bus as one batch:
+:meth:`MessageBus.send_run` draws every edge's delay in one kernel pass
+(:mod:`repro.kernels.edgedelay`, bit-identical to
 :meth:`MessageBus.plan_delays`), reserves one tie-break sequence number per
 message and lets the batch ride one :class:`~repro.sim.events.EventSeries`
 instead of one delivery event per message.  Each message still arrives at
-its own ``(time, seq)`` position; a batch whose destination can fold
+its own ``(time, seq)`` position; a batch whose one destination can fold
 messages that change nothing does so for a whole chunk, and every other
 message goes through :meth:`MessageBus._deliver` as a single send would.
 """
@@ -49,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappush
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import kernels
 from repro.kernels.edgedelay import EdgeColumns, arrival_order
@@ -98,18 +99,24 @@ class NetworkConfig:
 
 
 class EdgeGroup:
-    """The edges from a fixed list of senders to one destination.
+    """The edges of a fixed list of (sender, destination) pairs: many
+    senders to one destination (a heartbeat cohort) or one sender to many
+    (the master's post-recovery push).
 
-    Built once per sender list by :meth:`MessageBus.edge_group`; holds each
+    Built once per pair list by :meth:`MessageBus.edge_group`; holds each
     edge's live ``[key, epsilon, next_message_index]`` state (shared with
     single sends on the same edge) and, under the numpy backend, the
-    constant key / epsilon columns the delay kernel works on.
+    constant key / epsilon columns the delay kernel works on.  A list may
+    name one edge twice (an agent restarted twice in one step).
     """
 
-    __slots__ = ("senders", "dest", "states", "columns")
+    __slots__ = ("senders", "dests", "dest", "states", "columns")
 
-    def __init__(self, senders: List[str], dest: str, states: List[list]):
+    def __init__(self, senders: List[str], dests: List[str],
+                 dest: Optional[str], states: List[list]):
         self.senders = senders
+        self.dests = dests
+        #: the destination every pair shares, or None
         self.dest = dest
         self.states = states
         self.columns = None
@@ -118,16 +125,54 @@ class EdgeGroup:
                                        [state[1] for state in states])
 
 
+class Messages:
+    """A :meth:`MessageBus.send_run` batch of ready-made messages, by pair
+    position, for a group without a shared destination (nothing is
+    offered for folding there)."""
+
+    __slots__ = ("messages",)
+
+    def __init__(self, messages: List[Any]):
+        self.messages = messages
+
+    def message(self, position: int) -> Any:
+        """Hand message ``position`` over, once: the batch lets go of it
+        then, as a delivery event lets go of its arguments (a 100,000-
+        machine push would otherwise hold every envelope to its end)."""
+        message = self.messages[position]
+        self.messages[position] = None
+        return message
+
+
+class _ReservedSeqs:
+    """The sequence numbers of a run nothing was dropped from,
+    ``first + order[i]``, computed when read: a series reads a few per
+    invocation, and a run of 100,000 need not hold an int object each."""
+
+    __slots__ = ("first", "order")
+
+    def __init__(self, first: int, order: List[int]):
+        self.first = first
+        self.order = order
+
+    def __getitem__(self, index: int) -> int:
+        return self.first + self.order[index]
+
+
 class _DeliveryRun:
     """The messages of one :meth:`MessageBus.send_run`, in arrival order:
     the consumer of their :class:`~repro.sim.events.EventSeries`."""
 
-    __slots__ = ("bus", "group", "batch", "order", "times")
+    __slots__ = ("bus", "senders", "dests", "dest", "batch", "order",
+                 "times")
 
     def __init__(self, bus: "MessageBus", group: EdgeGroup, batch: Any,
                  order: List[int], times: List[float]):
         self.bus = bus
-        self.group = group
+        # the names, not the group: a one-off group's delay columns need
+        # not outlive the send
+        self.senders, self.dests, self.dest = (group.senders, group.dests,
+                                               group.dest)
         self.batch = batch
         self.order = order
         self.times = times
@@ -135,23 +180,25 @@ class _DeliveryRun:
     def consume(self, start: int, end: int) -> int:
         """Deliver arrivals ``[start, end)``; returns where it stopped.
 
-        No event lies between them, so the destination is resolved once: a
-        missing or crashed one drops them all, one that can fold messages
-        in bulk is offered the chunk, and the first message it does not
-        fold is delivered the way :meth:`MessageBus.send` delivers, alone.
+        No event lies between them, so a shared destination is resolved
+        once: a missing or crashed one drops them all, one that can fold
+        messages in bulk is offered the chunk.  The first message left —
+        every message of a fan-out — is delivered the way
+        :meth:`MessageBus.send` delivers, alone.
         """
         bus = self.bus
-        group = self.group
-        actor = bus._actors.get(bus.resolve(group.dest))
-        if actor is None or not actor.alive:
-            bus.messages_dropped += end - start
-            return end
-        stop = self.batch.absorb(actor, self.order, self.times, start, end)
-        if stop > start:
-            bus.messages_delivered += stop - start
-            return stop
+        if self.dest is not None:
+            actor = bus._actors.get(bus.resolve(self.dest))
+            if actor is None or not actor.alive:
+                bus.messages_dropped += end - start
+                return end
+            stop = self.batch.absorb(actor, self.order, self.times, start,
+                                     end)
+            if stop > start:
+                bus.messages_delivered += stop - start
+                return stop
         position = self.order[start]
-        bus._deliver(group.senders[position], group.dest,
+        bus._deliver(self.senders[position], self.dests[position],
                      self.batch.message(position))
         return start + 1
 
@@ -316,14 +363,21 @@ class MessageBus:
         actor.deliver(sender, message)
 
     # --------------------------------------------------------------- #
-    # delivery runs: one message from each of many senders
+    # delivery runs: one message on each edge of a group
     # --------------------------------------------------------------- #
 
-    def edge_group(self, senders: Sequence[str], dest: str) -> EdgeGroup:
-        """The edges from ``senders`` to ``dest``, for :meth:`send_run`."""
+    def edge_group(self, senders: Union[str, Sequence[str]],
+                   dests: Union[str, Sequence[str]]) -> EdgeGroup:
+        """The edges of the pairs ``zip(senders, dests)``, for
+        :meth:`send_run`; a single name on one side is every pair's."""
+        dest = dests if isinstance(dests, str) else None
+        if isinstance(senders, str):
+            senders = [senders] * len(dests)
         senders = list(senders)
-        return EdgeGroup(senders, dest,
-                         [self._edge(sender, dest) for sender in senders])
+        dests = [dest] * len(senders) if dest is not None else list(dests)
+        return EdgeGroup(senders, dests, dest,
+                         [self._edge(sender, to)
+                          for sender, to in zip(senders, dests)])
 
     def plan_delays_many(self, group: EdgeGroup) -> Tuple[Any, Any]:
         """:meth:`plan_delays` for the next message on every edge of
@@ -331,38 +385,41 @@ class MessageBus:
         reorders.  Returns ``(delays, dropped)`` columns — lists on the
         python backend, scratch arrays on numpy; ``dropped`` is ``None``
         when nothing can be — bit-identical to one :meth:`plan_delays` call
-        per sender, and advances every edge counter by exactly one.
+        per pair, in pair order, advancing each edge counter once per pair.
         """
         config = self.config
         if config.duplicate_prob or config.reorder_prob:
             raise ValueError("plan_delays_many does not model duplication "
                              "or reordering; send the messages one by one")
         if group.columns is None:
-            plan_one, dest = self.plan_delays, group.dest
-            planned = [plan_one(sender, dest) for sender in group.senders]
+            plan_one = self.plan_delays
+            planned = [plan_one(sender, dest)
+                       for sender, dest in zip(group.senders, group.dests)]
             delays = [0.0 if one is None else one[0] for one in planned]
             if not config.drop_prob:
                 return delays, None
             return delays, [one is None for one in planned]
-        states = group.states
-        indices = [state[2] for state in states]
-        for state in states:
+        # each message's index is its edge counter at its turn, so an edge
+        # named twice gets two consecutive slots, as two sends would
+        indices = []
+        for state in group.states:
+            indices.append(state[2])
             state[2] += 1
         return group.columns.delays(indices, config.latency, config.jitter,
                                     config.drop_prob)
 
     def send_run(self, group: EdgeGroup, batch: Any) -> None:
-        """Send one message from every sender of ``group``, now.
+        """Send one message on every edge of ``group``, now.
 
-        ``batch`` stands for the messages, by sender position:
+        ``batch`` stands for the messages, by pair position:
         ``batch.message(position)`` materialises one, and
-        ``batch.absorb(actor, order, times, start, end)`` lets the
-        destination fold the arrivals ``order[start:end]`` (sender
+        ``batch.absorb(actor, order, times, start, end)`` lets a shared
+        destination fold the arrivals ``order[start:end]`` (pair
         positions; ``times`` are their arrival times) that change nothing
         and returns the index of the first it left alone.  Counters,
         per-edge delays and arrival order are exactly those of
-        ``send(sender, dest, batch.message(position))`` per sender, in
-        sender order.
+        ``send(sender, dest, batch.message(position))`` per pair, in pair
+        order.
         """
         sent = len(group.senders)
         self.messages_sent += sent
@@ -372,11 +429,11 @@ class MessageBus:
         self.messages_dropped += sent - arriving
         if not arriving:
             return
-        # One reserved sequence number per message that travels, in sender
+        # One reserved sequence number per message that travels, in pair
         # order — where send()'s call_after would have taken it.
         first = self.loop.reserve_seqs(arriving)
         if arriving == sent:
-            seqs = [first + position for position in order]
+            seqs = _ReservedSeqs(first, order)
         else:
             rank = {position: first + index
                     for index, position in enumerate(sorted(order))}

@@ -109,9 +109,9 @@ class FuxiAgent(Actor):
         self._cohort = HeartbeatCohort.join(self)
         if self.hub.has_senders():
             self._arm_retransmit()
-        # ... and once right away, as a message of its own: the first beat
-        # is the one that registers the machine with the master.
-        self.loop.call_after(0.0, self._send_heartbeat)
+        # ... and once right away, with the agents started in this instant
+        # (the first beat is the one that registers the machine).
+        self._cohort.beat_now(self)
 
     def cancel_all_timers(self) -> None:
         """Cancel every timer, the periodic beat included (crash, dispose)."""
@@ -125,10 +125,10 @@ class FuxiAgent(Actor):
                                 self.hub.retransmit_pending)
 
     def _send_heartbeat(self) -> None:
-        """One beat as a message of its own: the immediate beat of a
-        (re)started agent.  Periodic beats travel as a cohort batch
-        (:class:`~repro.core.heartbeat.HeartbeatBatch`) and come through
-        here only when the transport duplicates or reorders."""
+        """One beat as a message of its own.  Beats travel as cohort
+        batches (:class:`~repro.core.heartbeat.HeartbeatBatch`), the
+        immediate first beats included, and come through here only when
+        the transport duplicates or reorders."""
         if not self.alive:
             return
         # A heartbeat is in flight for a network delay, so it carries value

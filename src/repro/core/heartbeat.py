@@ -16,6 +16,13 @@ the full argument and the fall-backs.
 Membership follows the timer it replaces: :meth:`HeartbeatCohort.join`
 where the agent armed its periodic timer, :meth:`HeartbeatCohort.leave`
 where ``cancel_all_timers`` cancelled it.
+
+The immediate beat a (re)started agent sends — the one that registers its
+machine with the master — rides the cohort too
+(:meth:`HeartbeatCohort.beat_now`): the members' first beats are one
+:class:`~repro.sim.events.EventSeries` under the sequence numbers their
+``call_after(0.0, _send_heartbeat)`` would have taken, and leave as one
+batch.
 """
 
 from __future__ import annotations
@@ -96,12 +103,49 @@ class _Roster:
         self.group = bus.edge_group([agent.name for agent in agents], dest)
 
 
+class _FirstBeats:
+    """The immediate beats of agents (re)started in one instant, in arming
+    order: the consumer of their :class:`~repro.sim.events.EventSeries`.
+
+    An occurrence is added where ``call_after(0.0, agent._send_heartbeat)``
+    used to be called and takes the sequence number that call took, so
+    each beat is sent exactly where its own event would have fired.
+    """
+
+    __slots__ = ("cohort", "agents", "times", "seqs")
+
+    def __init__(self, cohort: "HeartbeatCohort"):
+        self.cohort = cohort
+        self.agents: List["FuxiAgent"] = []
+        self.times: List[float] = []
+        self.seqs: List[int] = []
+
+    def add(self, agent: "FuxiAgent") -> None:
+        loop = self.cohort.loop
+        self.agents.append(agent)
+        self.times.append(loop.now)
+        self.seqs.append(loop.reserve_seqs(1))
+        if len(self.agents) == 1:
+            loop.call_series(self.times, self.seqs, self.consume)
+
+    def consume(self, start: int, end: int) -> int:
+        """Send the beats ``[start, end)``: no event lies between them, so
+        the agents alive now are the ones alive at each beat, and the
+        batch's deliveries all lie after this instant."""
+        agents = [agent for agent in self.agents[start:end] if agent.alive]
+        if end == len(self.agents):
+            self.cohort._first = None    # the run is over: free its columns
+        if agents:
+            self.cohort.send(agents)
+        return end
+
+
 class HeartbeatCohort:
     """Agents armed in the same instant, with the same interval and
     destination: one periodic loop event instead of one per agent."""
 
     __slots__ = ("loop", "bus", "dest", "interval", "fires_at", "members",
-                 "_opened_in_step", "_event", "_roster")
+                 "_opened_in_step", "_event", "_roster", "_first")
 
     def __init__(self, loop: Any, bus: Any, dest: str, interval: float):
         self.loop = loop
@@ -115,6 +159,7 @@ class HeartbeatCohort:
         self._opened_in_step = loop.events_executed
         self._event = loop.call_at(self.fires_at, self, recycle=True)
         self._roster: Optional[_Roster] = None
+        self._first: Optional[_FirstBeats] = None
 
     @classmethod
     def join(cls, agent: "FuxiAgent") -> "HeartbeatCohort":
@@ -152,23 +197,39 @@ class HeartbeatCohort:
             if self.bus.open_cohort is self:
                 self.bus.open_cohort = None
 
-    def __call__(self) -> None:
-        """Fire every member, in arming order, and re-arm."""
-        loop, bus = self.loop, self.bus
-        members = self.members
-        # this loop step stands for len(members) timer events
-        loop.events_absorbed += len(members) - 1
+    def beat_now(self, agent: "FuxiAgent") -> None:
+        """``agent`` (which just joined) beats once right away, in the run
+        of first beats of the members armed in this instant (all of them
+        join in the loop step that opened the cohort)."""
+        if self._first is None:
+            self._first = _FirstBeats(self)
+        self._first.add(agent)
+
+    def send(self, agents: List["FuxiAgent"]) -> None:
+        """Send ``agents``' beats now, in list order, as their
+        ``_send_heartbeat`` calls one after another would."""
+        bus = self.bus
         config = bus.config
         if config.duplicate_prob or config.reorder_prob:
             # a duplicated beat is two deliveries and a reordered one draws
             # more slots: the batch transport models neither
-            for agent in members:
+            for agent in agents:
                 agent._send_heartbeat()
-        else:
+            return
+        if agents is self.members or agents == self.members:
             roster = self._roster
             if roster is None:
-                roster = self._roster = _Roster(members, bus, self.dest)
-            bus.send_run(roster.group, HeartbeatBatch(roster))
+                roster = self._roster = _Roster(self.members, bus, self.dest)
+        else:
+            roster = _Roster(agents, bus, self.dest)
+        bus.send_run(roster.group, HeartbeatBatch(roster))
+
+    def __call__(self) -> None:
+        """Fire every member, in arming order, and re-arm."""
+        loop = self.loop
+        # this loop step stands for len(members) timer events
+        loop.events_absorbed += len(self.members) - 1
+        self.send(self.members)
         self.fires_at = loop.now + self.interval
         # recycle=True: the handle is replaced here, inside the firing
         self._event = loop.call_at(self.fires_at, self, recycle=True)

@@ -22,10 +22,12 @@ from __future__ import annotations
 import heapq
 import time as _time
 from dataclasses import dataclass, field
+from sys import intern
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.lockservice import LockService
 from repro.cluster.metrics import MetricsCollector
+from repro.cluster.network import Messages
 from repro.core import messages as msg
 from repro.core.blacklist import BlacklistConfig, ClusterBlacklist
 from repro.core.checkpoint import CheckpointStore
@@ -241,8 +243,7 @@ class FuxiMaster(Actor):
             # whose AM died) during the failover window — no AM will ever
             # return those, so without this wholesale push the agent's
             # hard-state entry would leak forever.
-            for machine in self.scheduler.pool.machines():
-                self._send_alloc_full(machine)
+            self._push_alloc_full(list(self.scheduler.pool.machines()))
             decisions = self.scheduler.schedule_all_machines()
         if self._failover_span is not None:
             machines = (self.scheduler.pool.machine_count()
@@ -500,7 +501,10 @@ class FuxiMaster(Actor):
                                         beats.digests)
         stop = start
         payload = 0
-        for position in order[start:end]:
+        # indexed, not sliced: a run of beats the handler must see (first
+        # beats register their machines) offers every one of them here
+        while stop < end:
+            position = order[stop]
             machine = machines[position]
             capacity = pool_capacity(machine)
             if (folded(machine) is not samples[position]
@@ -893,11 +897,33 @@ class FuxiMaster(Actor):
         self.hub.send_full(dest, "grant", state, items=len(state))
 
     def _send_alloc_full(self, machine: str) -> None:
+        self.send(f"agent:{machine}", self._alloc_full(machine))
+
+    def _alloc_full(self, machine: str) -> msg.Envelope:
+        """The full allocation sync for ``machine``'s agent, with the
+        stream's sender (and its full-state source) in place."""
         dest = f"agent:{machine}"
         self.hub.sender(dest, "alloc",
                         full_state=lambda m=machine: self._alloc_state(m))
         state = self._alloc_state(machine)
-        self.hub.send_full(dest, "alloc", state, items=len(state))
+        return self.hub.full_envelope(dest, "alloc", state, items=len(state))
+
+    def _push_alloc_full(self, machines: List[str]) -> None:
+        """:meth:`_send_alloc_full` for each of ``machines`` in order, as
+        one fan-out run: same stream state, counters, draws and sequence
+        numbers, one series for the deliveries (DESIGN.md §12).  A
+        transport that duplicates or reorders sends them one by one."""
+        config = self.bus.config
+        if config.duplicate_prob or config.reorder_prob:
+            for machine in machines:
+                self._send_alloc_full(machine)
+            return
+        envelopes = [self._alloc_full(machine) for machine in machines]
+        # the agents' own (interned) names: the run holds these to its end
+        self.bus.send_run(
+            self.bus.edge_group(self.name, [intern(f"agent:{machine}")
+                                            for machine in machines]),
+            Messages(envelopes))
 
 
 def _vector_from(dims: Dict[str, float]):

@@ -50,9 +50,14 @@ class StreamSender:
     for the full sync the restarted sender emits first.
     """
 
-    def __init__(self, stream: str, epoch: int = 0):
+    # a master holds one per agent
+    __slots__ = ("stream", "epoch", "ordinal", "_seq", "_unacked")
+
+    def __init__(self, stream: str, epoch: int = 0, ordinal: int = 0):
         self.stream = stream
         self.epoch = epoch
+        #: creation rank within the owning hub (its ``_senders`` order)
+        self.ordinal = ordinal
         self._seq = 0
         self._unacked: Dict[int, DeltaEnvelope] = {}
 
@@ -179,6 +184,11 @@ class StreamHub:
     owning actor arms.
     """
 
+    # every actor holds one, most of them (agents) idle
+    __slots__ = ("actor", "stats", "_senders", "_dest_of", "_receivers",
+                 "_full_state_of", "_sender_keys_of", "_receiver_streams_of",
+                 "_unacked_streams", "_created", "_on_first_sender")
+
     def __init__(self, actor: Any, stats: Optional["ProtocolStats"] = None,
                  on_first_sender: Optional[Callable[[], None]] = None):
         # ``actor`` needs .name, .send(dest, message), .set_periodic_timer().
@@ -193,6 +203,10 @@ class StreamHub:
         # were paying O(agents) per exit)
         self._sender_keys_of: Dict[str, List[tuple]] = {}
         self._receiver_streams_of: Dict[str, List[str]] = {}
+        # ``_unacked_streams``: ordinal -> key of the streams that may hold
+        # unacknowledged deltas (all enter by send_delta).  Made with the
+        # first outgoing stream: most hubs (agents') never have one.
+        self._created = 0
         # Fired when the hub goes from zero to one outgoing stream; lets
         # receive-only actors (FuxiAgents) arm their retransmit timer lazily
         # instead of ticking it forever with nothing to resend.
@@ -209,8 +223,12 @@ class StreamHub:
         sender = self._senders.get(key)
         if sender is None:
             first = not self._senders
+            if first:
+                self._unacked_streams = {}
             stream = f"{self.actor.name}>{dest}:{kind}"
-            sender = self._senders[key] = StreamSender(stream)
+            sender = self._senders[key] = StreamSender(stream,
+                                                       ordinal=self._created)
+            self._created += 1
             self._dest_of[stream] = dest
             self._sender_keys_of.setdefault(dest, []).append(key)
             if full_state is not None:
@@ -224,15 +242,24 @@ class StreamHub:
     def send_delta(self, dest: str, kind: str, payload: Any,
                    items: int = 1) -> None:
         from repro.core.messages import Envelope
-        envelope = self.sender(dest, kind).next_delta(payload)
+        sender = self.sender(dest, kind)
+        envelope = sender.next_delta(payload)
+        self._unacked_streams[sender.ordinal] = (dest, kind)
         self.stats.record_delta(items)
         self.actor.send(dest, Envelope(envelope))
 
     def send_full(self, dest: str, kind: str, state: Any, items: int = 0) -> None:
+        self.actor.send(dest, self.full_envelope(dest, kind, state, items))
+
+    def full_envelope(self, dest: str, kind: str, state: Any,
+                      items: int = 0) -> Any:
+        """The message :meth:`send_full` sends, for a caller that sends it
+        as part of a run: the stream's retransmit buffer is cleared and
+        the sync counted here."""
         from repro.core.messages import Envelope
         envelope = self.sender(dest, kind).full_sync(state)
         self.stats.record_full(items)
-        self.actor.send(dest, Envelope(envelope))
+        return Envelope(envelope)
 
     def restart_all_senders(self) -> None:
         """New incarnation: every outgoing stream starts a fresh epoch."""
@@ -247,6 +274,7 @@ class StreamHub:
                 continue
             self._dest_of.pop(sender.stream, None)
             self._full_state_of.pop(key, None)
+            self._unacked_streams.pop(sender.ordinal, None)
         for stream in self._receiver_streams_of.pop(dest, ()):
             self._receivers.pop(stream, None)
 
@@ -255,12 +283,20 @@ class StreamHub:
 
         If a stream has accumulated too many unacknowledged deltas the hub
         falls back to a full sync, which is both the safety measure of §3.1
-        and cheaper than replaying a long tail.
+        and cheaper than replaying a long tail.  Only the streams that took
+        a delta since the last call are visited, in ``_senders`` order (a
+        master holds one stream per agent, nearly all acknowledged).
         """
         from repro.core.messages import Envelope
-        for key, sender in list(self._senders.items()):
+        if not self._senders:
+            return
+        unacked = self._unacked_streams
+        for ordinal in sorted(unacked):
+            key = unacked[ordinal]
+            sender = self._senders[key]
             pending = sender.pending_retransmit()
             if not pending:
+                del unacked[ordinal]
                 continue
             dest = key[0]
             full_state = self._full_state_of.get(key)
@@ -318,6 +354,8 @@ class StreamHub:
         sender = self._senders.get((dest, kind))
         if sender is not None and sender.epoch == ack.epoch:
             sender.acknowledge(ack.seq)
+            if not sender._unacked:
+                self._unacked_streams.pop(sender.ordinal, None)
 
 
 @dataclass

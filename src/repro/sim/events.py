@@ -23,7 +23,7 @@ self-re-arming periodic timers that replace their handle inside the
 callback.
 
 A second path serves *runs* of occurrences that would otherwise each be an
-event of their own (the heartbeat plane's deliveries): an
+event of their own (agents' first beats, delivery runs): an
 :class:`EventSeries` (``call_series``) rides one re-arming heap event and
 hands its consumer every occurrence that sorts before the loop's next other
 event, so each occurrence is still processed at its own position in the
@@ -127,13 +127,17 @@ class EventSeries:
     its own would have been.
 
     ``consume`` handles at least occurrence ``start`` and returns the index
-    it stopped at.  ``loop.now`` is ``times[start]`` on entry; a call that
-    handles more than one occurrence must neither schedule nor cancel events
-    nor read the clock for the later ones (the bound was taken before the
-    call).  An occurrence that needs either is therefore handled by a call
-    of its own, after which the bound is read again — whatever it scheduled
-    inside the rest of the run is honoured.  After an invocation ``loop.now``
-    is the time of the last occurrence consumed.
+    it stopped at.  ``loop.now`` is ``times[start]`` on entry.  A call may
+    schedule only events that sort after every occurrence it handles — a
+    call that handles one meets this whatever it schedules, since a new
+    event takes a later sequence number; a batch of same-instant sends
+    meets it because every delivery lies in the future.  A call that
+    handles more than one occurrence must neither cancel events nor read
+    the clock for the later ones (the bound was taken before the call).  An
+    occurrence that needs more is therefore handled by a call of its own.
+    After every call the bound is read again, so whatever a call scheduled
+    inside the rest of the run is honoured.  After an invocation
+    ``loop.now`` is the time of the last occurrence consumed.
 
     The consumer is kept as ``callback`` so that profilers unwrap a series
     the way they unwrap a periodic-timer chain.

@@ -1,17 +1,26 @@
-"""The heartbeat plane as it was before cohorts: one periodic timer, one
-send, one delivery event and one ``handle_message`` per beat.
+"""The heartbeat plane and the recovery push as they were before they were
+batched: the oracles ``test_heartbeat_differential.py`` drives the
+batched paths against.
 
-:class:`PerBeatAgent` overrides ``FuxiAgent._start_timers`` and
-``_send_heartbeat`` with the bodies those methods had at the commit before
-the cohort (the PR-15 anchor), kept verbatim: every agent arms its own
-``"heartbeat"`` periodic timer, and every beat is a fresh ``AgentHeartbeat``
-through ``Actor.send`` — so it reaches the master through
-``_handle_agent_heartbeat``, never through the roll-up.  Slow and obviously
-per-beat: the oracle ``test_heartbeat_differential.py`` drives the cohort
-path against.  Do not "tidy" the copied bodies; their value is that they
-are the old code.  (One adaptation: the old ``health_sample()`` built a new
-dict per call, so the copy takes ``dict(...)`` of today's cached one — the
-oracle's beats carry a fresh sample object, as they did.)
+- :class:`PerBeatAgent` overrides ``FuxiAgent._start_timers`` and
+  ``_send_heartbeat`` with the bodies those methods had at the commit
+  before the cohort, kept verbatim: every agent arms its own
+  ``"heartbeat"`` periodic timer, and every beat is a fresh
+  ``AgentHeartbeat`` through ``Actor.send`` — so it reaches the master
+  through ``_handle_agent_heartbeat``, never through the roll-up.  (One
+  adaptation: the old ``health_sample()`` built a new dict per call, so the
+  copy takes ``dict(...)`` of today's cached one — the oracle's beats carry
+  a fresh sample object, as they did.)
+- :class:`FirstBeatAgent` overrides only ``_start_timers``, with its body
+  at the commit before first-beat runs: the periodic beat is the cohort's,
+  the immediate beat a ``call_after(0.0, _send_heartbeat)`` of its own.
+- :class:`PerMachinePushMaster` overrides ``FuxiMaster._finish_recovery``
+  and ``_send_alloc_full`` with their bodies at that commit: the recovery
+  window ends in one ``hub.send_full`` per pool machine, each a message of
+  its own.
+
+Slow and obviously per-message.  Do not "tidy" the copied bodies; their
+value is that they are the old code.
 
 :func:`drive` is the closed-loop driver both sides of the differential run
 under; it mirrors ``repro.api.simulate`` slice for slice but takes a
@@ -21,7 +30,7 @@ under; it mirrors ``repro.api.simulate`` slice for slice but takes a
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Dict, Iterator, Optional
+from typing import Callable, ContextManager, Dict, Iterator, List, Optional
 
 import repro._runtime as runtime
 from repro.api import ClusterBuilder, RunResult, RunSpec
@@ -29,6 +38,9 @@ from repro.cluster.faults import FaultPlan
 from repro.cluster.network import NetworkConfig
 from repro.core import messages as msg
 from repro.core.agent import FuxiAgent, FuxiAgentConfig
+from repro.core.grant import Grant
+from repro.core.heartbeat import HeartbeatCohort
+from repro.core.master import FuxiMaster
 from repro.jobs.dag import critical_path_length
 from repro.workloads.synthetic import (SyntheticWorkload,
                                        SyntheticWorkloadConfig,
@@ -58,23 +70,90 @@ class PerBeatAgent(FuxiAgent):
             book_digest=self._book_digest))
 
 
+class FirstBeatAgent(FuxiAgent):
+    """FuxiAgent whose immediate beat is an event of its own."""
+
+    def _start_timers(self) -> None:
+        # Beat every heartbeat_interval from now on, together with every
+        # agent started in this instant (first firing one interval out) ...
+        self._cohort = HeartbeatCohort.join(self)
+        if self.hub.has_senders():
+            self._arm_retransmit()
+        # ... and once right away, as a message of its own: the first beat
+        # is the one that registers the machine with the master.
+        self.loop.call_after(0.0, self._send_heartbeat)
+
+
+class PerMachinePushMaster(FuxiMaster):
+    """FuxiMaster that pushes the post-recovery books machine by machine."""
+
+    def _finish_recovery(self) -> None:
+        """Recovery window over: install buffered reports, resume scheduling."""
+        self.recovering = False
+        self._install_pending_allocations()
+        decisions: List[Grant] = []
+        if self.scheduler is not None:
+            # Tell every AM the authoritative holdings: grants that were in
+            # flight when the old master died reached agents but not their
+            # AMs; the full sync hands them over (or triggers their return).
+            for app_id in self._known_app_ids():
+                self._send_grant_full(app_id)
+            # Symmetrically, tell every agent the authoritative allocation
+            # books: an agent may hold grants for an app that finished (or
+            # whose AM died) during the failover window — no AM will ever
+            # return those, so without this wholesale push the agent's
+            # hard-state entry would leak forever.
+            for machine in self.scheduler.pool.machines():
+                self._send_alloc_full(machine)
+            decisions = self.scheduler.schedule_all_machines()
+        if self._failover_span is not None:
+            machines = (self.scheduler.pool.machine_count()
+                        if self.scheduler is not None else 0)
+            self.tracer.end_span(self._failover_span,
+                                 machines=machines, grants=len(decisions))
+            self._failover_span = None
+        self._disseminate(decisions)
+
+    def _send_alloc_full(self, machine: str) -> None:
+        dest = f"agent:{machine}"
+        self.hub.sender(dest, "alloc",
+                        full_state=lambda m=machine: self._alloc_state(m))
+        state = self._alloc_state(machine)
+        self.hub.send_full(dest, "alloc", state, items=len(state))
+
+
 @contextlib.contextmanager
-def per_beat_agents() -> Iterator[None]:
-    """Clusters built inside the block get :class:`PerBeatAgent` agents."""
-    original = runtime.FuxiAgent
-    runtime.FuxiAgent = PerBeatAgent
+def _oracle_classes(agent_cls: type) -> Iterator[None]:
+    """Clusters built inside the block get ``agent_cls`` agents and
+    :class:`PerMachinePushMaster` masters."""
+    swaps = [("FuxiAgent", agent_cls), ("FuxiMaster", PerMachinePushMaster)]
+    originals = [(name, getattr(runtime, name)) for name, _ in swaps]
+    for name, oracle in swaps:
+        setattr(runtime, name, oracle)
     try:
         yield
     finally:
-        runtime.FuxiAgent = original
+        for name, original in originals:
+            setattr(runtime, name, original)
+
+
+def per_beat_agents() -> ContextManager[None]:
+    """Every beat and every push a message and an event of its own."""
+    return _oracle_classes(PerBeatAgent)
+
+
+def first_beat_agents() -> ContextManager[None]:
+    """Cohort beats, but first beats and the push one message each."""
+    return _oracle_classes(FirstBeatAgent)
 
 
 def drive(spec: RunSpec, network: Optional[NetworkConfig] = None,
-          per_beat: bool = False,
+          oracle: Optional[Callable[[], ContextManager[None]]] = None,
           prepare: Optional[Callable[[runtime.FuxiCluster], None]] = None):
     """Build, warm up and drive ``spec`` closed-loop; returns the cluster
-    and its :class:`RunResult` (for ``summary_dict()``).  ``prepare`` sees
-    the built cluster before it warms up (to arm extra events)."""
+    and its :class:`RunResult` (for ``summary_dict()``).  ``oracle`` (one
+    of the context managers above) selects the old classes; ``prepare``
+    sees the built cluster before it warms up (to arm extra events)."""
     builder = ClusterBuilder(
         racks=spec.racks, machines_per_rack=spec.machines_per_rack,
         machine_cpu=spec.machine_cpu, machine_memory=spec.machine_memory,
@@ -82,7 +161,7 @@ def drive(spec: RunSpec, network: Optional[NetworkConfig] = None,
         policy=spec.policy if spec.policy != "fuxi" else None,
         agent_config=FuxiAgentConfig(
             worker_start_delay=spec.worker_start_delay))
-    with per_beat_agents() if per_beat else contextlib.nullcontext():
+    with oracle() if oracle is not None else contextlib.nullcontext():
         cluster = builder.build(warm_up=False)
     if spec.fault_spec:
         cluster.schedule_faults(FaultPlan.from_spec(spec.fault_spec))

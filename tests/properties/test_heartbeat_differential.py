@@ -1,19 +1,32 @@
-"""Differential test of the heartbeat plane: cohort timers, delivery runs
-and the master's roll-up against one timer + send + delivery event +
-``handle_message`` per beat (``per_beat_oracle.PerBeatAgent``).
+"""Differential tests of the heartbeat plane and the recovery push.
+
+Two oracles (``per_beat_oracle``), one driver, the same generated cases:
+
+- *per beat*: one timer + send + delivery event + ``handle_message`` per
+  beat, and one message per machine in the post-recovery push, against
+  cohort timers, delivery runs, the master's roll-up, first-beat runs and
+  the fan-out push;
+- *first beat*: the commit before first-beat runs — cohort beats, but an
+  event of its own per immediate beat and a message per machine in the
+  push — against first-beat runs and the fan-out push.  Their tie-break
+  sequence numbers are taken in the same places, so this one also
+  requires the same ``loop._seq``.
 
 Hypothesis chooses seed, cluster shape, policy, transport (with and without
 jitter, duplication, reordering, loss) and a fault plan — a
-``FaultPlan.random`` draw, mutated by the fuzzer's operators, plus faults
-pinned to exact beat instants (k.0 and k.0 + 1 ms).  Both sides must end
-with the same ``summary_dict()`` (grant-stream digests and ``events``
-included: the two-counter sum is the oracle that no beat was lost or
-doubled), the same bus counters, the same ``fm.*`` counters, the same
-last-seen stamps in the same order, and the same agent books.
+``FaultPlan.random`` draw with master failures, mutated by the fuzzer's
+operators, plus faults pinned to exact beat instants (k.0 and k.0 + 1 ms):
+agent and machine restarts give first-beat runs of one, master failures
+push mid-run.  Both sides must end with the same ``summary_dict()``
+(grant-stream digests and ``events`` included: the two-counter sum is the
+oracle that no beat was lost or doubled), the same bus and per-edge
+counters, the same ``fm.*`` counters, the same last-seen stamps in the same
+order, and the same agent books.
 
-Ran once at 2,000 examples with no counter-example before this was
-committed; the committed budget keeps tier-1 short, and
-``test_..._at_scale`` is that run (``pytest -m slow``).
+Each ran once at 2,000 examples (per policy, for the first-beat oracle)
+with no counter-example before it was committed; the committed budget
+keeps tier-1 short, and the ``test_..._at_scale`` tests are those runs
+(``pytest -m slow``).
 """
 
 import random
@@ -31,7 +44,8 @@ from repro.cluster.network import NetworkConfig
 from repro.core.policy import known_policies
 from repro.sim.rng import SplitRandom
 
-from tests.properties.per_beat_oracle import drive
+from tests.properties.per_beat_oracle import (drive, first_beat_agents,
+                                              per_beat_agents)
 
 DURATION = 30.0
 WARM_UP = 3.0
@@ -109,7 +123,7 @@ def fault_plan(case) -> FaultPlan:
     return FaultPlan(events=events).shifted(0.0)
 
 
-def observe(case, per_beat: bool) -> dict:
+def observe(case, oracle=None) -> dict:
     spec = RunSpec(
         racks=case["racks"], machines_per_rack=case["machines_per_rack"],
         concurrent_jobs=12, duration=DURATION, workload_mix="small",
@@ -117,14 +131,17 @@ def observe(case, per_beat: bool) -> dict:
         seed=case["seed"], worker_start_delay=0.5,
         fault_spec=fault_plan(case).to_spec())
     cluster, result = drive(spec, NetworkConfig(**case["network"]),
-                            per_beat=per_beat)
+                            oracle=oracle)
     bus = cluster.bus
     now = cluster.loop.now
     return {
         "summary": result.summary_dict(),
         "now": now,
+        "events": cluster.events_total,
+        "seq": cluster.loop._seq,
         "bus": (bus.messages_sent, bus.messages_delivered,
                 bus.messages_dropped, bus.messages_duplicated),
+        "edges": {edge: state[2] for edge, state in bus._edges.items()},
         "fm": {name: value
                for name, value in cluster.metrics.counters().items()
                if name.startswith("fm.")},
@@ -142,28 +159,46 @@ def observe(case, per_beat: bool) -> dict:
     }
 
 
-def check_case(case) -> None:
-    cohort = observe(case, per_beat=False)
-    per_beat = observe(case, per_beat=True)
-    for key in cohort:
-        assert cohort[key] == per_beat[key], key
+def check_case(case, oracle) -> None:
+    batched = observe(case)
+    old = observe(case, oracle)
+    # a per-agent timer takes a sequence number per beat where a cohort
+    # takes one per firing; the first-beat oracle takes them where we do
+    skip = {"seq"} if oracle is per_beat_agents else set()
+    for key in batched.keys() - skip:
+        assert batched[key] == old[key], key
 
 
 @settings(max_examples=20, deadline=None)
 @given(cases)
 def test_cohort_plane_matches_the_per_beat_plane(case):
-    check_case(case)
+    check_case(case, per_beat_agents)
 
 
 @pytest.mark.slow
 @settings(max_examples=2000, deadline=None)
 @given(cases)
 def test_cohort_plane_matches_the_per_beat_plane_at_scale(case):
-    check_case(case)
+    check_case(case, per_beat_agents)
+
+
+@settings(max_examples=20, deadline=None)
+@given(cases)
+def test_first_beat_runs_and_push_match_one_message_each(case):
+    check_case(case, first_beat_agents)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("policy", known_policies())
+@settings(max_examples=2000, deadline=None)
+@given(case=cases)
+def test_first_beat_runs_and_push_match_one_message_each_at_scale(case,
+                                                                  policy):
+    check_case({**case, "policy": policy}, first_beat_agents)
 
 
 def test_the_oracle_is_per_beat_and_the_cohort_is_not():
-    """Guards the differential against comparing a path with itself."""
+    """Guards the differentials against comparing a path with itself."""
     case = {"seed": 3, "racks": 2, "machines_per_rack": 4, "policy": "fuxi",
             "network": {}, "plan_seed": 0, "faults": 0, "mutations": 0,
             "pinned": []}
@@ -171,12 +206,21 @@ def test_the_oracle_is_per_beat_and_the_cohort_is_not():
                    duration=6.0, workload_mix="small", workload_scale=20,
                    seed=3)
     batched, _ = drive(spec)
-    single, _ = drive(spec, per_beat=True)
-    assert batched.events_total == single.events_total
+    single, _ = drive(spec, oracle=per_beat_agents)
+    first, _ = drive(spec, oracle=first_beat_agents)
+    assert batched.events_total == single.events_total == first.events_total
     assert single.loop.events_absorbed == 0
     assert batched.loop.events_absorbed > 0
     assert all("heartbeat" in agent._timers
                for agent in single.agents.values())
     assert not any("heartbeat" in agent._timers
                    for agent in batched.agents.values())
-    check_case(case)
+    # per machine: its first beat, that beat's delivery and its push
+    # delivery are loop steps of their own in the first-beat oracle (the
+    # batches' runs may split where a job's messages land among them)
+    machines = len(batched.agents)
+    assert first.loop._seq == batched.loop._seq
+    assert (first.loop.events_executed - batched.loop.events_executed
+            >= 2 * machines)
+    check_case(case, per_beat_agents)
+    check_case(case, first_beat_agents)

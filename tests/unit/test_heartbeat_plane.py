@@ -8,6 +8,7 @@ the same log, besides asserting the order itself.
 
 import pytest
 
+from repro import kernels
 from repro.api import ClusterBuilder
 from repro.cluster.machine import MachineSpec, MachineState
 from repro.cluster.network import MessageBus, NetworkConfig
@@ -19,7 +20,8 @@ from repro.sim.actor import Actor
 from repro.sim.events import EventLoop
 from repro.sim.rng import SplitRandom
 
-from tests.properties.per_beat_oracle import PerBeatAgent, per_beat_agents
+from tests.properties.per_beat_oracle import (FirstBeatAgent, PerBeatAgent,
+                                              per_beat_agents)
 
 MASTER = "fuxi-master"
 MACHINES = ("m1", "m2", "m3", "m4")
@@ -170,8 +172,9 @@ def test_agents_built_together_share_one_cohort_and_one_event():
     cohort = agents["m1"]._cohort
     assert cohort.members == list(agents.values())      # arming order
     assert all("heartbeat" not in agent._timers for agent in agents.values())
-    # one immediate beat per agent + the cohort's one timer
-    assert loop.pending() == len(agents) + 1
+    # the immediate beats as one run + the cohort's one timer
+    assert loop.pending() == 2
+    assert cohort._first.agents == list(agents.values())
     loop.run_until(3.5)
     assert cohort.fires_at == 4.0
     assert sorted(name for name, when in log if 3.0 < when < 3.5) \
@@ -222,6 +225,36 @@ def test_restarted_agent_forms_the_cohort_of_its_own_restart_instant():
     assert agents["m4"]._cohort is not agents["m2"]._cohort
     assert agents["m4"]._cohort.fires_at == 2.5
     assert original.members == [agents["m1"]]
+
+
+@pytest.mark.parametrize("backend", ["python", "numpy"])
+def test_agent_restarted_twice_in_one_step_sends_two_first_beats(backend):
+    """``[m2, m3, m2]`` in one first-beat run: m2's edge carries two
+    messages in one batch, and each must take the counter at its turn, as
+    two sends would (a kernel that read every counter first would not)."""
+    if backend == "numpy" and not kernels.numpy_available():
+        pytest.skip("numpy not installed")
+    outcomes = {}
+    for agent_cls in (FirstBeatAgent, FuxiAgent):
+        with kernels.use(backend):
+            loop, bus, probe, agents, log = build(agent_cls)
+            bus.config.jitter = 0.0005
+            loop.run_until(1.5)
+
+            def bounce():
+                for name in ("m2", "m3", "m2"):
+                    agents[name].crash()
+                    agents[name].restart()
+
+            loop.call_at(2.25, bounce)
+            loop.run_until(4.0)
+        outcomes[agent_cls] = (log, bus.messages_sent, loop._seq,
+                               loop.events_executed + loop.events_absorbed,
+                               bus._edges[("agent:m2", MASTER)][2])
+    assert outcomes[FuxiAgent] == outcomes[FirstBeatAgent]
+    first_beats = sorted(name for name, when in outcomes[FuxiAgent][0]
+                         if 2.25 < when < 2.26)
+    assert first_beats == ["m2", "m2", "m3"]
 
 
 def test_cohort_whose_last_member_leaves_cancels_its_event():
