@@ -15,8 +15,9 @@ cluster simulator:
 - :mod:`repro.jobs` — the DAG job framework (JobMaster/TaskMaster,
   workers, backup instances, the Streamline operator library, the GraySort
   model);
-- :mod:`repro.baselines` — YARN-, Mesos- and Hadoop-1.0-style schedulers
-  used by the ablation benchmarks;
+- :mod:`repro.baselines` — YARN-, Mesos-, Hadoop-1.0-, HFSP- and
+  DFRS-style scheduling policies on the same scheduler substrate, used
+  by the scheduler arena and the ablation benchmarks;
 - :mod:`repro.workloads` — synthetic, production-trace and sort workloads;
 - :mod:`repro.experiments` — one harness per paper table/figure;
 - :mod:`repro.parallel` — the process-pool sweep engine: independent

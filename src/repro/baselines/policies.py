@@ -4,10 +4,9 @@ Each class here is a :class:`repro.core.policy.SchedulerPolicy` running on
 the *same* fit-indexed pool, ledger, digest sync and event-loop substrate
 as Fuxi itself — only the decision surface differs, so the arena benchmark
 (``benchmarks/bench_arena.py``) compares policies, not bookkeeping
-implementations.  The standalone micro-models in
-:mod:`repro.baselines._yarn` / ``_mesos`` / ``_hadoop10`` remain for the
-protocol-cost ablations; these policies are their cluster-integrated
-counterparts.
+implementations.  The design ablations drive these same classes through
+:class:`~repro.core.scheduler.FuxiScheduler`; there is no second
+implementation of any comparator.
 
 Every policy is deterministic: its soft state is a pure function of the
 grant/revoke/return stream, which itself is a pure function of (spec,
@@ -94,8 +93,9 @@ class Hadoop10Policy(SchedulerPolicy):
     every free-up rescans *every* machine's queues
     (``global_recompute``), and cluster-wide placement walks machines in
     name order taking the first fit instead of consulting the best-fit
-    index.  Correct, locality-blind, and O(pending × nodes) per event —
-    the cost model the paper's incremental design is measured against.
+    index.  Correct, locality-blind, and a pass over every machine per
+    event — the cost model the paper's incremental design is measured
+    against (ablation B).
     """
 
     name = "hadoop10"

@@ -50,11 +50,8 @@ from repro.chaos.engine import ChaosConfig
 from repro.cluster.metrics import format_table
 from repro.config import ConfigBase, add_config_args, conf, config_from_args
 from repro.core.policy import validate_policy_name
+from repro.experiments.sweep import NAMED, repeat_experiment, run_named
 from repro.jobs.spec import parse_job_description
-
-EXPERIMENTS = ("fig09", "fig10", "table1", "table2", "table3", "table4",
-               "scale", "ablation-protocol", "ablation-locality",
-               "ablation-reuse")
 
 
 @dataclass(kw_only=True)
@@ -227,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--title", default=None, help="report title")
 
     experiment = sub.add_parser("experiment", help="run a paper experiment")
-    experiment.add_argument("name", choices=EXPERIMENTS)
+    experiment.add_argument("name", choices=list(NAMED))
     experiment.add_argument("--trace-out", metavar="FILE", default=None,
                             help="export the run's JSONL trace here "
                                  "(traced experiments only)")
@@ -680,29 +677,12 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     (median measured value per comparison plus the min/median/max
     spread).
     """
-    from repro.experiments import (ablations, fig09_scheduling_time,
-                                   fig10_utilization, scale_instances,
-                                   table1_production, table2_overheads,
-                                   table3_faults, table4_graysort)
     if args.repeat > 1 or args.jobs > 1:
-        from repro.experiments.sweep import repeat_experiment
         report = repeat_experiment(args.name, max(args.repeat, 1),
                                    jobs=args.jobs, root_seed=args.seed)
         print(report.render())
         return 0
-    runners = {
-        "fig09": lambda: fig09_scheduling_time.run(),
-        "fig10": lambda: fig10_utilization.run(),
-        "table1": lambda: table1_production.run(),
-        "table2": lambda: table2_overheads.run(),
-        "table3": lambda: table3_faults.run(),
-        "table4": lambda: table4_graysort.run(),
-        "scale": lambda: scale_instances.run(),
-        "ablation-protocol": ablations.protocol_ablation,
-        "ablation-locality": ablations.locality_ablation,
-        "ablation-reuse": ablations.container_reuse_ablation,
-    }
-    report = runners[args.name]()
+    report = run_named(args.name)
     print(report.render())
     if args.trace_out is not None:
         try:

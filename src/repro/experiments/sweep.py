@@ -88,7 +88,8 @@ def run_named(name: str, *, seed: Optional[int] = None,
 
     ``seed`` lands in the experiment's config when it has a seed knob
     (seedless analytic experiments like table4 ignore it); ``overrides``
-    are extra config fields.
+    are extra config fields.  With nothing to inject the runner gets no
+    argument, so it keeps its own default (fig09's is a traced run).
     """
     if name not in NAMED:
         raise ValueError(f"unknown experiment {name!r}; known: "
@@ -100,6 +101,8 @@ def run_named(name: str, *, seed: Optional[int] = None,
     field_names = {f.name for f in dataclasses.fields(config_cls)}
     if seed is not None and "seed" in field_names:
         kwargs["seed"] = seed
+    if not kwargs:
+        return runner()
     return runner(config_cls(**kwargs))
 
 

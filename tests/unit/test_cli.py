@@ -90,6 +90,25 @@ def test_experiment_rejects_unknown_name():
         main(["experiment", "nope"])
 
 
+def test_experiment_serial_path_calls_runner_bare(monkeypatch, capsys):
+    """No seed or override to inject: the runner keeps its own default
+    (fig09's is a traced run, which --trace-out relies on)."""
+    from repro.api import RunSpec
+    from repro.experiments import sweep
+    from repro.experiments.harness import ExperimentReport
+
+    calls = []
+
+    def stub(*args, **kwargs):
+        calls.append((args, kwargs))
+        return ExperimentReport(exp_id="stub", title="Stub experiment")
+
+    monkeypatch.setitem(sweep.NAMED, "fig09", (stub, RunSpec))
+    assert main(["experiment", "fig09"]) == 0
+    assert calls == [((), {})]
+    assert "Stub experiment" in capsys.readouterr().out
+
+
 def test_demo_trace_out_writes_jsonl(tmp_path, capsys):
     trace_file = tmp_path / "demo.trace.jsonl"
     code = main(["demo", "--machines", "6", "--racks", "2", "--jobs", "2",

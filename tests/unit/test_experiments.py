@@ -99,7 +99,7 @@ def test_protocol_ablation_small():
 
 def test_locality_ablation_small():
     report = ablations.locality_ablation(LocalityAblationConfig(
-        cluster_sizes=(20, 40), events=50))
+        cluster_sizes=(25, 200), events=50))
     naive = report.comparison("global cost growth over sizes").measured
     assert naive > 1.0
 
