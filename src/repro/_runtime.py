@@ -499,7 +499,7 @@ class FuxiCluster:
         return self.profiler
 
     def enable_utilization_sampling(self, interval: float = 5.0) -> None:
-        """Record the Figure-10 curves into the metrics collector."""
+        """Record the Figure-10 curves into the metrics registry."""
 
         def sample() -> None:
             now = self.loop.now

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro._runtime import FuxiCluster
+from repro.cluster.metrics import percentile
 from repro.cluster.network import NetworkConfig
 from repro.cluster.topology import ClusterTopology
 from repro.config import ConfigBase, conf
@@ -232,8 +233,8 @@ class RunResult:
             summary["job_slowdown"] = {
                 "count": len(ordered),
                 "mean": round(sum(ordered) / len(ordered), 6),
-                "p50": round(_percentile(ordered, 50.0), 6),
-                "p95": round(_percentile(ordered, 95.0), 6),
+                "p50": round(percentile(ordered, 50.0), 6),
+                "p95": round(percentile(ordered, 95.0), 6),
                 "max": round(ordered[-1], 6),
             }
         utilization: Dict[str, float] = {}
@@ -250,19 +251,6 @@ class RunResult:
             # stay a pure function of (spec, seed)
             summary["timeseries"] = store.to_dict()
         return summary
-
-
-def _percentile(ordered: List[float], q: float) -> float:
-    """Linear-interpolated percentile of an already-sorted list."""
-    if not ordered:
-        return 0.0
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (q / 100.0) * (len(ordered) - 1)
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    frac = rank - low
-    return ordered[low] * (1 - frac) + ordered[high] * frac
 
 
 class ClusterBuilder:

@@ -23,10 +23,11 @@ corpus bytes across runs and across ``--jobs`` values.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
+
+from repro.obs.export import read_jsonl, write_jsonl
 
 SCHEMA = 1
 KIND = "chaos-corpus"
@@ -168,36 +169,27 @@ class Corpus:
             "kind": KIND, "schema": SCHEMA, "entries": len(self._entries),
             "context": dict(context or {}),
         }
-        lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-        lines.extend(
-            json.dumps(entry.to_dict(), sort_keys=True,
-                       separators=(",", ":"))
-            for entry in self._entries.values())
-        with open(self.path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
+        write_jsonl(self.path,
+                    [entry.to_dict() for entry in self._entries.values()],
+                    header)
         return self.path
 
     @classmethod
     def load(cls, path: str) -> "Corpus":
         """Parse a corpus file; raises :class:`CorpusError` on junk."""
         corpus = cls(path)
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = [line for line in handle.read().splitlines()
-                     if line.strip()]
-        if not lines:
-            return corpus
         try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"bad corpus header in {path!r}: {exc}") from exc
+            records = read_jsonl(path)
+        except ValueError as exc:
+            raise CorpusError(f"bad corpus line in {path!r}: {exc}") from exc
+        if not records:
+            return corpus
+        header = records[0]
         if header.get("kind") != KIND:
             raise CorpusError(f"{path!r} is not a chaos corpus "
                               f"(header kind {header.get('kind')!r})")
-        for line in lines[1:]:
-            try:
-                entry = CorpusEntry.from_dict(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"bad corpus line in {path!r}: {exc}") from exc
+        for record in records[1:]:
+            entry = CorpusEntry.from_dict(record)
             corpus._entries[entry.id] = entry
         return corpus
 

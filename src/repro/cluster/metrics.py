@@ -1,21 +1,32 @@
-"""Metrics collection: counters, gauges and time series.
+"""Time series, percentiles and plain-text tables.
 
 The evaluation figures are all time series (Fig 9 per-request scheduling
 time, Fig 10 utilization curves) or aggregates over event timestamps
-(Table 2 overheads).  The collector is deliberately dumb storage — analysis
-lives in :mod:`repro.experiments`.
-
-:class:`repro.obs.histogram.MetricsRegistry` extends this collector with
-histograms; new code should prefer the registry, but :class:`Series`,
-:class:`MetricsCollector` and :func:`format_table` remain the stable API
-the experiments are written against.
+(Table 2 overheads).  The one metrics store,
+:class:`repro.obs.histogram.MetricsRegistry`, keeps its series as
+:class:`Series`; :class:`Series` and :func:`format_table` are the stable
+API the experiments are written against — analysis lives in
+:mod:`repro.experiments`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+
+def percentile(ordered: Sequence[float], q: float) -> float:
+    """Linear-interpolated percentile of a sorted sequence, q in [0, 100]."""
+    if not ordered:
+        return 0.0
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = (q / 100.0) * (len(ordered) - 1)
+    low = int(rank)
+    high = min(low + 1, len(ordered) - 1)
+    frac = rank - low
+    return ordered[low] * (1 - frac) + ordered[high] * frac
 
 
 @dataclass
@@ -48,16 +59,7 @@ class Series:
 
     def percentile(self, q: float) -> float:
         """Linear-interpolated percentile, q in [0, 100]."""
-        values = sorted(self.values())
-        if not values:
-            return 0.0
-        if len(values) == 1:
-            return values[0]
-        rank = (q / 100.0) * (len(values) - 1)
-        low = int(math.floor(rank))
-        high = min(low + 1, len(values) - 1)
-        frac = rank - low
-        return values[low] * (1 - frac) + values[high] * frac
+        return percentile(sorted(self.values()), q)
 
     def resample(self, step: float) -> List[Tuple[float, float]]:
         """Mean value per ``step``-wide time bucket (for plotting/printing).
@@ -78,53 +80,6 @@ class Series:
 
     def __len__(self) -> int:
         return len(self.points)
-
-
-class MetricsCollector:
-    """Named counters and series, plus periodic gauge sampling."""
-
-    def __init__(self) -> None:
-        self._counters: Dict[str, float] = {}
-        self._series: Dict[str, Series] = {}
-        self._gauges: Dict[str, Callable[[], float]] = {}
-
-    # ----------------------------- counters ------------------------- #
-
-    def increment(self, name: str, amount: float = 1.0) -> None:
-        self._counters[name] = self._counters.get(name, 0.0) + amount
-
-    def counter(self, name: str) -> float:
-        return self._counters.get(name, 0.0)
-
-    def counters(self) -> Dict[str, float]:
-        return dict(self._counters)
-
-    # ----------------------------- series --------------------------- #
-
-    def record(self, name: str, time: float, value: float) -> None:
-        self.series(name).append(time, value)
-
-    def series(self, name: str) -> Series:
-        series = self._series.get(name)
-        if series is None:
-            series = self._series[name] = Series(name)
-        return series
-
-    def series_names(self) -> List[str]:
-        return sorted(self._series)
-
-    def has_series(self, name: str) -> bool:
-        return name in self._series
-
-    # ----------------------------- gauges --------------------------- #
-
-    def register_gauge(self, name: str, reader: Callable[[], float]) -> None:
-        """A gauge is sampled into a same-named series by :meth:`sample_gauges`."""
-        self._gauges[name] = reader
-
-    def sample_gauges(self, time: float) -> None:
-        for name, reader in self._gauges.items():
-            self.record(name, time, reader())
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],

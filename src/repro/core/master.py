@@ -26,7 +26,6 @@ from sys import intern
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.lockservice import LockService
-from repro.cluster.metrics import MetricsCollector
 from repro.cluster.network import Messages
 from repro.core import messages as msg
 from repro.core.blacklist import BlacklistConfig, ClusterBlacklist
@@ -39,6 +38,7 @@ from repro.core.request import WaitingDemand
 from repro.core.scheduler import FuxiScheduler, SchedulerConfig
 from repro.core.units import UnitKey
 from repro.kernels.heartbeat import make_time_column
+from repro.obs.histogram import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
 from repro.sim.actor import Actor
 from repro.sim.events import EventLoop
@@ -69,14 +69,14 @@ class FuxiMaster(Actor):
     def __init__(self, loop: EventLoop, bus, name: str,
                  locks: LockService, checkpoint: CheckpointStore,
                  config: Optional[FuxiMasterConfig] = None,
-                 metrics: Optional[MetricsCollector] = None,
+                 metrics: Optional[MetricsRegistry] = None,
                  runtime: Optional[Any] = None,
                  tracer: Optional[Any] = None):
         super().__init__(loop, name, bus)
         self.config = config or FuxiMasterConfig()
         self.locks = locks
         self.checkpoint = checkpoint
-        self.metrics = metrics or MetricsCollector()
+        self.metrics = metrics or MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._failover_span = None
         self.runtime = runtime
@@ -411,12 +411,8 @@ class FuxiMaster(Actor):
             return
         self._note_agent_alive(beat.machine)
         self.metrics.increment("fm.heartbeat_bytes", beat.payload_bytes())
-        score = self.health.record_sample(beat.machine, beat.health_sample,
-                                          self.loop.now)
-        if self.tracer.enabled:
-            # Per-machine health series are a debugging aid; at 5k machines
-            # they dominate metric volume, so only record them under tracing.
-            self.metrics.record(f"health.{beat.machine}", self.loop.now, score)
+        self.health.record_sample(beat.machine, beat.health_sample,
+                                  self.loop.now)
         if not self.scheduler.pool.has_machine(beat.machine):
             if self.recovering:
                 # Ask for the full allocation picture before re-adding.
@@ -487,7 +483,7 @@ class FuxiMaster(Actor):
         """
         scheduler = self.scheduler
         if (self.role != "primary" or scheduler is None
-                or self.tracer.enabled or scheduler.policy.heartbeat_paced):
+                or scheduler.policy.heartbeat_paced):
             return start
         seen = self._last_agent_seen
         known = seen.keys()

@@ -7,14 +7,16 @@ curves).  This package provides the instruments:
 - :mod:`repro.obs.tracer` — spans and one-shot events keyed on *simulated*
   time, with a zero-overhead :class:`NullTracer` for the tracing-off path;
 - :mod:`repro.obs.histogram` — fixed-bucket and HDR-style log-bucket
-  histograms, plus the :class:`MetricsRegistry` that subsumes the plain
-  :class:`~repro.cluster.metrics.MetricsCollector`;
-- :mod:`repro.obs.export` — deterministic JSONL trace export and a
-  Prometheus-text-format metrics dump;
+  histograms, and :class:`MetricsRegistry`, the one metrics store
+  (counters, series, histograms);
+- :mod:`repro.obs.export` — the one JSONL codec every artifact kind is
+  written and read with (trace, violation trace, timeseries feed, flight
+  dump, chaos corpus) and a Prometheus-text-format metrics dump;
 - :mod:`repro.obs.summary` — trace summarisation for the CLI (top spans,
   failover timelines, per-locality-level decision counts);
 - :mod:`repro.obs.hooks` — event-loop instrumentation (callback wall-time
-  sampling, queue depth) feeding the registry;
+  sampling, queue depth) feeding the registry, installed beside the
+  loop's other hooks;
 - :mod:`repro.obs.live` — the streaming plane: periodic cluster snapshot
   sampler, ring-buffered :class:`TimeSeriesStore`, per-subsystem
   profiling attribution;
@@ -29,7 +31,7 @@ values are counts — never wall-clock readings.
 """
 
 from repro.obs.export import (dump_trace_jsonl, dumps_trace, load_trace_jsonl,
-                              prometheus_text, trace_records)
+                              prometheus_text)
 from repro.obs.histogram import (FixedBucketHistogram, Histogram,
                                  LogBucketHistogram, MetricsRegistry)
 from repro.obs.hooks import attach_loop_metrics
@@ -44,7 +46,7 @@ __all__ = [
     "Tracer", "NullTracer", "NULL_TRACER", "Span", "TraceEvent",
     "Histogram", "FixedBucketHistogram", "LogBucketHistogram",
     "MetricsRegistry",
-    "trace_records", "dumps_trace", "dump_trace_jsonl", "load_trace_jsonl",
+    "dumps_trace", "dump_trace_jsonl", "load_trace_jsonl",
     "prometheus_text",
     "summarize_trace", "render_summary",
     "attach_loop_metrics",

@@ -1,53 +1,74 @@
-"""Deterministic exporters: JSONL traces and Prometheus-text metrics.
+"""Deterministic exporters: the one JSONL codec and Prometheus-text metrics.
 
-Both formats are stable for a fixed seed: records are emitted in creation
-order, JSON keys are sorted, and every number is either a simulated
-timestamp or a count.  Running the same seeded simulation twice must yield
-byte-identical exports — the integration tests assert exactly that.
+Every JSONL artifact — trace, violation trace, timeseries feed, flight
+dump, chaos corpus — is written and read by :func:`dumps_jsonl` /
+:func:`write_jsonl` / :func:`read_jsonl`.  Records are emitted in creation
+order with sorted keys, and every number is a simulated timestamp or a
+count, so the same seeded run exports byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from typing import IO, List, Union
+from typing import IO, Iterable, List, Optional, Union
 
-from repro.cluster.metrics import MetricsCollector
 from repro.obs.histogram import MetricsRegistry
 
-PathOrFile = Union[str, "object"]
-
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
+
+
+# --------------------------------------------------------------------- #
+# the JSONL codec
+# --------------------------------------------------------------------- #
+
+def dumps_jsonl(records: Iterable[dict], header: Optional[dict] = None) -> str:
+    """The header (if any), then the records, one compact JSON object per
+    line; nothing to write gives the empty string."""
+    lines = records if header is None else [header, *records]
+    return "".join(json.dumps(record, sort_keys=True, separators=(",", ":"))
+                   + "\n" for record in lines)
+
+
+def write_jsonl(target: Union[str, IO[str]], records: List[dict],
+                header: Optional[dict] = None) -> int:
+    """Write :func:`dumps_jsonl` text to a path or a file object; returns
+    the number of records (the header not counted)."""
+    text = dumps_jsonl(records, header)
+    if hasattr(target, "write"):
+        target.write(text)  # type: ignore[union-attr]
+    else:
+        with open(target, "w", encoding="utf-8") as handle:  # type: ignore[arg-type]
+            handle.write(text)
+    return len(records)
+
+
+def read_jsonl(source: Union[str, IO[str]]) -> List[dict]:
+    """Every non-blank line of a path or a file object, parsed."""
+    if hasattr(source, "read"):
+        text = source.read()  # type: ignore[union-attr]
+    else:
+        with open(source, "r", encoding="utf-8") as handle:  # type: ignore[arg-type]
+            text = handle.read()
+    return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 
 # --------------------------------------------------------------------- #
 # traces
 # --------------------------------------------------------------------- #
 
-def trace_records(tracer) -> List[dict]:
-    """Spans and events of a tracer as serializable dicts, in id order."""
-    return tracer.records()
-
-
 def dumps_trace(tracer) -> str:
-    """The whole trace as JSONL text (sorted keys, compact separators)."""
-    lines = [json.dumps(record, sort_keys=True, separators=(",", ":"))
-             for record in trace_records(tracer)]
-    return "\n".join(lines) + ("\n" if lines else "")
+    """The whole trace as JSONL text; an empty trace is the empty string."""
+    return dumps_jsonl(tracer.records())
 
 
-def dump_trace_jsonl(tracer, target: PathOrFile) -> int:
+def dump_trace_jsonl(tracer, target: Union[str, IO[str]]) -> int:
     """Write the trace to a path or file object; returns the record count."""
-    text = dumps_trace(tracer)
-    if hasattr(target, "write"):
-        target.write(text)  # type: ignore[union-attr]
-    else:
-        with open(target, "w", encoding="utf-8") as handle:  # type: ignore[arg-type]
-            handle.write(text)
-    return len(text.splitlines())
+    return write_jsonl(target, tracer.records())
 
 
-def dump_violation_trace(tracer, target: PathOrFile, context: dict) -> int:
+def dump_violation_trace(tracer, target: Union[str, IO[str]],
+                         context: dict) -> int:
     """Write a trace with a leading ``violation`` context record.
 
     Used by the chaos harness: when an invariant trips, the full obs trace
@@ -56,25 +77,13 @@ def dump_violation_trace(tracer, target: PathOrFile, context: dict) -> int:
     evidence and the repro recipe travel in one file.  Returns the record
     count including the header.
     """
-    header = json.dumps({"kind": "violation", **context},
-                        sort_keys=True, separators=(",", ":"))
-    text = header + "\n" + dumps_trace(tracer)
-    if hasattr(target, "write"):
-        target.write(text)  # type: ignore[union-attr]
-    else:
-        with open(target, "w", encoding="utf-8") as handle:  # type: ignore[arg-type]
-            handle.write(text)
-    return len(text.splitlines())
+    return 1 + write_jsonl(target, tracer.records(),
+                           header={"kind": "violation", **context})
 
 
-def load_trace_jsonl(source: PathOrFile) -> List[dict]:
+def load_trace_jsonl(source: Union[str, IO[str]]) -> List[dict]:
     """Read a JSONL trace back into a list of record dicts."""
-    if hasattr(source, "read"):
-        text = source.read()  # type: ignore[union-attr]
-    else:
-        with open(source, "r", encoding="utf-8") as handle:  # type: ignore[arg-type]
-            text = handle.read()
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
+    return read_jsonl(source)
 
 
 # --------------------------------------------------------------------- #
@@ -99,14 +108,14 @@ def _fmt(value: float) -> str:
     return repr(value)
 
 
-def prometheus_text(metrics: MetricsCollector) -> str:
-    """Dump a collector/registry in the Prometheus exposition format.
+def prometheus_text(metrics: MetricsRegistry) -> str:
+    """Dump a registry in the Prometheus exposition format.
 
     - counters → ``counter`` samples;
     - series → ``summary``-flavoured gauges (count / mean / p50 / p95 /
       p99 / max over the recorded points);
-    - histograms (registry only) → native ``histogram`` with cumulative
-      ``_bucket`` lines plus ``_sum`` and ``_count``.
+    - histograms → native ``histogram`` with cumulative ``_bucket`` lines
+      plus ``_sum`` and ``_count``.
     """
     lines: List[str] = []
     for name in sorted(metrics.counters()):
@@ -123,15 +132,13 @@ def prometheus_text(metrics: MetricsCollector) -> str:
         lines.append(f'{metric}{{stat="p95"}} {_fmt(series.percentile(95))}')
         lines.append(f'{metric}{{stat="p99"}} {_fmt(series.percentile(99))}')
         lines.append(f'{metric}{{stat="max"}} {_fmt(series.max())}')
-    if isinstance(metrics, MetricsRegistry):
-        for name in metrics.histogram_names():
-            histogram = metrics.histograms()[name]
-            metric = _metric_name(name)
-            lines.append(f"# TYPE {metric} histogram")
-            for upper, cumulative in histogram.cumulative_buckets():
-                lines.append(
-                    f'{metric}_bucket{{le="{_fmt(upper)}"}} {cumulative}')
-            lines.append(f'{metric}_bucket{{le="+Inf"}} {histogram.count}')
-            lines.append(f"{metric}_sum {_fmt(histogram.sum)}")
-            lines.append(f"{metric}_count {histogram.count}")
+    for name, histogram in sorted(metrics.histograms().items()):
+        metric = _metric_name(name)
+        lines.append(f"# TYPE {metric} histogram")
+        for upper, cumulative in histogram.cumulative_buckets():
+            lines.append(
+                f'{metric}_bucket{{le="{_fmt(upper)}"}} {cumulative}')
+        lines.append(f'{metric}_bucket{{le="+Inf"}} {histogram.count}')
+        lines.append(f"{metric}_sum {_fmt(histogram.sum)}")
+        lines.append(f"{metric}_count {histogram.count}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -11,10 +11,9 @@ Two histogram shapes cover the simulator's needs:
 Both report p50/p95/p99/max from bucket counts in O(#buckets), keep exact
 ``count``/``sum``/``min``/``max``, and serialise deterministically.
 
-:class:`MetricsRegistry` subsumes the original
-:class:`~repro.cluster.metrics.MetricsCollector` (counters, gauges and
-append-only :class:`~repro.cluster.metrics.Series` keep working — the
-experiments depend on them) and registers histograms alongside.
+:class:`MetricsRegistry` is the one metrics store: named counters,
+append-only :class:`~repro.cluster.metrics.Series` (the experiments read
+them) and histograms.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import bisect
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.metrics import MetricsCollector
+from repro.cluster.metrics import Series
 
 
 class Histogram:
@@ -190,12 +189,37 @@ class LogBucketHistogram(Histogram):
         return (self.growth ** index, self.growth ** (index + 1))
 
 
-class MetricsRegistry(MetricsCollector):
-    """Counters + gauges + series (inherited) + named histograms."""
+class MetricsRegistry:
+    """Named counters, series and histograms."""
 
     def __init__(self) -> None:
-        super().__init__()
+        self._counters: Dict[str, float] = {}
+        self._series: Dict[str, Series] = {}
         self._histograms: Dict[str, Histogram] = {}
+
+    def increment(self, name: str, amount: float = 1.0) -> None:
+        self._counters[name] = self._counters.get(name, 0.0) + amount
+
+    def counter(self, name: str) -> float:
+        return self._counters.get(name, 0.0)
+
+    def counters(self) -> Dict[str, float]:
+        return dict(self._counters)
+
+    def record(self, name: str, time: float, value: float) -> None:
+        self.series(name).append(time, value)
+
+    def series(self, name: str) -> Series:
+        series = self._series.get(name)
+        if series is None:
+            series = self._series[name] = Series(name)
+        return series
+
+    def series_names(self) -> List[str]:
+        return sorted(self._series)
+
+    def has_series(self, name: str) -> bool:
+        return name in self._series
 
     def histogram(self, name: str,
                   bounds: Optional[Sequence[float]] = None,

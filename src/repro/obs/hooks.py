@@ -10,19 +10,20 @@ hook that, every ``sample_every``-th executed event, records
 - ``sim.events_sampled`` — counter of sampled events (total executed
   events stay available as ``loop.events_executed``).
 
-Sampling keeps the hook cheap: the unsampled path pays one ``is not None``
-check plus one modulo.
+Sampling keeps the hook cheap: the unsampled path pays one modulo.  It is
+one ``EventLoop.add_hook`` among the others; detaching removes only it.
 """
 
 from __future__ import annotations
 
 from repro.obs.histogram import MetricsRegistry
-from repro.sim.events import EventLoop
+from repro.sim.events import EventLoop, LoopHook
 
 
 def attach_loop_metrics(loop: EventLoop, registry: MetricsRegistry,
-                        sample_every: int = 64) -> None:
-    """Install callback-wall-time and queue-depth sampling on ``loop``."""
+                        sample_every: int = 64) -> LoopHook:
+    """Install callback-wall-time and queue-depth sampling on ``loop``;
+    returns the hook's handle for :func:`detach_loop_metrics`."""
     callback_ms = registry.histogram("sim.callback_ms")
     queue_depth = registry.series("sim.queue_depth")
 
@@ -31,9 +32,9 @@ def attach_loop_metrics(loop: EventLoop, registry: MetricsRegistry,
         queue_depth.append(lp.now, float(lp.pending()))
         registry.increment("sim.events_sampled")
 
-    loop.set_hook(hook, sample_every=sample_every)
+    return loop.add_hook(hook, sample_every=sample_every)
 
 
-def detach_loop_metrics(loop: EventLoop) -> None:
-    """Remove a previously attached hook."""
-    loop.clear_hook()
+def detach_loop_metrics(loop: EventLoop, handle: LoopHook) -> None:
+    """Remove the hook :func:`attach_loop_metrics` returned ``handle`` for."""
+    loop.remove_hook(handle)

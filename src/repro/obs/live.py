@@ -26,14 +26,12 @@ Three pieces:
 
 from __future__ import annotations
 
-import json
 import time as _time
 from collections import deque
 from typing import IO, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.obs.export import dumps_jsonl, read_jsonl, write_jsonl
 from repro.sim.events import EventLoop
-
-PathOrFile = Union[str, "IO[str]"]
 
 SCHEMA = 1
 
@@ -120,46 +118,35 @@ class TimeSeriesStore:
         store.dropped = int(data.get("dropped", 0))
         return store
 
+    def _jsonl(self, include_wall: bool) -> Tuple[List[dict], dict]:
+        """The rows and the header record (``rows`` holding their count)."""
+        header = self.to_dict(include_wall=include_wall)
+        rows = header.pop("rows")
+        header["rows"] = len(rows)
+        return rows, header
+
     def to_jsonl(self, include_wall: bool = False) -> str:
         """Header line + one row per line (sorted keys, compact separators).
 
         Byte-identical for a fixed seed when ``include_wall`` is False —
         the integration tests pin exactly that.
         """
-        doc = self.to_dict(include_wall=include_wall)
-        rows = doc.pop("rows")
-        doc["rows"] = len(rows)
-        lines = [json.dumps(doc, sort_keys=True, separators=(",", ":"))]
-        lines.extend(json.dumps(row, sort_keys=True, separators=(",", ":"))
-                     for row in rows)
-        return "\n".join(lines) + "\n"
+        return dumps_jsonl(*self._jsonl(include_wall))
 
-    def dump_jsonl(self, target: PathOrFile,
+    def dump_jsonl(self, target: Union[str, IO[str]],
                    include_wall: bool = False) -> int:
         """Write the store to a path or file object; returns the row count."""
-        text = self.to_jsonl(include_wall=include_wall)
-        if hasattr(target, "write"):
-            target.write(text)  # type: ignore[union-attr]
-        else:
-            with open(target, "w", encoding="utf-8") as handle:  # type: ignore[arg-type]
-                handle.write(text)
-        return len(self._rows)
+        return write_jsonl(target, *self._jsonl(include_wall))
 
     @classmethod
-    def from_jsonl(cls, source: PathOrFile) -> "TimeSeriesStore":
-        if hasattr(source, "read"):
-            text = source.read()  # type: ignore[union-attr]
-        else:
-            with open(source, "r", encoding="utf-8") as handle:  # type: ignore[arg-type]
-                text = handle.read()
-        lines = [line for line in text.splitlines() if line.strip()]
-        if not lines:
+    def from_jsonl(cls, source: Union[str, IO[str]]) -> "TimeSeriesStore":
+        records = read_jsonl(source)
+        if not records:
             return cls()
-        header = json.loads(lines[0])
+        header = records[0]
         if header.get("kind") != "timeseries":
             raise ValueError("not a timeseries JSONL (missing header line)")
-        header["rows"] = [json.loads(line) for line in lines[1:]]
-        return cls.from_dict(header)
+        return cls.from_dict({**header, "rows": records[1:]})
 
     # ----------------------------- merging ---------------------------- #
 

@@ -17,14 +17,12 @@ dump's event tail can be diffed against a replay's.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from typing import IO, List, Optional, Union
 
+from repro.obs.export import read_jsonl, write_jsonl
 from repro.obs.live import unwrap_callback
 from repro.sim.events import Event, EventLoop
-
-PathOrFile = Union[str, "IO[str]"]
 
 SCHEMA = 1
 
@@ -112,7 +110,7 @@ class FlightRecorder:
 
     # ----------------------------- dump/load -------------------------- #
 
-    def dump(self, target: PathOrFile,
+    def dump(self, target: Union[str, IO[str]],
              context: Optional[dict] = None) -> int:
         """Write header + ring as JSONL; returns the entry count.
 
@@ -128,33 +126,18 @@ class FlightRecorder:
             "entries": len(self._ring),
             "context": dict(context or {}),
         }
-        lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-        lines.extend(json.dumps(entry, sort_keys=True, separators=(",", ":"))
-                     for entry in self._ring)
-        text = "\n".join(lines) + "\n"
-        if hasattr(target, "write"):
-            target.write(text)  # type: ignore[union-attr]
-        else:
-            with open(target, "w", encoding="utf-8") as handle:  # type: ignore[arg-type]
-                handle.write(text)
-        return len(self._ring)
+        return write_jsonl(target, list(self._ring), header)
 
     @staticmethod
-    def load(source: PathOrFile) -> dict:
+    def load(source: Union[str, IO[str]]) -> dict:
         """Parse a dump back into ``{"context": ..., "entries": [...], ...}``."""
-        if hasattr(source, "read"):
-            text = source.read()  # type: ignore[union-attr]
-        else:
-            with open(source, "r", encoding="utf-8") as handle:  # type: ignore[arg-type]
-                text = handle.read()
-        lines = [line for line in text.splitlines() if line.strip()]
-        if not lines:
+        records = read_jsonl(source)
+        if not records:
             raise ValueError("empty flight dump")
-        header = json.loads(lines[0])
+        header = records[0]
         if header.get("kind") != "flight":
             raise ValueError("not a flight-recorder dump (missing header)")
-        header["entries"] = [json.loads(line) for line in lines[1:]]
-        return header
+        return {**header, "entries": records[1:]}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<FlightRecorder entries={len(self._ring)} "

@@ -1,8 +1,8 @@
 """Trace summarisation for the ``fuxi-sim trace`` CLI.
 
-Works on the plain record dicts produced by :func:`repro.obs.export.
-trace_records` / :func:`~repro.obs.export.load_trace_jsonl`, so it can
-summarize a live tracer or a file equally.
+Works on the plain record dicts of :meth:`repro.obs.tracer.Tracer.records`
+/ :func:`~repro.obs.export.load_trace_jsonl`, so it can summarize a live
+tracer or a file equally.
 """
 
 from __future__ import annotations

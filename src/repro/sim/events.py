@@ -31,13 +31,14 @@ global ``(time, seq)`` order.  Occurrences handled inside another event's
 callback are counted in :attr:`EventLoop.events_absorbed`;
 :attr:`EventLoop.events_executed` stays the number of loop steps.
 
-For observability the loop supports per-event hooks (see
-:meth:`EventLoop.add_hook` and the legacy single-hook
-:meth:`EventLoop.set_hook`): every ``sample_every``-th executed event is
-timed with the wall clock and reported together with the loop state.
-Multiple hooks with independent sampling intervals can coexist — the obs
-layer samples wall time while the chaos harness checks invariants — and
-with no hook installed the execution path pays a single truthiness check.
+For observability the loop supports per-event hooks
+(:meth:`EventLoop.add_hook` / :meth:`EventLoop.remove_hook`): every
+``sample_every``-th executed event is timed with the wall clock and
+reported together with the loop state.  Multiple hooks with independent
+sampling intervals coexist — the obs layer samples wall time while the
+flight recorder logs every event and the chaos harness checks invariants;
+removing one leaves the others installed — and with no hook installed the
+execution path pays a single truthiness check.
 Hooks run before the fired event is recycled, so they always observe a
 coherent Event.
 """
@@ -220,7 +221,7 @@ class EventLoop:
         self._live = 0
         self._cancelled = 0
         self._free: List[Event] = []
-        # optional instrumentation (see add_hook / set_hook)
+        # optional instrumentation (see add_hook / remove_hook)
         self._hooks: List[LoopHook] = []
 
     @property
@@ -364,17 +365,6 @@ class EventLoop:
             self._hooks.remove(handle)
         except ValueError:
             pass
-
-    def set_hook(self, hook: Callable[["EventLoop", Event, float], None],
-                 sample_every: int = 1) -> None:
-        """Replace every installed hook with this single one (legacy API)."""
-        if sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1, got {sample_every}")
-        self._hooks = [LoopHook(hook, int(sample_every))]
-
-    def clear_hook(self) -> None:
-        """Remove all per-event hooks (back to the zero-overhead path)."""
-        self._hooks = []
 
     # ------------------------------------------------------------------ #
     # execution

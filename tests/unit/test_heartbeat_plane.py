@@ -9,12 +9,13 @@ the same log, besides asserting the order itself.
 import pytest
 
 from repro import kernels
-from repro.api import ClusterBuilder
+from repro.api import ClusterBuilder, RunSpec, simulate
 from repro.cluster.machine import MachineSpec, MachineState
 from repro.cluster.network import MessageBus, NetworkConfig
 from repro.core import messages as msg
 from repro.core.agent import FuxiAgent, FuxiAgentConfig
 from repro.core.health import HealthPlugin
+from repro.core.master import FuxiMaster
 from repro.core.resources import ResourceVector
 from repro.sim.actor import Actor
 from repro.sim.events import EventLoop
@@ -387,16 +388,32 @@ def test_roll_up_takes_the_full_path_exactly_when_something_changes():
     assert outcomes[0]["score"] < 1.0
 
 
-def test_traced_cluster_sends_every_beat_through_the_handler():
-    """Per-machine health series are recorded per beat under tracing, so
-    the roll-up folds nothing there."""
-    cluster = ClusterBuilder(racks=1, machines_per_rack=3,
-                             trace=True).build()
-    machine = cluster.topology.machines()[0]
-    before = len(cluster.metrics.series(f"health.{machine}").points)
-    cluster.run_for(3.0)
-    after = len(cluster.metrics.series(f"health.{machine}").points)
-    assert after - before == 3
+def test_traced_run_takes_the_untraced_path(monkeypatch):
+    """Tracing observes the run; it does not switch the roll-up off."""
+    handled = []
+    original = FuxiMaster._handle_agent_heartbeat
+    monkeypatch.setattr(
+        FuxiMaster, "_handle_agent_heartbeat",
+        lambda self, sender, beat: (handled.append(beat.machine),
+                                    original(self, sender, beat)))
+    spec = RunSpec(racks=4, machines_per_rack=15, concurrent_jobs=60,
+                   duration=60)
+    runs = []
+    for trace in (False, True):
+        handled.clear()
+        result = simulate(spec, seed=7, trace=trace)
+        summary = result.summary_dict()
+        summary.pop("spec")
+        runs.append({
+            "summary": summary,
+            "fm": {name: value
+                   for name, value in result.metrics.counters().items()
+                   if name.startswith("fm.")},
+            "steps": result.cluster.loop.events_executed,
+            "handler_calls": len(handled),
+        })
+    assert runs[0] == runs[1]
+    assert runs[0]["handler_calls"] == 61
 
 
 # --------------------------------------------------------------------- #

@@ -1,12 +1,14 @@
-"""Unit tests for metrics collection and table formatting."""
+"""Unit tests for the metrics registry's counters and series, the shared
+percentile, and table formatting."""
 
 import pytest
 
-from repro.cluster.metrics import MetricsCollector, Series, format_table
+from repro.cluster.metrics import Series, format_table, percentile
+from repro.obs.histogram import MetricsRegistry
 
 
 def test_counter_increment():
-    metrics = MetricsCollector()
+    metrics = MetricsRegistry()
     metrics.increment("x")
     metrics.increment("x", 2.5)
     assert metrics.counter("x") == 3.5
@@ -14,7 +16,7 @@ def test_counter_increment():
 
 
 def test_series_record_and_stats():
-    metrics = MetricsCollector()
+    metrics = MetricsRegistry()
     for t, v in [(0, 1.0), (1, 3.0), (2, 2.0)]:
         metrics.record("s", t, v)
     series = metrics.series("s")
@@ -44,6 +46,17 @@ def test_percentile_single_point():
     series = Series("p")
     series.append(0.0, 7.0)
     assert series.percentile(99) == 7.0
+
+
+def test_series_percentile_is_the_shared_function():
+    values = [3.0, 0.5, 9.25, 4.0, 1.0, 7.5]
+    series = Series("p")
+    for i, value in enumerate(values):
+        series.append(float(i), value)
+    ordered = sorted(values)
+    for q in (0, 12.5, 50, 90, 95, 99, 100):
+        assert series.percentile(q) == percentile(ordered, q)
+    assert percentile([], 50) == 0.0
 
 
 def test_resample_buckets_means():
@@ -79,18 +92,8 @@ def test_resample_fractional_step():
     assert series.resample(0.5) == [(0.0, 1.0), (0.5, 3.0)]
 
 
-def test_gauges_sampled_into_series():
-    metrics = MetricsCollector()
-    value = {"v": 1.0}
-    metrics.register_gauge("g", lambda: value["v"])
-    metrics.sample_gauges(0.0)
-    value["v"] = 2.0
-    metrics.sample_gauges(1.0)
-    assert metrics.series("g").points == [(0.0, 1.0), (1.0, 2.0)]
-
-
 def test_series_names_and_has_series():
-    metrics = MetricsCollector()
+    metrics = MetricsRegistry()
     metrics.record("b", 0, 0)
     metrics.record("a", 0, 0)
     assert metrics.series_names() == ["a", "b"]

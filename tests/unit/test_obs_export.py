@@ -100,10 +100,9 @@ def test_prometheus_name_sanitization():
 
 
 def test_prometheus_plain_collector_has_no_histogram_section():
-    from repro.cluster.metrics import MetricsCollector
-    collector = MetricsCollector()
-    collector.increment("a")
-    text = prometheus_text(collector)
+    registry = MetricsRegistry()
+    registry.increment("a")
+    text = prometheus_text(registry)
     assert "histogram" not in text
 
 
