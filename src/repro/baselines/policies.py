@@ -60,7 +60,6 @@ class MesosPolicy(SchedulerPolicy):
     heartbeat_paced = True
     exclusive_event = True
     enable_preemption = False
-    drifting_priority = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -132,7 +131,6 @@ class SizeBasedPolicy(SchedulerPolicy):
 
     name = "size-based"
     enable_preemption = False
-    drifting_priority = True
 
     #: completed instances needed before the size estimate is trusted
     sample_min = 3

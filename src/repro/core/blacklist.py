@@ -84,9 +84,6 @@ class JobBlacklist:
         self._job_bad.add(machine)
         return True
 
-    def instance_avoids(self, instance: str) -> Set[str]:
-        return set(self._instance_bad.get(instance, ()))
-
     def task_avoids(self, task: str) -> Set[str]:
         return set(self._task_bad.get(task, ())) | self._job_bad
 

@@ -828,23 +828,6 @@ class FuxiMaster(Actor):
         """The master's soft-state allocation books for one machine."""
         return self._alloc_state(machine)
 
-    def grant_view(self, app_id: str) -> Dict[UnitKey, Dict[str, int]]:
-        """The master's soft-state grant books for one application."""
-        return self._grant_state(app_id)
-
-    def invariant_probe(self) -> Dict[str, Any]:
-        """Cheap snapshot of the master's control state for checkers."""
-        return {
-            "name": self.name,
-            "alive": self.alive,
-            "role": self.role,
-            "recovering": self.recovering,
-            "failovers": self.failovers,
-            "machines": (self.scheduler.pool.machine_count()
-                         if self.scheduler is not None else 0),
-            "disabled": sorted(self.blacklist.disabled_machines()),
-        }
-
     def telemetry_probe(self) -> Dict[str, float]:
         """Deterministic heartbeat/blacklist roll-up for the live sampler.
 

@@ -17,15 +17,16 @@ Policies are registered by name and selected by name
 recreates its scheduler on failover and sweep workers unpickle specs,
 so a policy selection must survive as a string, not a live object.
 
-Fast-path guarantee: the default :class:`FuxiPolicy` sets
-``passthrough = True`` and the scheduler skips *every* hook call on that
-path — the Fuxi policy's grant stream is byte-identical to the
-pre-policy-seam scheduler and pays no per-decision indirection.
+One path: the scheduler calls every hook for every policy, and the
+base class's defaults *are* the Fuxi decisions, so :class:`FuxiPolicy`
+overrides nothing but its name.  A policy whose
+:meth:`SchedulerPolicy.effective_priority` is overridden has drifting
+queue keys; the scheduler derives that from the override itself.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple, Type, TYPE_CHECKING
+from typing import Dict, Iterable, Tuple, Type, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.request import WaitingDemand
@@ -45,9 +46,6 @@ class SchedulerPolicy:
 
     #: registry name; also the value of ``SchedulerConfig.policy``
     name: str = "base"
-    #: True only for :class:`FuxiPolicy`: the scheduler skips every hook
-    #: on this path, guaranteeing the pre-seam byte-identical fast path.
-    passthrough: bool = False
     #: honor machine/rack locality hints (False: all demand is "anywhere")
     use_hints: bool = True
     #: place a demand the moment its request delta arrives (False: the
@@ -64,12 +62,6 @@ class SchedulerPolicy:
     global_recompute: bool = False
     #: consult the two-level preemption of §3.4 for starved requests
     enable_preemption: bool = True
-    #: :meth:`effective_priority` can return a different value for the
-    #: same waiting demand over time, so re-pushing a queue entry can move
-    #: it.  Must be True for any policy overriding that hook: machine
-    #: events then always run their full candidate scan (the scheduler's
-    #: early exit relies on a rejected candidate's re-push being a no-op).
-    drifting_priority: bool = False
 
     def __init__(self) -> None:
         self.scheduler: "FuxiScheduler" = None  # type: ignore[assignment]
@@ -78,7 +70,7 @@ class SchedulerPolicy:
         """Bind to the owning scheduler (called once, from its __init__)."""
         self.scheduler = scheduler
 
-    # -- decision hooks (never called on the passthrough fast path) ----- #
+    # -- decision hooks ------------------------------------------------ #
 
     def transform_unit(self, unit: "ScheduleUnit") -> "ScheduleUnit":
         """Rewrite a ScheduleUnit at definition time (e.g. fractional CPU)."""
@@ -86,7 +78,12 @@ class SchedulerPolicy:
 
     def effective_priority(self, unit: "ScheduleUnit",
                            demand: "WaitingDemand") -> int:
-        """The priority used for queue ordering (lower = served first)."""
+        """The priority used for queue ordering (lower = served first).
+
+        Overriding this makes the policy's queue keys drift: the
+        scheduler then walks machine events destructively, re-indexes
+        what it passed over, and drops the census early exit.
+        """
         return unit.priority
 
     def rank_anywhere(self, unit: "ScheduleUnit", wanted: int,
@@ -114,17 +111,14 @@ class SchedulerPolicy:
 
 
 class FuxiPolicy(SchedulerPolicy):
-    """The paper's incremental locality-tree policy — the passthrough.
+    """The paper's incremental locality-tree policy.
 
-    Every decision stays exactly where PR 3/6 put it: hints honored,
-    best-fit most-free-first cluster ranking from the fit index, placement
-    on request arrival, §3.4 preemption.  ``passthrough = True`` makes the
-    scheduler skip all hook calls, so this class body is intentionally
-    empty — it *documents* the default rather than implementing it twice.
+    Hints honored, best-fit most-free-first cluster ranking from the fit
+    index, placement on request arrival, §3.4 preemption: exactly the
+    :class:`SchedulerPolicy` defaults, so this class body only names it.
     """
 
     name = "fuxi"
-    passthrough = True
 
 
 # --------------------------------------------------------------------- #
@@ -177,16 +171,6 @@ def validate_policy_name(name: str) -> str:
 def create_policy(name: str) -> SchedulerPolicy:
     """Instantiate the policy registered under ``name``."""
     return _REGISTRY[validate_policy_name(name)]()
-
-
-def policy_summaries() -> List[Tuple[str, str]]:
-    """(name, first docstring line) per registered policy, sorted."""
-    _ensure_builtin()
-    out = []
-    for name in known_policies():
-        doc = (_REGISTRY[name].__doc__ or "").strip().splitlines()
-        out.append((name, doc[0] if doc else ""))
-    return out
 
 
 register_policy(FuxiPolicy)

@@ -328,10 +328,6 @@ class FreeResourcePool:
             return 0
         return unit_size.max_units_in(self.free(machine))
 
-    def disabled_count(self) -> int:
-        """Number of blacklist-disabled machines (O(1))."""
-        return len(self._disabled)
-
     def snapshot(self) -> Dict[str, object]:
         """Deterministic pool summary for the live telemetry sampler.
 

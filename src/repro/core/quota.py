@@ -82,9 +82,6 @@ class QuotaManager:
     def usage(self, group_name: str) -> ResourceVector:
         return self._usage.get(group_name, ResourceVector())
 
-    def usage_of_app_group(self, app_id: str) -> ResourceVector:
-        return self.usage(self.group_of(app_id))
-
     # --------------------------------------------------------------- #
     # policy questions
     # --------------------------------------------------------------- #

@@ -41,8 +41,10 @@ from repro.obs.tracer import NULL_TRACER
 class SchedulerConfig(ConfigBase):
     """Knobs for the scheduling core (keyword-only, validated).
 
+    Whether §3.4 preemption runs at all is the policy's decision
+    (:attr:`SchedulerPolicy.enable_preemption`), not a knob here.
+
     Attributes:
-        enable_preemption: turn the two-level preemption of §3.4 on/off.
         preemption_scan_limit: how many machines to consider as preemption
             sites for one starved request (bounds worst-case planning work).
         schedule_scan_limit: stop serving a machine's queues after passing
@@ -63,8 +65,6 @@ class SchedulerConfig(ConfigBase):
             resources free.  Bounds the scheduling-latency tail (p100).
     """
 
-    enable_preemption: bool = conf(
-        True, help="two-level preemption of §3.4")
     preemption_scan_limit: int = conf(
         20, min=1, help="machines considered as preemption sites per "
                         "starved request")
@@ -118,10 +118,6 @@ class FuxiScheduler:
                  policy: Optional[SchedulerPolicy] = None):
         self.config = config or SchedulerConfig()
         self.policy = policy or create_policy(self.config.policy)
-        # Fast-path cache: with the passthrough (fuxi) policy every hook
-        # call below is skipped outright, keeping the hot path's grant
-        # stream byte-identical to the pre-policy-seam scheduler.
-        self._passthrough = self.policy.passthrough
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._decision_mark: Optional[Tuple[int, ...]] = None
         self.pool = FreeResourcePool()
@@ -147,8 +143,9 @@ class FuxiScheduler:
         # The early exit skips pop/reject/re-push rounds, and the machine-
         # event walk passes over rejected entries instead of doing them:
         # both are no-ops only while a re-push cannot move an entry in its
-        # queue.
-        self._exact_exit = not self.policy.drifting_priority
+        # queue, i.e. while the policy keeps the base effective_priority.
+        self._exact_exit = (type(self.policy).effective_priority
+                            is SchedulerPolicy.effective_priority)
         self._preemption = PreemptionPlanner(self.quota, self.units.get)
         self.policy.attach(self)
         # (group -> priority -> granted units) so the preemption pre-check
@@ -222,8 +219,7 @@ class FuxiScheduler:
                                   unit.resources * (-revocation.count))
                 self._track_units(unit, revocation.count)
                 self.stats.units_revoked += -revocation.count
-                if not self._passthrough:
-                    self.policy.on_revoke(unit, machine, -revocation.count)
+                self.policy.on_revoke(unit, machine, -revocation.count)
             rack = self._machine_rack.pop(machine, None)
             if rack is not None and machine in self._rack_machines.get(rack, ()):
                 self._rack_machines[rack].remove(machine)
@@ -276,15 +272,12 @@ class FuxiScheduler:
             self.quota.refund(app_id, freed)
             self._track_units(unit, revocation.count)
             self.stats.units_revoked += -revocation.count
-            if not self._passthrough:
-                self.policy.on_revoke(unit, revocation.machine,
-                                      -revocation.count)
+            self.policy.on_revoke(unit, revocation.machine, -revocation.count)
             touched.append(revocation.machine)
         self.units.drop_app(app_id)
         self.quota.remove_app(app_id)
         self._apps.discard(app_id)
-        if not self._passthrough:
-            self.policy.on_app_exit(app_id)
+        self.policy.on_app_exit(app_id)
         for machine in sorted(set(touched)):
             decisions.extend(self._schedule_machine(machine))
         return decisions
@@ -293,11 +286,10 @@ class FuxiScheduler:
         """Register (or redefine) one of an application's ScheduleUnits."""
         if unit.app_id not in self._apps:
             raise KeyError(f"unknown application {unit.app_id!r}")
-        if not self._passthrough:
-            # Single entry point for unit shapes: a transform here (e.g.
-            # the fractional policy's CPU scaling) is what the pool,
-            # ledger, quota and restore paths all see consistently.
-            unit = self.policy.transform_unit(unit)
+        # Single entry point for unit shapes: a transform here (e.g. the
+        # fractional policy's CPU scaling) is what the pool, ledger, quota
+        # and restore paths all see consistently.
+        unit = self.policy.transform_unit(unit)
         demand = self._demands.get(unit.key)
         reranked = (demand is not None and unit.key in self.units
                     and self.units.get(unit.key).priority != unit.priority)
@@ -347,8 +339,7 @@ class FuxiScheduler:
             return []
         decisions = self._place_demand(delta.unit_key, demand)
         self._reindex(delta.unit_key, demand)
-        if (not demand.is_empty() and self.config.enable_preemption
-                and (self._passthrough or self.policy.enable_preemption)):
+        if not demand.is_empty() and self.policy.enable_preemption:
             decisions.extend(self._try_preemption(delta.unit_key, demand))
             self._reindex(delta.unit_key, demand)
         return decisions
@@ -375,12 +366,11 @@ class FuxiScheduler:
             self.pool.release(machine, freed)
             self.quota.refund(unit_key.app_id, freed)
             self._track_units(unit, -count)
-            if not self._passthrough:
-                self.policy.on_return(unit, machine, count)
-                if self.policy.global_recompute:
-                    # Hadoop-1.0 signature cost: every free-up rescans the
-                    # whole cluster instead of one machine's queue path.
-                    return self._schedule_all()
+            self.policy.on_return(unit, machine, count)
+            if self.policy.global_recompute:
+                # Hadoop-1.0 signature cost: every free-up rescans the
+                # whole cluster instead of one machine's queue path.
+                return self._schedule_all()
             return self._schedule_machine(machine)
         finally:
             self._end_decision(span)
@@ -436,15 +426,14 @@ class FuxiScheduler:
         fit = unit.resources.max_units_in(self.pool.free(machine))
         count = min(count, fit)
         self.ledger.set_count(unit_key, machine, count)
-        if previous and not self._passthrough:
+        if previous:
             self.policy.on_revoke(unit, machine, previous)
         if count:
             amount = unit.resources * count
             self.pool.allocate(machine, amount)
             self.quota.charge(unit_key.app_id, amount)
             self._track_units(unit, count)
-            if not self._passthrough:
-                self.policy.on_grant(unit, machine, count)
+            self.policy.on_grant(unit, machine, count)
         return count
 
     def reinstall_demand(self, unit_key: UnitKey, demand: WaitingDemand,
@@ -495,7 +484,7 @@ class FuxiScheduler:
         """
         span = self._begin_decision("machine_event", target=machine)
         try:
-            if not self._passthrough and self.policy.global_recompute:
+            if self.policy.global_recompute:
                 return self._schedule_all()
             return self._schedule_machine(machine)
         finally:
@@ -552,14 +541,13 @@ class FuxiScheduler:
             self.stats.rack_local += count
         else:
             self.stats.cluster_wide += count
-        if not self._passthrough:
-            self.policy.on_grant(unit, machine, count)
+        self.policy.on_grant(unit, machine, count)
         return Grant(unit.key, machine, count)
 
     def _place_demand(self, unit_key: UnitKey, demand: WaitingDemand) -> List[Grant]:
         """Greedy immediate placement for one demand: hints first, then spread."""
-        passthrough = self._passthrough
-        if not passthrough and not self.policy.place_on_request:
+        policy = self.policy
+        if not policy.place_on_request:
             # Deferred policy (YARN/Mesos pacing): the demand stays queued
             # until a machine event serves it.  Covers the failover
             # reconcile path too — re-sent demands re-queue, then grants
@@ -567,9 +555,8 @@ class FuxiScheduler:
             return []
         unit = self.units.get(unit_key)
         grants: List[Grant] = []
-        use_hints = passthrough or self.policy.use_hints
         # 1. machine hints, most-wanted first.
-        if use_hints:
+        if policy.use_hints:
             for machine in sorted(demand.machine_hints,
                                   key=lambda m: (-demand.machine_hints[m], m)):
                 if demand.is_empty():
@@ -610,12 +597,7 @@ class FuxiScheduler:
             if cap > 0 and self.quota.within_max(unit.app_id, unit.resources):
                 budget = min(self.config.place_scan_limit,
                              wanted + len(demand.avoid))
-                if passthrough:
-                    ranking = self.pool.best_fit_machines(unit.resources,
-                                                          limit=budget)
-                else:
-                    ranking = self.policy.rank_anywhere(unit, wanted, budget)
-                for machine, _ in ranking:
+                for machine, _ in policy.rank_anywhere(unit, wanted, budget):
                     if demand.is_empty():
                         break
                     if machine in demand.avoid:
@@ -641,29 +623,28 @@ class FuxiScheduler:
         order until its free space, the waiting demands or the scan
         budget run out.
 
-        For fixed-key policies the walk is non-destructive: a demand
-        this event cannot serve is passed over where it is queued, which
-        is where popping and re-pushing it would have put it back
-        (DESIGN.md §4).  Drifting-priority policies walk destructively —
-        a passed entry is consumed and re-indexed after the event, which
-        is what re-ranks it.
+        With fixed keys the walk is non-destructive: a demand this event
+        cannot serve is passed over where it is queued, which is where
+        popping and re-pushing it would have put it back (DESIGN.md §4).
+        A policy with drifting keys walks destructively — a passed entry
+        is consumed and re-indexed after the event, which is what
+        re-ranks it.
         """
         pool = self.pool
         demands = self._demands
-        exact_exit = self._exact_exit
-        passthrough = self._passthrough
+        destructive = not self._exact_exit
         # Rejected this event (cannot be served here now): passed over
         # for the rest of it.
         skip_keys: Set[UnitKey] = set()
-        skipped: List[Tuple[UnitKey, WaitingDemand]] = []
         # Mesos-style exclusive offer: once an app takes from this event,
         # the rest of the event is its alone (None = not locked yet).
-        exclusive = not passthrough and self.policy.exclusive_event
+        exclusive = self.policy.exclusive_event
         locked_app: Optional[str] = None
-        # Demands turned away by the lock or their avoid list.  A policy
-        # path re-indexes them, and the skipped ones, after the event: a
-        # destructive walk consumed their entries.  Insertion-ordered
-        # dict, not a set, so that order never depends on hash salting.
+        # A destructive walk consumes the entries it passes over, so it
+        # re-indexes them after the event: the skipped demands, then those
+        # turned away by the lock or their avoid list (insertion-ordered
+        # dict, not a set, so that order never depends on hash salting).
+        skipped: List[Tuple[UnitKey, WaitingDemand]] = []
         turned_away: Dict[UnitKey, None] = {}
 
         # Bound once: classify runs for every entry the walk passes, and
@@ -676,13 +657,15 @@ class FuxiScheduler:
             if unit_key in skip_keys:
                 return -1
             if locked_app is not None and unit_key.app_id != locked_app:
-                turned_away[unit_key] = None
+                if destructive:
+                    turned_away[unit_key] = None
                 return -1
             demand = demands.get(unit_key)
             if demand is None:
                 return 0
             if machine in demand.avoid:
-                turned_away[unit_key] = None
+                if destructive:
+                    turned_away[unit_key] = None
                 return -1
             if level is cluster_level:
                 return demand.total
@@ -690,7 +673,7 @@ class FuxiScheduler:
                 return demand.wants_machine(name)
             return demand.wants_rack(name)
 
-        walk = self.tree.walk(machine, classify, destructive=not exact_exit)
+        walk = self.tree.walk(machine, classify, destructive=destructive)
         totals = self.ledger.unit_totals()
         units = self.units.definitions()
         scan_limit = self.config.schedule_scan_limit
@@ -711,7 +694,7 @@ class FuxiScheduler:
                     count = self._quota_limit(unit, min(wanted, fit, cap))
             if count <= 0:
                 skip_keys.add(unit_key)
-                if not passthrough:
+                if destructive:
                     skipped.append((unit_key, demands[unit_key]))
                 consecutive_skips += 1
                 if consecutive_skips >= scan_limit:
@@ -724,7 +707,7 @@ class FuxiScheduler:
                                             level))
             self._reindex(unit_key, demand)
             free = pool.free(machine)
-            if free.is_zero() or (exact_exit
+            if free.is_zero() or (not destructive
                                   and not self._waiting_fits(free)):
                 # Nothing left that anyone waiting could take.
                 break
@@ -734,7 +717,7 @@ class FuxiScheduler:
             else:
                 head = walk.send(REREAD)
         walk.close()
-        if not passthrough:
+        if destructive:
             for unit_key, demand in skipped:
                 self._reindex(unit_key, demand)
             for unit_key in turned_away:
@@ -790,23 +773,21 @@ class FuxiScheduler:
             return
         unit = self.units.get(unit_key)
         self._count_waiting(unit_key, unit.resources)
-        if self._passthrough:
-            self.tree.index(unit_key, unit.priority, demand.submit_seq,
-                            demand.machine_hints, demand.rack_hints,
-                            demand.total)
-            return
-        # Policy path: priorities can drift (fair-share counts, size
-        # estimates, aging), and the lazy queues keep the priority an
-        # entry was *pushed* with — drop and re-push so the new rank
-        # takes effect.  Hint-blind policies index anywhere-only.
-        priority = self.policy.effective_priority(unit, demand)
-        if self.policy.use_hints:
+        policy = self.policy
+        # Hint-blind policies index anywhere-only.
+        if policy.use_hints:
             machine_hints, rack_hints = demand.machine_hints, demand.rack_hints
         else:
             machine_hints = rack_hints = {}
-        self.tree.remove(unit_key)
-        self.tree.index(unit_key, priority, demand.submit_seq,
-                        machine_hints, rack_hints, demand.total)
+        if not self._exact_exit:
+            # Drifting keys (fair-share counts, size estimates, aging): the
+            # queues keep the priority an entry was *pushed* with — drop
+            # and re-push so the new rank takes effect.  A fixed key is
+            # already where a re-push would put it.
+            self.tree.remove(unit_key)
+        self.tree.index(unit_key, policy.effective_priority(unit, demand),
+                        demand.submit_seq, machine_hints, rack_hints,
+                        demand.total)
 
     # ------------------------------------------------------------------ #
     # preemption
@@ -843,8 +824,7 @@ class FuxiScheduler:
                 self._track_units(victim, revocation.count)
                 self.stats.units_revoked += -revocation.count
                 self.stats.preemptions += 1
-                if not self._passthrough:
-                    self.policy.on_revoke(victim, machine, -revocation.count)
+                self.policy.on_revoke(victim, machine, -revocation.count)
                 decisions.append(revocation)
             count = self._grant_limit(unit, machine, demand.wants_anywhere())
             if count > 0:

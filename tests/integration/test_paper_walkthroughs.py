@@ -8,11 +8,18 @@
   and cluster scope, decremented by the amount of assigned units).
 """
 
+from repro.core.policy import FuxiPolicy
 from repro.core.quota import QuotaGroup
 from repro.core.request import RequestDelta
 from repro.core.resources import ResourceVector
-from repro.core.scheduler import FuxiScheduler, SchedulerConfig
+from repro.core.scheduler import FuxiScheduler
 from repro.core.units import ScheduleUnit
+
+
+class NoPreemption(FuxiPolicy):
+    """Fuxi with the §3.4 preemption turned off."""
+
+    enable_preemption = False
 
 
 def granted(decisions, unit_key=None):
@@ -100,7 +107,7 @@ class TestFigure5:
     def setup_method(self):
         # Rack1 = {M1, M2}, Rack2 = {M3, M4}, tiny machines so everything
         # queues; we only exercise the waiting-count arithmetic.
-        self.scheduler = FuxiScheduler(SchedulerConfig(enable_preemption=False))
+        self.scheduler = FuxiScheduler(policy=NoPreemption())
         for machine, rack in (("M1", "Rack1"), ("M2", "Rack1"),
                               ("M3", "Rack2"), ("M4", "Rack2")):
             self.scheduler.add_machine(

@@ -149,7 +149,7 @@ class FullScanScheduler(FuxiScheduler):
         # Mesos-style exclusive offer: once an app takes from this event,
         # the rest of the event is its alone (None = not locked yet;
         # candidates from other apps then read as stale via ``wants``).
-        exclusive = (not self._passthrough) and self.policy.exclusive_event
+        exclusive = self.policy.exclusive_event
         locked_app: Optional[str] = None
         # Entries turned away for this event only — by the exclusivity
         # lock, or because their demand avoids this machine: the queues'

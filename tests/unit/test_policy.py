@@ -22,7 +22,7 @@ import warnings
 import pytest
 
 from repro.api import ClusterBuilder, RunSpec, simulate
-from repro.core.policy import (SchedulerPolicy, create_policy,
+from repro.core.policy import (FuxiPolicy, SchedulerPolicy, create_policy,
                                known_policies, validate_policy_name)
 from repro.core.request import RequestDelta
 from repro.core.resources import ResourceVector
@@ -49,9 +49,11 @@ def test_create_policy_round_trips_names():
         assert policy.name == name
 
 
-def test_only_fuxi_is_passthrough():
-    for name in ALL_POLICIES:
-        assert create_policy(name).passthrough is (name == "fuxi")
+def test_fuxi_policy_is_the_base_defaults():
+    """The base class's decisions are Fuxi's: FuxiPolicy overrides no
+    SchedulerPolicy attribute but its name, and adds none."""
+    own = {attr for attr in vars(FuxiPolicy) if not attr.startswith("__")}
+    assert own == {"name"}
 
 
 def test_unknown_policy_lists_registered_names():
@@ -330,3 +332,119 @@ def test_hadoop10_places_anywhere_in_name_order(policy, expected):
     scheduler.add_machine("m1", "r0", NODE)
     _, grants = _request(scheduler, "app", 1)
     assert [(g.machine, g.count) for g in grants] == [(expected, 1)]
+
+
+# ---------------------- one path for every policy -------------------- #
+
+class CountingFuxi(FuxiPolicy):
+    """Fuxi, counting the units its on_grant hook is told about."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.granted = 0
+
+    def on_grant(self, unit, machine, count):
+        self.granted += count
+
+
+class FuxiWithoutPreemption(FuxiPolicy):
+    enable_preemption = False
+
+
+def _low_then_high(policy):
+    """One machine of 2 slots; a low-priority app (200), then a
+    high-priority one (100), each asking for 2 units."""
+    scheduler = FuxiScheduler(policy=policy)
+    scheduler.add_machine("m0", "r0", SLOT * 2)
+    _request(scheduler, "low", 2, priority=200)
+    _request(scheduler, "high", 2, priority=100)
+    return scheduler
+
+
+def test_fuxi_subclass_hooks_are_called():
+    policy = CountingFuxi()
+    scheduler = _low_then_high(policy)
+    assert scheduler.stats.preemptions == 1
+    assert scheduler.stats.units_granted == 3
+    assert policy.granted == 3
+
+
+def test_fuxi_subclass_can_turn_preemption_off():
+    scheduler = _low_then_high(FuxiWithoutPreemption())
+    assert scheduler.stats.preemptions == 0
+    assert scheduler.stats.units_granted == 2
+
+
+class DriftingOnly(SchedulerPolicy):
+    """Overrides effective_priority and nothing else."""
+
+    def effective_priority(self, unit, demand):
+        return unit.priority
+
+
+class FixedOnly(SchedulerPolicy):
+    """Overrides nothing."""
+
+
+@pytest.mark.parametrize("name", ALL_POLICIES)
+def test_drifting_keys_are_derived_from_the_override(name):
+    scheduler = FuxiScheduler(policy=create_policy(name))
+    assert (not scheduler._exact_exit) is (name in ("mesos", "size-based"))
+
+
+@pytest.mark.parametrize("policy,expected", [(DriftingOnly, True),
+                                             (FixedOnly, False)])
+def test_overriding_effective_priority_walks_destructively(
+        monkeypatch, policy, expected):
+    scheduler = FuxiScheduler(policy=policy())
+    scheduler.add_machine("m0", "r0", SLOT * 2)
+    key, _ = _request(scheduler, "app", 3)
+    seen = []
+    walk = scheduler.tree.walk
+
+    def spy(machine, classify, destructive=False):
+        seen.append(destructive)
+        return walk(machine, classify, destructive=destructive)
+
+    monkeypatch.setattr(scheduler.tree, "walk", spy)
+    grants = scheduler.return_resource(key, "m0", 1)
+    assert [(g.unit_key, g.count) for g in grants] == [(key, 1)]
+    assert seen == [expected]
+
+
+@pytest.mark.parametrize("name,offers,index,remove", [
+    ("fuxi", 1, 1, 0), ("yarn", 1, 1, 0), ("hadoop10", 1, 1, 0),
+    ("fractional", 1, 1, 0),
+    # drifting keys: the granted demand and the skipped one are re-pushed
+    ("mesos", 2, 2, 2), ("size-based", 1, 2, 2)])
+def test_fixed_keys_regrant_without_reindex_churn(monkeypatch, name, offers,
+                                                  index, remove):
+    """App ``a`` (at its max_count of 1) queues ahead of app ``b``; b's
+    return is re-granted to b.  With fixed keys that costs one queue
+    push for b and no removal: ``a`` is passed over in place."""
+    shape = ResourceVector.of(cpu=100, memory=2048)
+    scheduler = FuxiScheduler(policy=create_policy(name))
+    scheduler.add_machine("m0", "r0", ResourceVector.of(cpu=300, memory=6144))
+    keys = {}
+    for app, max_count, count in (("a", 1, 3), ("b", 10 ** 9, 5)):
+        scheduler.register_app(app)
+        unit = ScheduleUnit(app, 1, shape, priority=100, max_count=max_count)
+        scheduler.define_unit(unit)
+        scheduler.apply_request_delta(RequestDelta.initial(unit.key, count))
+        keys[app] = unit.key
+    # (a Mesos offer is exclusive: the first serves a alone, the second b)
+    for _ in range(offers):
+        scheduler.machine_event("m0")
+    assert scheduler.ledger.total_units(keys["b"]) == 2
+    calls = {"index": 0, "remove": 0}
+    for op in calls:
+        original = getattr(scheduler.tree, op)
+
+        def spy(*args, _op=op, _original=original):
+            calls[_op] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(scheduler.tree, op, spy)
+    grants = scheduler.return_resource(keys["b"], "m0", 1)
+    assert [(g.unit_key, g.count) for g in grants] == [(keys["b"], 1)]
+    assert calls == {"index": index, "remove": remove}

@@ -3,18 +3,26 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.policy import FuxiPolicy
 from repro.core.quota import QuotaGroup
 from repro.core.request import RequestDelta
 from repro.core.resources import ResourceVector
-from repro.core.scheduler import FuxiScheduler, SchedulerConfig
+from repro.core.scheduler import FuxiScheduler
 from repro.core.units import ScheduleUnit, UnitKey
 
 SLOT = ResourceVector.of(cpu=100, memory=2048)
 CAP = SLOT * 4   # 4 slots per machine
 
 
+class NoPreemption(FuxiPolicy):
+    """Fuxi with the §3.4 preemption turned off."""
+
+    enable_preemption = False
+
+
 def make_scheduler(machines=4, racks=2, preemption=True):
-    scheduler = FuxiScheduler(SchedulerConfig(enable_preemption=preemption))
+    scheduler = FuxiScheduler(
+        policy=FuxiPolicy() if preemption else NoPreemption())
     for i in range(machines):
         scheduler.add_machine(f"m{i}", f"r{i % racks}", CAP)
     return scheduler
@@ -122,7 +130,7 @@ def test_max_count_caps_grants():
 def test_capped_demands_do_not_starve_an_open_one():
     """70 demands that can take nothing (each already holds its max_count)
     queue ahead of one that can; the free-up must reach it."""
-    scheduler = FuxiScheduler(SchedulerConfig(enable_preemption=False))
+    scheduler = FuxiScheduler(policy=NoPreemption())
     scheduler.add_machine("m0", "r0", SLOT * 71)
     for i in range(70):
         capped = app_unit(scheduler, f"capped{i:02d}", max_count=1)
@@ -146,7 +154,7 @@ def test_capped_heads_are_passed_over_without_a_fit_check(capped,
     ``pool.max_units`` call — and passes over it in place: no queue push."""
     from repro.core import locality
 
-    scheduler = FuxiScheduler(SchedulerConfig(enable_preemption=False))
+    scheduler = FuxiScheduler(policy=NoPreemption())
     scheduler.add_machine("m0", "r0", SLOT * (capped + 1))
     for i in range(capped):
         unit = app_unit(scheduler, f"capped{i:02d}", max_count=1)
