@@ -1,42 +1,17 @@
 #!/usr/bin/env python3
-"""GraySort two ways: the real algorithm, and the Table-4 cluster model.
+"""GraySort / PetaSort: Table 4 via the cluster execution model.
 
-Part 1 actually *sorts data* with the Streamline operators — the same
-sample → range-partition → sort → merge pipeline a Terasort job's workers
-execute — and validates the output.
-
-Part 2 prints Table 4: the phase-level execution model applied to each
-published cluster configuration, reproducing the ranking and the paper's
-66.5 % improvement claim over Yahoo's Hadoop record.
+Prints Table 4: the phase-level execution model applied to each published
+cluster configuration, reproducing the ranking and the paper's 66.5 %
+improvement claim over Yahoo's Hadoop record.
 """
 
-import random
-
-from repro.jobs import streamline
-from repro.jobs.mapreduce import local_terasort
 from repro.jobs.sortmodel import (bottleneck_of, improvement_factor, predict)
 from repro.workloads.graysort import GRAYSORT_ENTRIES, PETASORT_ENTRY
 
 
-def part1_real_sort() -> None:
-    print("== part 1: the sort algorithm itself (Streamline operators)")
-    rng = random.Random(2013)
-    keys = [rng.getrandbits(64) for _ in range(200_000)]
-    print(f"   sorting {len(keys):,} random 64-bit keys "
-          f"across 16 range partitions...")
-    output = local_terasort(keys, reducers=16)
-    ok = output == sorted(keys)
-    print(f"   output correct and globally ordered: {ok}")
-    boundaries = streamline.sample_boundaries(
-        [(k, None) for k in keys[:2000]], 16)
-    sizes = [len(b) for b in streamline.range_partition(
-        [(k, None) for k in keys], boundaries)]
-    print(f"   partition balance: min={min(sizes):,} max={max(sizes):,} "
-          f"(ideal {len(keys)//16:,})")
-
-
-def part2_table4() -> None:
-    print("\n== part 2: Table 4 via the cluster execution model")
+def table4() -> None:
+    print("== Table 4 via the cluster execution model")
     header = (f"{'entry':<16}{'year':<6}{'hw':<12}{'published':>10}"
               f"{'model':>8}{'TB/min':>8}{'bottleneck':>12}")
     print("   " + header)
@@ -60,5 +35,4 @@ def part2_table4() -> None:
 
 
 if __name__ == "__main__":
-    part1_real_sort()
-    part2_table4()
+    table4()

@@ -1,23 +1,16 @@
 #!/usr/bin/env python3
-"""A DAG job that computes a *real* answer while its placement is simulated.
+"""A WordCount-shaped DAG job whose placement follows its input's blocks.
 
-The cluster simulation decides where and when the job's instances run
-(locality against Pangu block placement, container scheduling, failures);
-the Streamline/MapReduce engine computes the actual word counts the job
-logically produces.  Together they show both halves of the stack: the
-resource management and the data path.
+The input file lives in the simulated Pangu block store; the job has one
+mapper per block, and the cluster simulation decides where and when each
+instance runs (locality against the block replicas, container scheduling,
+failures).
 """
 
 from repro import ClusterTopology, FuxiCluster, ResourceVector
-from repro.jobs.mapreduce import local_wordcount, wordcount_job
+from repro.workloads.synthetic import mapreduce_job
 
-CORPUS = [
-    "the quick brown fox jumps over the lazy dog",
-    "the dog barks and the fox runs",
-    "big data is the new oil they say",
-    "fuxi schedules the big jobs over the big cluster",
-    "the cluster hums and the data flows",
-] * 40   # 200 "log blocks"
+LOG_LINES = 200   # pretend each 8 lines ≈ one 256 MB block
 
 
 def main() -> None:
@@ -28,15 +21,17 @@ def main() -> None:
     cluster.warm_up()
 
     # 1) the input lives in the block store; its placement drives locality
-    input_mb = 256.0 * len(CORPUS) / 8   # pretend each 8 lines ≈ one block
+    input_mb = 256.0 * LOG_LINES / 8
     cluster.blockstore.create_file("pangu://logs", size_mb=input_mb)
+    blocks = cluster.blockstore.blocks("pangu://logs")
     machine_hints, rack_hints = cluster.blockstore.locality_hints("pangu://logs")
-    print(f"input: {input_mb:.0f} MB across "
-          f"{len(cluster.blockstore.blocks('pangu://logs'))} blocks on "
+    print(f"input: {input_mb:.0f} MB across {len(blocks)} blocks on "
           f"{len(machine_hints)} primary machines")
 
-    # 2) the simulated job: placement, timing, fault tolerance
-    spec = wordcount_job("logs-wc", input_mb=input_mb, reducers=8,
+    # 2) the simulated job: one mapper per block, each scanning 256 MB at
+    #    64 MB/s; reducers handle the much smaller count stream
+    spec = mapreduce_job("logs-wc", mappers=len(blocks), reducers=8,
+                         map_duration=4.0, reduce_duration=1.2,
                          input_file="pangu://logs")
     app_id = cluster.submit_job(spec)
     assert cluster.run_until_complete([app_id], timeout=900)
@@ -50,13 +45,6 @@ def main() -> None:
     print("scheduling used block locality hints for "
           f"{sum(machine_hints.values())} of "
           f"{spec.tasks['map'].instances} map instances")
-
-    # 3) the real computation those instances logically performed
-    counts = local_wordcount(CORPUS, reducers=8)
-    top = sorted(counts.items(), key=lambda kv: -kv[1])[:5]
-    print("top words:", ", ".join(f"{w}={c}" for w, c in top))
-    assert counts["the"] == sum(line.split().count("the") for line in CORPUS)
-    print("word counts verified against a naive recount.")
 
 
 if __name__ == "__main__":

@@ -6,15 +6,14 @@ cluster simulator:
 
 - :mod:`repro.api` — the public facade: :class:`ClusterBuilder`,
   :func:`simulate`, :class:`RunSpec`/:class:`RunResult`;
-- :mod:`repro.sim` — the event-loop kernel (actors, timers, processes);
+- :mod:`repro.sim` — the event-loop kernel (actors, timers);
 - :mod:`repro.cluster` — machines, racks, network, lock service, block
   store, metrics and fault injection;
 - :mod:`repro.core` — the incremental resource-management protocol, the
   locality-tree scheduler, quota/preemption, FuxiMaster/FuxiAgent with
   user-transparent failover, and the multi-level blacklist;
 - :mod:`repro.jobs` — the DAG job framework (JobMaster/TaskMaster,
-  workers, backup instances, the Streamline operator library, the GraySort
-  model);
+  workers, backup instances, the GraySort model);
 - :mod:`repro.baselines` — YARN-, Mesos-, Hadoop-1.0-, HFSP- and
   DFRS-style scheduling policies on the same scheduler substrate, used
   by the scheduler arena and the ablation benchmarks;

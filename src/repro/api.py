@@ -149,11 +149,6 @@ class RunResult:
         return self.cluster.metrics
 
     @property
-    def completed(self) -> int:
-        """Back-compat alias for :attr:`jobs_completed`."""
-        return self.jobs_completed
-
-    @property
     def job_results(self) -> Dict[str, object]:
         return self.cluster.job_results
 

@@ -7,12 +7,10 @@ simulator, so the "cluster" lives for the duration of the command):
 - ``fuxi-sim submit job.json`` — run a Figure-6-style DAG description and
   report its execution;
 - ``fuxi-sim demo`` — run a synthetic workload and print the summary;
-- ``fuxi-sim trace`` — generate the Table-1 production trace statistics, or
-  with a file argument inspect a JSONL trace (top spans, scheduling-decision
-  locality counts, failover timelines);
+- ``fuxi-sim trace FILE`` — inspect a JSONL trace (top spans,
+  scheduling-decision locality counts, failover timelines);
 - ``fuxi-sim metrics`` — run a short traced workload and dump the metrics
   registry in Prometheus text format;
-- ``fuxi-sim sortbench`` — print the Table-4 GraySort comparison;
 - ``fuxi-sim chaos`` — run a campaign of seeded randomized fault schedules
   with cluster-wide invariant checking, optionally fanned over worker
   processes (``--jobs N``); every failing seed is reported, then the first
@@ -60,7 +58,8 @@ class CliClusterConfig(ConfigBase):
 
     ``submit``/``demo``/``metrics`` derive their shared flags from these
     fields (see :func:`repro.config.add_config_args`), so the defaults live
-    in exactly one place.
+    in exactly one place.  A value :meth:`validate` rejects ends the command
+    with exit code 2 (bad arguments) and one line on stderr.
     """
 
     machines: int = conf(20, min=1, help="machines in the cluster")
@@ -74,6 +73,10 @@ class CliClusterConfig(ConfigBase):
     def validate(self) -> None:
         super().validate()
         validate_policy_name(self.policy)
+        if self.machines % self.racks:
+            raise ValueError(f"{type(self).__name__}: {self.machines} "
+                             f"machines do not split evenly over "
+                             f"{self.racks} racks")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,20 +103,14 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--trace-out", metavar="FILE", default=None,
                       help="run with tracing on, export JSONL trace here")
 
-    trace = sub.add_parser(
-        "trace",
-        help="Table-1 trace statistics, or inspect a JSONL trace file")
-    trace.add_argument("trace_file", nargs="?", default=None,
-                       help="JSONL trace to summarize (omit for Table 1)")
-    trace.add_argument("--jobs", type=int, default=10_000)
+    trace = sub.add_parser("trace", help="inspect a JSONL trace file")
+    trace.add_argument("trace_file", help="JSONL trace to summarize")
     trace.add_argument("--top", type=int, default=10,
                        help="how many longest spans to list")
 
     metrics = sub.add_parser(
         "metrics", help="run a short traced workload, dump Prometheus text")
     add_config_args(metrics, CliClusterConfig)
-
-    sub.add_parser("sortbench", help="Table-4 GraySort comparison")
 
     chaos = sub.add_parser(
         "chaos",
@@ -236,12 +233,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_cluster(machines: int, racks: int, seed: int,
-                  trace: bool = False, policy: str = "fuxi") -> FuxiCluster:
-    per_rack = max(1, machines // max(racks, 1))
-    return (ClusterBuilder(racks=racks, machines_per_rack=per_rack,
+def _cluster_config(args: argparse.Namespace) -> Optional[CliClusterConfig]:
+    """The validated cluster flags, or None once a bad one is reported."""
+    try:
+        return config_from_args(CliClusterConfig, args)
+    except ValueError as exc:
+        print(f"bad arguments: {exc}", file=sys.stderr)
+        return None
+
+
+def _make_cluster(config: CliClusterConfig, seed: int,
+                  trace: bool = False) -> FuxiCluster:
+    policy = config.policy if config.policy != "fuxi" else None
+    return (ClusterBuilder(racks=config.racks,
+                           machines_per_rack=config.machines // config.racks,
                            machine_cpu=400, machine_memory=16384,
-                           policy=policy if policy != "fuxi" else None)
+                           policy=policy)
             .seed(seed).trace(trace).build())
 
 
@@ -262,13 +269,15 @@ def _export_trace(cluster: FuxiCluster, path: Optional[str]) -> int:
 
 def cmd_submit(args: argparse.Namespace) -> int:
     """Run a JSON DAG job description on a fresh simulated cluster."""
+    config = _cluster_config(args)
+    if config is None:
+        return 2
     with open(args.job_file, "r", encoding="utf-8") as handle:
         description = json.load(handle)
     spec = parse_job_description(description,
                                  name=description.get("name", args.job_file))
-    cluster = _make_cluster(args.machines, args.racks, args.seed,
-                            trace=args.trace_out is not None,
-                            policy=args.policy)
+    cluster = _make_cluster(config, args.seed,
+                            trace=args.trace_out is not None)
     app_id = cluster.submit_job(spec)
     print(f"submitted {spec.name!r} as {app_id} "
           f"({spec.total_instances()} instances, {len(spec.tasks)} tasks)")
@@ -298,14 +307,16 @@ def cmd_demo(args: argparse.Namespace) -> int:
     from repro.sim.rng import SplitRandom
     from repro.workloads.synthetic import (SyntheticWorkload,
                                            SyntheticWorkloadConfig)
-    cluster = _make_cluster(args.machines, args.racks, args.seed,
-                            trace=args.trace_out is not None,
-                            policy=args.policy)
+    config = _cluster_config(args)
+    if config is None:
+        return 2
+    cluster = _make_cluster(config, args.seed,
+                            trace=args.trace_out is not None)
     workload = SyntheticWorkload(
-        SyntheticWorkloadConfig(concurrent_jobs=args.jobs),
+        SyntheticWorkloadConfig(concurrent_jobs=config.jobs),
         SplitRandom(args.seed))
     apps = [cluster.submit_job(spec) for spec in workload.initial_batch()]
-    cluster.run_for(args.duration)
+    cluster.run_for(config.duration)
     done = [a for a in apps if a in cluster.job_results]
     series = cluster.metrics.series("fm.schedule_ms")
     rows = [
@@ -321,18 +332,10 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    """Table-1 trace statistics, or summarize a JSONL trace file."""
-    if args.trace_file is not None:
-        return _summarize_trace_file(args.trace_file, args.top)
-    from repro.experiments.table1_production import Table1Config, run
-    report = run(Table1Config(jobs=args.jobs, seed=args.seed))
-    print(report.render())
-    return 0
-
-
-def _summarize_trace_file(path: str, top: int) -> int:
+    """Summarize a JSONL trace file."""
     from repro.obs.export import load_trace_jsonl
     from repro.obs.summary import render_summary, summarize_trace
+    path = args.trace_file
     try:
         records = load_trace_jsonl(path)
     except (OSError, ValueError) as exc:
@@ -341,7 +344,7 @@ def _summarize_trace_file(path: str, top: int) -> int:
     if not records:
         print(f"{path}: empty trace")
         return 0
-    print(render_summary(summarize_trace(records, top=top)))
+    print(render_summary(summarize_trace(records, top=args.top)))
     return 0
 
 
@@ -351,22 +354,17 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     from repro.sim.rng import SplitRandom
     from repro.workloads.synthetic import (SyntheticWorkload,
                                            SyntheticWorkloadConfig)
-    cluster = _make_cluster(args.machines, args.racks, args.seed, trace=True,
-                            policy=args.policy)
+    config = _cluster_config(args)
+    if config is None:
+        return 2
+    cluster = _make_cluster(config, args.seed, trace=True)
     workload = SyntheticWorkload(
-        SyntheticWorkloadConfig(concurrent_jobs=args.jobs),
+        SyntheticWorkloadConfig(concurrent_jobs=config.jobs),
         SplitRandom(args.seed))
     for spec in workload.initial_batch():
         cluster.submit_job(spec)
-    cluster.run_for(args.duration)
+    cluster.run_for(config.duration)
     print(prometheus_text(cluster.metrics), end="")
-    return 0
-
-
-def cmd_sortbench(_args: argparse.Namespace) -> int:
-    """Print the Table-4 GraySort comparison."""
-    from repro.experiments.table4_graysort import run
-    print(run().render())
     return 0
 
 
@@ -708,7 +706,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "demo": cmd_demo,
         "trace": cmd_trace,
         "metrics": cmd_metrics,
-        "sortbench": cmd_sortbench,
         "chaos": cmd_chaos,
         "fuzz": cmd_fuzz,
         "sweep": cmd_sweep,

@@ -109,9 +109,6 @@ class BlockStore:
         self._files[path] = blocks
         return list(blocks)
 
-    def delete_file(self, path: str) -> None:
-        self._files.pop(path, None)
-
     def _off_rack(self, rack: Optional[str]) -> Sequence[str]:
         machines = self._off_rack_cache.get(rack)
         if machines is None:
@@ -185,12 +182,6 @@ class BlockStore:
             if rack:
                 rack_hints[rack] = rack_hints.get(rack, 0) + 1
         return machine_hints, rack_hints
-
-    def machines_with_block(self, path: str, index: int) -> Tuple[str, ...]:
-        for block in self.blocks(path):
-            if block.index == index:
-                return block.replicas
-        raise KeyError(f"no block {index} in {path!r}")
 
     def drop_machine(self, machine: str) -> int:
         """Machine died: remove it from replica sets.  Returns blocks touched.

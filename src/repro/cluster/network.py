@@ -449,7 +449,7 @@ def _draw(base: int, slot: int) -> float:
 
 @lru_cache(maxsize=1 << 16)
 def hash_str(text: str) -> int:
-    """Process-stable 64-bit hash of a string (``hash()`` is salted).
+    """64-bit string hash, stable across interpreters (``hash()`` is salted).
 
     Memoised per name: every new edge hashes both of its ends, and the
     same agent, master and application names end thousands of edges."""

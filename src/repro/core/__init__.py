@@ -5,7 +5,7 @@ Public API highlights:
 - :class:`~repro.core.resources.ResourceVector` — multi-dimensional resource
   description (physical CPU/memory plus arbitrary named virtual resources).
 - :class:`~repro.core.units.ScheduleUnit` — the unit of allocation.
-- :class:`~repro.core.request.ResourceRequest` — incremental, locality-aware
+- :class:`~repro.core.request.RequestDelta` — incremental, locality-aware
   demand description.
 - :class:`~repro.core.scheduler.FuxiScheduler` — the synchronous scheduling
   core: free pool + locality tree + quota + preemption.
@@ -24,7 +24,7 @@ package import graph acyclic.
 
 from repro.core.resources import ResourceVector, CPU, MEMORY
 from repro.core.units import ScheduleUnit, UnitKey
-from repro.core.request import LocalityLevel, RequestDelta, ResourceRequest
+from repro.core.request import LocalityLevel, RequestDelta
 from repro.core.grant import Grant, AllocationLedger
 from repro.core.scheduler import FuxiScheduler, SchedulerConfig
 from repro.core.quota import QuotaGroup, QuotaManager
@@ -37,7 +37,6 @@ __all__ = [
     "UnitKey",
     "LocalityLevel",
     "RequestDelta",
-    "ResourceRequest",
     "Grant",
     "AllocationLedger",
     "FuxiScheduler",

@@ -8,13 +8,13 @@ Responsibilities reproduced here:
   ensurance);
 - killing workers compulsorily when an application's granted capacity drops
   below what its running workers consume;
-- restarting crashed workers ("FuxiAgent watches the worker's status and
-  restarts it if it crashes");
+- no restart of a worker that crashes on its own: its JobMaster notices
+  the silence (``DagJobMaster.WORKER_SILENCE_TIMEOUT``) and replaces it;
 - transparent failover: a restarting agent **adopts** the worker processes
   that kept running, asks each application master for its expected worker
   list, and asks FuxiMaster for a fresh allocation sync.
 
-Process isolation (Cgroup limits, sandbox root folders) is enforced
+Resource isolation (Cgroup limits, sandbox root folders) is enforced
 arithmetically: a worker simply cannot be launched into capacity that is not
 granted, and over-capacity workers are killed worst-offender-first.
 """
@@ -81,7 +81,6 @@ class FuxiAgent(Actor):
         # running workers: worker_id -> plan; plus per-unit worker sets
         self.workers: Dict[str, msg.WorkPlan] = {}
         self._workers_by_unit: Dict[UnitKey, Set[str]] = {}
-        self.worker_restarts = 0
         self.launch_rejects = 0
         # the periodic beat: a membership, not a timer of this agent's own
         self._cohort: Optional[HeartbeatCohort] = None
@@ -268,26 +267,6 @@ class FuxiAgent(Actor):
             self.bus.unregister(f"worker:{worker_id}")
         self.send(f"app:{plan.app_id}",
                   msg.WorkerExited(worker_id, self.machine, reason))
-
-    def worker_crashed(self, worker_id: str) -> None:
-        """Called by the runtime when a worker process dies on its own.
-
-        The agent restarts it (transparent recovery) unless launches are
-        failing on this machine.
-        """
-        plan = self.workers.get(worker_id)
-        if plan is None or not self.alive:
-            return
-        if self.machine_state.launch_failures:
-            self.workers.pop(worker_id, None)
-            self._workers_by_unit.get(plan.unit_key, set()).discard(worker_id)
-            self.send(f"app:{plan.app_id}",
-                      msg.WorkerExited(worker_id, self.machine, "crashed"))
-            return
-        self.worker_restarts += 1
-        delay = self.config.worker_start_delay * self.machine_state.slow_factor
-        incarnation = self._incarnation
-        self.loop.call_after(delay, self._finish_launch, plan, incarnation)
 
     # ------------------------------------------------------------------ #
     # failover (paper §4.3.1 "FuxiAgent Failover")

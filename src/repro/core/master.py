@@ -116,9 +116,6 @@ class FuxiMaster(Actor):
             msg.ResyncRequest: self._handle_agent_resync_request,
             msg.AppExit: lambda sender, m: self._handle_app_exit(m.app_id),
             msg.AppHeartbeat: self._handle_app_heartbeat,
-            msg.SubmitJob:
-                lambda sender, m: self.submit_job(m.app_id, m.description,
-                                                  m.group),
             msg.BlacklistReport:
                 lambda sender, m: self._handle_blacklist_report(m),
             msg.AppMasterStarted: self._handle_am_started,

@@ -75,15 +75,6 @@ class AppHeartbeat:
 
 
 @dataclass(frozen=True, slots=True)
-class SubmitJob:
-    """Client -> FuxiMaster: launch an application (hard state, checkpointed)."""
-
-    app_id: str
-    description: dict
-    group: str = "default"
-
-
-@dataclass(frozen=True, slots=True)
 class BlacklistReport:
     """JobMaster -> FuxiMaster: this machine looks bad from where I stand."""
 

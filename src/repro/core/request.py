@@ -74,10 +74,6 @@ class RequestDelta:
         )
 
 
-# Kept as an alias for readers coming from the paper's terminology.
-ResourceRequest = RequestDelta
-
-
 @dataclass
 class WaitingDemand:
     """The scheduler-side unfulfilled demand for one (app, unit).

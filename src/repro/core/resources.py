@@ -217,16 +217,6 @@ class ResourceVector:
                     return 0
         return units
 
-    def dominant_share(self, total: "ResourceVector") -> float:
-        """Max over dimensions of (this / total); 0 if total has no overlap."""
-        share = 0.0
-        total_dims = total._dims
-        for name, amount in self._dims.items():
-            capacity = total_dims.get(name, 0.0)
-            if capacity > 0:
-                share = max(share, amount / capacity)
-        return share
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ResourceVector):
             return NotImplemented

@@ -52,7 +52,7 @@ def run(config: Optional[RunSpec] = None,
     report.series["schedule_ms"] = series.resample(20.0)
     report.tracer = result.cluster.tracer
     report.notes.append(
-        f"{len(series)} requests over {result.completed} completed jobs; "
+        f"{len(series)} requests over {result.jobs_completed} completed jobs; "
         "absolute times are Python-on-laptop, the paper's are C++ on a "
         "production master — the shape (sub-ms, flat) is the claim.")
     return report

@@ -9,8 +9,6 @@ Public API highlights:
   implementing the two-level JobMaster/TaskMaster model (§4.4, Figure 8).
 - :class:`~repro.jobs.taskmaster.TaskMaster` — fine-grained instance
   scheduling with locality, load balance and incremental scanning.
-- :mod:`~repro.jobs.streamline` — the shuffle operator library shipped with
-  the Fuxi SDK (sort, merge-sort, reduce, hash partition).
 - :mod:`~repro.jobs.sortmodel` — the GraySort/PetaSort execution model used
   for Table 4.
 """

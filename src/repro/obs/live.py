@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time as _time
 from collections import deque
-from typing import IO, Dict, List, Optional, Sequence, Tuple, Union
+from typing import IO, Dict, List, Optional, Tuple, Union
 
 from repro.obs.export import dumps_jsonl, read_jsonl, write_jsonl
 from repro.sim.events import EventLoop
@@ -147,36 +147,6 @@ class TimeSeriesStore:
         if header.get("kind") != "timeseries":
             raise ValueError("not a timeseries JSONL (missing header line)")
         return cls.from_dict({**header, "rows": records[1:]})
-
-    # ----------------------------- merging ---------------------------- #
-
-    @staticmethod
-    def merge(stores: Sequence["TimeSeriesStore"]) -> "TimeSeriesStore":
-        """Combine per-worker stores into one canonically ordered feed.
-
-        Each row is tagged with its store's ``meta['seed']`` (when present
-        and not already a column) and the union is sorted by
-        ``(seed, time)`` — so a sweep's merged feed is identical whether
-        the workers finished in any order, serial or pooled.
-        """
-        tagged: List[dict] = []
-        dropped = 0
-        for store in stores:
-            seed = store.meta.get("seed")
-            dropped += store.dropped
-            for row in store._rows:
-                row = dict(row)
-                if seed is not None and "seed" not in row:
-                    row["seed"] = seed
-                tagged.append(row)
-        tagged.sort(key=lambda r: (r.get("seed", 0), r.get("time", 0.0)))
-        merged = TimeSeriesStore(
-            capacity=max(len(tagged), 1),
-            meta={"merged_from": len(stores)})
-        for row in tagged:
-            merged._rows.append(row)
-        merged.dropped = dropped
-        return merged
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<TimeSeriesStore rows={len(self._rows)} "

@@ -151,7 +151,7 @@ def _chart_groups(columns: Sequence[str]) -> List[Tuple[str, List[str]]]:
                    "wall_ms_per_sim_s", "wall_events_per_s")]),
     ]
     covered = {c for _, cols in groups for c in cols}
-    covered.update(("time", "seed", "machines", "agents_seen", "events"))
+    covered.update(("time", "machines", "agents_seen", "events"))
     leftovers = [c for c in columns if c not in covered]
     if leftovers:
         groups.append(("Other metrics", leftovers))
@@ -161,7 +161,6 @@ def _chart_groups(columns: Sequence[str]) -> List[Tuple[str, List[str]]]:
 def _timeseries_sections(doc: dict) -> List[str]:
     rows = doc.get("rows", [])
     columns: List[str] = sorted({k for row in rows for k in row})
-    seeds = sorted({row["seed"] for row in rows if "seed" in row})
     sections: List[str] = []
     meta = dict(doc.get("meta", {}))
     meta["rows"] = len(rows)
@@ -170,18 +169,10 @@ def _timeseries_sections(doc: dict) -> List[str]:
     for title, cols in _chart_groups(columns):
         series: Dict[str, List[Tuple[float, float]]] = {}
         for col in cols:
-            if seeds:
-                for seed in seeds:
-                    pts = [(row["time"], row[col]) for row in rows
-                           if col in row and "time" in row
-                           and row.get("seed") == seed]
-                    if pts:
-                        series[f"{col} (seed {seed})"] = pts
-            else:
-                pts = [(row["time"], row[col]) for row in rows
-                       if col in row and "time" in row]
-                if pts:
-                    series[col] = pts
+            pts = [(row["time"], row[col]) for row in rows
+                   if col in row and "time" in row]
+            if pts:
+                series[col] = pts
         if series:
             sections.append(f"<h2>{html.escape(title)}</h2>")
             sections.append(svg_line_chart(series))

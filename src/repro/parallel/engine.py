@@ -120,25 +120,6 @@ class SweepResult:
         serial, pooled, or partially resumed from a journal."""
         return json.dumps(self.merged(), indent=2, sort_keys=True) + "\n"
 
-    def merged_timeseries(self):
-        """One :class:`~repro.obs.live.TimeSeriesStore` across all workers.
-
-        Collects the ``timeseries`` payload each ``simulate`` runner
-        embeds in its summary (present when the task spec set
-        ``live_sample``) and merges them in canonical ``(seed, time)``
-        order — byte-identical whether the sweep ran serial or pooled.
-        Returns None when no outcome carried a feed.
-        """
-        from repro.obs.live import TimeSeriesStore
-        stores = []
-        for outcome in self.outcomes:
-            payload = outcome.result if outcome.ok else None
-            if isinstance(payload, dict) and "timeseries" in payload:
-                stores.append(TimeSeriesStore.from_dict(payload["timeseries"]))
-        if not stores:
-            return None
-        return TimeSeriesStore.merge(stores)
-
     def timing(self) -> dict:
         """Nondeterministic measurements: host shape + wall-time spread."""
         walls = sorted(o.wall_seconds for o in self.outcomes)

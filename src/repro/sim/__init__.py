@@ -1,10 +1,9 @@
 """Discrete-event simulation kernel.
 
 The kernel is deliberately small: a heap-based :class:`~repro.sim.events.EventLoop`
-with a simulated clock, generator-based :class:`~repro.sim.process.Process`
-coroutines layered on top of it, and an :class:`~repro.sim.actor.Actor` base
-class that gives every simulated component (FuxiMaster, FuxiAgent, job
-masters, workers) a mailbox and timer helpers.
+with a simulated clock, and an :class:`~repro.sim.actor.Actor` base class that
+gives every simulated component (FuxiMaster, FuxiAgent, job masters, workers)
+a mailbox and timer helpers.
 
 Everything in the repository that "runs" — schedulers, failovers, fault
 injection, GraySort — executes on this kernel, so a single seed makes every
@@ -12,8 +11,7 @@ experiment deterministic.
 """
 
 from repro.sim.events import Event, EventLoop
-from repro.sim.process import Process, sleep
 from repro.sim.actor import Actor
 from repro.sim.rng import SplitRandom
 
-__all__ = ["Event", "EventLoop", "Process", "sleep", "Actor", "SplitRandom"]
+__all__ = ["Event", "EventLoop", "Actor", "SplitRandom"]

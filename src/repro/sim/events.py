@@ -105,11 +105,6 @@ class Event:
         if self._loop is not None:
             self._loop._on_cancel()
 
-    def __lt__(self, other: "Event") -> bool:
-        # Kept for external sorting convenience; the loop's heap orders
-        # plain (time, seq, event) tuples and never calls this.
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = ("done" if self.done
                  else "cancelled" if self.cancelled else "pending")

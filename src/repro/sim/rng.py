@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Sequence, TypeVar
-
-T = TypeVar("T")
 
 
 class SplitRandom:
@@ -43,24 +40,6 @@ class SplitRandom:
         randomness is fixed before any worker touches it.
         """
         return self.split(name).seed
-
-
-def weighted_choice(rng: random.Random, items: Sequence[T], weights: Sequence[float]) -> T:
-    """Pick one of ``items`` with the given relative ``weights``."""
-    if len(items) != len(weights):
-        raise ValueError("items and weights must have the same length")
-    if not items:
-        raise ValueError("cannot choose from an empty sequence")
-    total = float(sum(weights))
-    if total <= 0:
-        raise ValueError("weights must sum to a positive value")
-    point = rng.random() * total
-    acc = 0.0
-    for item, weight in zip(items, weights):
-        acc += weight
-        if point < acc:
-            return item
-    return items[-1]
 
 
 def bounded_lognormal(rng: random.Random, mean: float, sigma: float,

@@ -109,6 +109,18 @@ def test_quota_group_cap_limits_concurrency():
     assert cluster.run_until_complete([app], timeout=600)
 
 
+def test_submission_respects_quota_group(cluster):
+    cluster.primary_master.define_quota_group("tenants")
+    app_id = cluster.submit_job(
+        mapreduce_job("g", mappers=4, reducers=1, map_duration=30.0,
+                      reduce_duration=1.0),
+        group="tenants")
+    cluster.run_for(5)   # job still running; group assignment is live
+    assert cluster.primary_master.scheduler.quota.group_of(app_id) == "tenants"
+    record = cluster.checkpoint.get(f"app/{app_id}")
+    assert record["group"] == "tenants"
+
+
 def test_priority_job_preempts_lower():
     cluster = make_cluster(racks=1, machines_per_rack=2)
     slot = ResourceVector.of(cpu=100, memory=2048)

@@ -171,16 +171,3 @@ def test_restart_asks_master_and_apps_for_state():
     assert master.of_type(msg.ResyncRequest)
     # no live worker actors existed (factory returned None), so no
     # WorkerListRequest is required; books come back via the master resync
-
-
-def test_worker_crash_restart_policy():
-    launched = []
-    loop, bus, master, app, agent = make_agent(
-        worker_factory=lambda p, m: launched.append(p.worker_id))
-    grant_alloc(agent, 1)
-    agent.deliver("app:a1", plan("w1"))
-    loop.run_until(1.0)
-    agent.worker_crashed("w1")
-    loop.run_until(2.0)
-    assert launched == ["w1", "w1"]   # relaunched
-    assert agent.worker_restarts == 1

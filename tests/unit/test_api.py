@@ -100,7 +100,6 @@ def test_simulate_seed_override_changes_run_not_spec():
 def test_simulate_completes_jobs():
     result = simulate(SMALL)
     assert result.jobs_completed > 0
-    assert result.completed == result.jobs_completed  # back-compat alias
     assert len(result.submitted) >= SMALL.concurrent_jobs
 
 

@@ -62,16 +62,29 @@ def test_demo_prints_summary(capsys):
     assert "avg scheduling ms" in out
 
 
-def test_trace_prints_table1(capsys):
-    code = main(["trace", "--jobs", "1000"])
+@pytest.mark.parametrize("flags", [
+    ["--machines", "0"],
+    ["--machines", "20", "--racks", "3"],
+    ["--machines", "2", "--racks", "4"],
+    ["--policy", "bogus"],
+])
+def test_demo_rejects_bad_cluster_flags(flags, capsys):
+    code = main(["demo", "--jobs", "1", "--duration", "1"] + flags)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_experiment_table1_prints_table1(capsys):
+    code = main(["experiment", "table1"])
     out = capsys.readouterr().out
     assert code == 0
     assert "Instance Number" in out
     assert "Task Number" in out
 
 
-def test_sortbench_prints_table4(capsys):
-    code = main(["sortbench"])
+def test_experiment_table4_prints_table4(capsys):
+    code = main(["experiment", "table4"])
     out = capsys.readouterr().out
     assert code == 0
     assert "Yahoo" in out

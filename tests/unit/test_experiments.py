@@ -48,7 +48,7 @@ def tiny_run():
 
 
 def test_synthetic_runner_completes_jobs(tiny_run):
-    assert tiny_run.completed > 0
+    assert tiny_run.jobs_completed > 0
     assert len(tiny_run.submitted) >= TINY.concurrent_jobs
 
 

@@ -68,20 +68,6 @@ def test_store_from_jsonl_rejects_non_timeseries():
         TimeSeriesStore.from_jsonl(io.StringIO('{"kind":"flight"}\n'))
 
 
-def test_store_merge_orders_by_seed_then_time():
-    a = TimeSeriesStore(meta={"seed": 2})
-    a.append({"time": 1.0, "x": 1.0})
-    b = TimeSeriesStore(meta={"seed": 1})
-    b.append({"time": 5.0, "x": 2.0})
-    b.append({"time": 6.0, "x": 3.0})
-    # merge order of the input stores must not matter
-    merged_ab = TimeSeriesStore.merge([a, b])
-    merged_ba = TimeSeriesStore.merge([b, a])
-    assert merged_ab.to_jsonl() == merged_ba.to_jsonl()
-    seeds = [row["seed"] for row in merged_ab.rows()]
-    assert seeds == [1, 1, 2]
-
-
 # --------------------------------------------------------------------- #
 # ClusterSampler via the public simulate() surface
 # --------------------------------------------------------------------- #

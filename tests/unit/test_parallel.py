@@ -254,45 +254,3 @@ def test_journal_last_wins_on_duplicate_records(tmp_path):
     journal = SweepJournal(str(path))
     _, outcomes = journal.load()
     assert outcomes["selfcheck/seed=1"].ok is False
-
-
-# --------------------------------------------------------------------- #
-# merged timeseries (PR 6: obs feeds aggregate across sweep workers)
-# --------------------------------------------------------------------- #
-
-def _outcome_with_feed(index, seed):
-    feed = {"kind": "timeseries", "schema": 1, "meta": {"seed": seed},
-            "capacity": 8, "dropped": 0,
-            "rows": [{"time": 0.0, "jobs_running": float(seed)},
-                     {"time": 5.0, "jobs_running": float(seed + 1)}]}
-    return RunOutcome(task_id=f"simulate/seed={seed}", index=index,
-                      kind="simulate", seed=seed, ok=True,
-                      result={"seed": seed, "timeseries": feed}, error=None,
-                      wall_seconds=0.1, worker_pid=1)
-
-
-def test_merged_timeseries_is_order_independent():
-    from repro.parallel.engine import SweepResult
-    a, b = _outcome_with_feed(0, 1), _outcome_with_feed(1, 2)
-    forward = SweepResult(outcomes=[a, b]).merged_timeseries()
-    backward = SweepResult(outcomes=[b, a]).merged_timeseries()
-    assert forward.to_jsonl() == backward.to_jsonl()
-    assert [row["seed"] for row in forward.rows()] == [1, 1, 2, 2]
-
-
-def test_merged_timeseries_none_without_feeds():
-    from repro.parallel.engine import SweepResult
-    plain = RunOutcome(task_id="t", index=0, kind="selfcheck", seed=1,
-                       ok=True, result={"x": 1}, error=None,
-                       wall_seconds=0.1, worker_pid=1)
-    assert SweepResult(outcomes=[plain]).merged_timeseries() is None
-
-
-def test_merged_timeseries_skips_failed_outcomes():
-    from repro.parallel.engine import SweepResult
-    good = _outcome_with_feed(0, 1)
-    bad = RunOutcome(task_id="boom", index=1, kind="simulate", seed=2,
-                     ok=False, result=None, error="crashed",
-                     wall_seconds=0.1, worker_pid=1)
-    merged = SweepResult(outcomes=[good, bad]).merged_timeseries()
-    assert {row["seed"] for row in merged.rows()} == {1}

@@ -97,17 +97,3 @@ def test_trace_report_embeds_summary(tmp_path):
     html_text = render_html(load_any(str(path)))
     assert "fm.schedule" in html_text
     assert "Trace summary" in html_text
-
-
-def test_merged_sweep_timeseries_renders_per_seed_series(tmp_path):
-    stores = []
-    for seed in (1, 2):
-        store = TimeSeriesStore(meta={"seed": seed})
-        store.append({"time": 0.0, "jobs_running": float(seed)})
-        store.append({"time": 5.0, "jobs_running": float(seed + 1)})
-        stores.append(store)
-    merged = TimeSeriesStore.merge(stores)
-    path = tmp_path / "merged.ts.jsonl"
-    merged.dump_jsonl(str(path))
-    html_text = render_html(load_any(str(path)))
-    assert "seed 1" in html_text and "seed 2" in html_text

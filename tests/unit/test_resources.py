@@ -110,17 +110,6 @@ def test_max_units_zero_vector_is_huge():
     assert ResourceVector().max_units_in(ResourceVector()) == 10 ** 9
 
 
-def test_dominant_share():
-    total = ResourceVector.of(cpu=100, memory=1000)
-    v = ResourceVector.of(cpu=50, memory=100)
-    assert v.dominant_share(total) == pytest.approx(0.5)
-
-
-def test_dominant_share_missing_total_dimension():
-    assert ResourceVector.of(gpu=1).dominant_share(
-        ResourceVector.of(cpu=100)) == 0.0
-
-
 def test_equality_and_hash():
     a = ResourceVector.of(cpu=100, memory=1024)
     b = ResourceVector({"Memory": 1024, "CPU": 100})

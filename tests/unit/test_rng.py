@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.rng import SplitRandom, bounded_lognormal, weighted_choice
+from repro.sim.rng import SplitRandom, bounded_lognormal
 
 
 def test_same_seed_same_stream():
@@ -39,29 +39,6 @@ def test_stream_isolation_from_draw_order():
     for _ in range(100):
         a.random()
     assert root.stream("b").random() == b_alone
-
-
-def test_weighted_choice_respects_weights():
-    rng = SplitRandom(3).stream("wc")
-    counts = {"x": 0, "y": 0}
-    for _ in range(2000):
-        counts[weighted_choice(rng, ["x", "y"], [9.0, 1.0])] += 1
-    assert counts["x"] > counts["y"] * 5
-
-
-def test_weighted_choice_single_item():
-    rng = SplitRandom(0).stream("wc")
-    assert weighted_choice(rng, ["only"], [1.0]) == "only"
-
-
-def test_weighted_choice_validates():
-    rng = SplitRandom(0).stream("wc")
-    with pytest.raises(ValueError):
-        weighted_choice(rng, [], [])
-    with pytest.raises(ValueError):
-        weighted_choice(rng, ["a"], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        weighted_choice(rng, ["a"], [0.0])
 
 
 def test_bounded_lognormal_within_bounds():
