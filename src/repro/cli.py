@@ -233,10 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cluster_config(args: argparse.Namespace) -> Optional[CliClusterConfig]:
-    """The validated cluster flags, or None once a bad one is reported."""
+def _checked_config(cls, args: argparse.Namespace, **overrides):
+    """``cls`` built from the flags, or None once a bad one is reported."""
     try:
-        return config_from_args(CliClusterConfig, args)
+        return config_from_args(cls, args, **overrides)
     except ValueError as exc:
         print(f"bad arguments: {exc}", file=sys.stderr)
         return None
@@ -269,7 +269,7 @@ def _export_trace(cluster: FuxiCluster, path: Optional[str]) -> int:
 
 def cmd_submit(args: argparse.Namespace) -> int:
     """Run a JSON DAG job description on a fresh simulated cluster."""
-    config = _cluster_config(args)
+    config = _checked_config(CliClusterConfig, args)
     if config is None:
         return 2
     with open(args.job_file, "r", encoding="utf-8") as handle:
@@ -307,7 +307,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     from repro.sim.rng import SplitRandom
     from repro.workloads.synthetic import (SyntheticWorkload,
                                            SyntheticWorkloadConfig)
-    config = _cluster_config(args)
+    config = _checked_config(CliClusterConfig, args)
     if config is None:
         return 2
     cluster = _make_cluster(config, args.seed,
@@ -354,7 +354,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     from repro.sim.rng import SplitRandom
     from repro.workloads.synthetic import (SyntheticWorkload,
                                            SyntheticWorkloadConfig)
-    config = _cluster_config(args)
+    config = _checked_config(CliClusterConfig, args)
     if config is None:
         return 2
     cluster = _make_cluster(config, args.seed, trace=True)
@@ -384,9 +384,11 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.chaos.shrink import violation_matcher
     from repro.cluster.faults import FaultPlan, ScheduleParseError
 
-    config = config_from_args(
+    config = _checked_config(
         ChaosConfig, args,
         trace=args.trace_dir is not None, trace_dir=args.trace_dir)
+    if config is None:
+        return 2
 
     if args.schedule is not None:
         try:
@@ -478,8 +480,12 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             print(f"repro: {entry.repro}")
         return 0 if matched else 1
 
-    fuzz_config = config_from_args(FuzzConfig, args)
-    chaos_config = config_from_args(ChaosConfig, args)
+    fuzz_config = _checked_config(FuzzConfig, args)
+    if fuzz_config is None:
+        return 2
+    chaos_config = _checked_config(ChaosConfig, args)
+    if chaos_config is None:
+        return 2
     say = None if args.quiet else (lambda line: print(line, flush=True))
     try:
         report = run_fuzz(args.seed, fuzz_config, chaos_config,
@@ -623,8 +629,10 @@ def _top_panel(row: dict) -> str:
 def cmd_top(args: argparse.Namespace) -> int:
     """Closed-loop run with the live sampler rendered in the terminal."""
     from repro.api import simulate
-    spec = config_from_args(RunSpec, args, live_sample=True,
-                            live_sample_interval=args.interval)
+    spec = _checked_config(RunSpec, args, live_sample=True,
+                           live_sample_interval=args.interval)
+    if spec is None:
+        return 2
     shown = {"count": 0}
 
     def on_slice(cluster, _result) -> None:

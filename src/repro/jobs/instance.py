@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import Collection, List, Optional
 
 
 class InstanceState(enum.Enum):
@@ -40,7 +40,7 @@ class Instance:
     duration: float                      # intrinsic work time (unscaled)
     state: InstanceState = InstanceState.WAITING
     attempts: List[Attempt] = field(default_factory=list)
-    preferred_machines: Set[str] = field(default_factory=set)
+    preferred_machines: Collection[str] = ()   # shared, never mutated
     started_at: Optional[float] = None   # first attempt start (AM view)
     finished_at: Optional[float] = None
     winning_attempt: Optional[Attempt] = None

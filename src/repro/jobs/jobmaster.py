@@ -160,7 +160,7 @@ class DagJobMaster(ApplicationMaster):
         blockstore = getattr(self.services, "blockstore", None)
         if blockstore is None:
             return {}
-        preferred: Dict[int, Set[str]] = {}
+        preferred: Dict[int, Tuple[str, ...]] = {}
         hints: Dict[str, int] = {}
         index = 0
         for path in self.spec.inputs_of(task):
@@ -169,7 +169,7 @@ class DagJobMaster(ApplicationMaster):
             for block in blockstore.blocks(path):
                 if index >= master.spec.instances:
                     break
-                preferred[index] = set(block.replicas)
+                preferred[index] = block.replicas
                 primary = block.replicas[0]
                 hints[primary] = hints.get(primary, 0) + 1
                 index += 1

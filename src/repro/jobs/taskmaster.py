@@ -12,6 +12,11 @@ c) **incremental scheduling** — only unassigned instances are scanned per
    what makes "schedule 100 thousand instances in less than 3 seconds"
    possible (the ``bench_scale_instances`` benchmark measures exactly this).
 
+Per-instance state stays small (§4.3 "lightweight"): the locality index
+holds one plain list per machine, preferred machines are the collections
+the caller passed (a block's replica tuple), and an instance id is resolved
+from its ``"task/index"`` form rather than through a table of them.
+
 It also runs the per-task parts of fault tolerance: retry with blacklist
 consultation, and the backup-instance policy for long tails.
 """
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Collection, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.blacklist import JobBlacklist
 from repro.jobs.backup import BackupPolicy
@@ -59,12 +64,11 @@ class TaskMaster:
             if durations is not None:
                 duration = durations[index % len(durations)]
             self.instances.append(Instance(spec.name, index, duration))
-        self._by_id: Dict[str, Instance] = {
-            i.instance_id: i for i in self.instances
-        }
         self._pending: Deque[int] = deque(range(spec.instances))
         self._pending_set: Set[int] = set(self._pending)
-        self._locality_index: Dict[str, Deque[int]] = {}
+        # machine -> instance indexes in reverse FIFO order: pop() takes
+        # the head, insert(0, ...) queues at the tail
+        self._locality_index: Dict[str, List[int]] = {}
         self._assignment: Dict[str, str] = {}   # worker_id -> instance_id
         self.backup_policy = BackupPolicy(spec.backup)
         self.backups_launched = 0
@@ -78,15 +82,26 @@ class TaskMaster:
     # setup
     # ------------------------------------------------------------------ #
 
-    def set_locality(self, preferred: Dict[int, Set[str]]) -> None:
-        """Record preferred machines per instance index and build the index."""
+    def set_locality(self, preferred: Dict[int, Collection[str]]) -> None:
+        """Record preferred machines per instance index and build the index.
+
+        Each collection is kept as given, not copied.  A machine it names
+        twice is queued once.
+        """
+        instances = self.instances
         for index, machines in preferred.items():
-            if 0 <= index < len(self.instances):
-                self.instances[index].preferred_machines = set(machines)
-        self._locality_index = {}
-        for index, instance in enumerate(self.instances):
-            for machine in instance.preferred_machines:
-                self._locality_index.setdefault(machine, deque()).append(index)
+            if 0 <= index < len(instances):
+                instances[index].preferred_machines = machines
+        # built from the last index down, so each list ends at its head
+        locality: Dict[str, List[int]] = {}
+        for index in range(len(instances) - 1, -1, -1):
+            for machine in instances[index].preferred_machines:
+                queue = locality.get(machine)
+                if queue is None:
+                    locality[machine] = [index]
+                elif queue[-1] != index:
+                    queue.append(index)
+        self._locality_index = locality
 
     # ------------------------------------------------------------------ #
     # scheduling
@@ -115,10 +130,8 @@ class TaskMaster:
 
     def _pop_local(self, machine: str, worker_id: str) -> Optional[int]:
         queue = self._locality_index.get(machine)
-        if not queue:
-            return None
         while queue:
-            index = queue.popleft()
+            index = queue.pop()
             if index in self._pending_set and self._allowed(index, machine):
                 self._pending_set.discard(index)
                 return index
@@ -160,7 +173,7 @@ class TaskMaster:
     def on_completed(self, worker_id: str, instance_id: str,
                      now: float) -> CompletionResult:
         """Fold in a completion report; detects duplicates and cancels twins."""
-        instance = self._by_id.get(instance_id)
+        instance = self._find(instance_id)
         # A late duplicate report must not clobber the worker's *current*
         # assignment; only clear the pairing this report is about.
         if self._assignment.get(worker_id) == instance_id:
@@ -185,7 +198,7 @@ class TaskMaster:
     def on_failed(self, worker_id: str, instance_id: str, machine: str,
                   now: float) -> FailureResult:
         """Fold in a failure: blacklist bookkeeping, retry or terminal verdict."""
-        instance = self._by_id.get(instance_id)
+        instance = self._find(instance_id)
         if self._assignment.get(worker_id) == instance_id:
             self._assignment.pop(worker_id, None)
         if instance is None or instance.state == InstanceState.FINISHED:
@@ -218,7 +231,7 @@ class TaskMaster:
         instance_id = self._assignment.pop(worker_id, None)
         if instance_id is None:
             return None
-        instance = self._by_id[instance_id]
+        instance = self.instance(instance_id)
         before = instance.state
         instance.fail_attempt(worker_id, now)
         self._moved(before, instance.state)
@@ -234,9 +247,11 @@ class TaskMaster:
         if index not in self._pending_set:
             self._pending_set.add(index)
             self._pending.append(index)
-            for machine in instance.preferred_machines:
-                if machine not in self.blacklist.task_avoids(self.spec.name):
-                    self._locality_index.setdefault(machine, deque()).append(index)
+            avoids = self.blacklist.task_avoids(self.spec.name)
+            # once per machine, even where the hint names one twice
+            for machine in dict.fromkeys(instance.preferred_machines):
+                if machine not in avoids:
+                    self._locality_index.setdefault(machine, []).insert(0, index)
 
     # ------------------------------------------------------------------ #
     # backup instances
@@ -285,7 +300,7 @@ class TaskMaster:
         """Re-attach an attempt that kept running while the JobMaster was
         down, so its completion lands; False if the instance has already
         finished."""
-        instance = self._by_id[instance_id]
+        instance = self.instance(instance_id)
         if instance.state == InstanceState.FINISHED:
             return False
         self._pending_set.discard(instance.index)
@@ -341,8 +356,21 @@ class TaskMaster:
         return self.failed_count > 0
 
     def instance(self, instance_id: str) -> Instance:
-        """Look up an instance by id."""
-        return self._by_id[instance_id]
+        """Look up an instance by id; KeyError if this task has none."""
+        instance = self._find(instance_id)
+        if instance is None:
+            raise KeyError(instance_id)
+        return instance
+
+    def _find(self, instance_id: str) -> Optional[Instance]:
+        """The instance ``instance_id`` (``"task/index"``) names, or None."""
+        task, _, number = instance_id.rpartition("/")
+        if task == self.spec.name and number.isdecimal():
+            index = int(number)
+            # str(index) == number: "map/01" names no instance
+            if index < len(self.instances) and str(index) == number:
+                return self.instances[index]
+        return None
 
     def assignment_of(self, worker_id: str) -> Optional[str]:
         """Instance id the worker is currently believed to run, or None."""

@@ -151,9 +151,11 @@ class Actor:
         """Tear down a *finished* actor so refcounting alone reclaims it.
 
         Unlike :meth:`crash` this is permanent (no restart): timers are
-        cancelled, and subclasses break their internal back-references
-        (e.g. the protocol hub) so the dead actor graph needs no
-        cyclic-GC pass to be freed.
+        cancelled — a cancelled event releases its callback at once, so
+        no pending timer keeps the actor alive until its time comes — and
+        subclasses break their internal back-references (e.g. the
+        protocol hub), so the dead actor graph needs no cyclic-GC pass to
+        be freed.
         """
         self.alive = False
         self._incarnation += 1

@@ -78,7 +78,10 @@ class Event:
 
     Events are returned by :meth:`EventLoop.call_at` / :meth:`EventLoop.call_after`
     and can be cancelled.  A cancelled event stays in the heap but is skipped
-    when popped (and reclaimed wholesale when the loop compacts).
+    when popped (and reclaimed wholesale when the loop compacts); it drops
+    its callback and arguments at once, so whatever they reference (a
+    disposed actor's whole object graph, say) is freed now rather than when
+    the entry's time comes.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "done",
@@ -102,6 +105,8 @@ class Event:
         if self.cancelled or self.done:
             return
         self.cancelled = True
+        self.callback = None
+        self.args = ()
         if self._loop is not None:
             self._loop._on_cancel()
 

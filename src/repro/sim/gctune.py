@@ -24,10 +24,13 @@ Two helpers, for the two phases of a run:
   On exit the heap is thawed and collected in full.
 
 Dead acyclic objects — the overwhelming bulk of per-event garbage — are
-refcount-freed immediately regardless.  Cyclic garbage that survives two
-young collections promotes and is reclaimed by the full collection on
-exit; for bounded runs this is a few thousand objects (mostly the
-self-referential periodic-timer closures of reaped actors).
+refcount-freed immediately regardless, and that includes every reaped
+job: ``reap_job`` disposes the job master, whose cancelled timers drop
+their callbacks at once, so the whole job graph is freed by reference
+counting at the reap (``tests/unit/test_reaped_job.py``).  Only cyclic
+garbage that survives two young collections promotes and waits for the
+full collection on exit, so a job graph that needed the cyclic
+collector would stay in memory for the rest of the window.
 
 GC scheduling has no effect on simulation results: event order and rng
 draws are independent of when memory is reclaimed.

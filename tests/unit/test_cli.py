@@ -188,6 +188,20 @@ def test_submit_unwritable_trace_out_errors(tmp_path, capsys):
     assert "cannot write trace" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["chaos", "--racks", "0"],
+    ["fuzz", "--budget", "0"],
+    ["fuzz", "--racks", "0"],
+    ["top", "--racks", "0", "--plain"],
+])
+def test_bad_config_values_exit_two(argv, capsys):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("bad arguments: ")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_chaos_bad_schedule_string_errors(capsys):
     code = main(["chaos", "--schedule", "Nope@12"])
     err = capsys.readouterr().err

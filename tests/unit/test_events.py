@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event loop."""
 
+import weakref
+
 import pytest
 
 from repro.sim.events import _COMPACT_MIN, EventLoop, SimulationError
@@ -68,6 +70,27 @@ def test_cancel_is_idempotent():
     event.cancel()
     event.cancel()
     loop.run()
+
+
+def test_cancel_releases_callback_and_args():
+    """A cancelled entry stays on the heap until its time comes; what it
+    would have called must not live that long."""
+
+    class Owner:
+        def tick(self, payload):
+            pass
+
+    loop = EventLoop()
+    owner, payload = Owner(), Owner()
+    event = loop.call_after(30.0, owner.tick, payload)
+    owner_ref, payload_ref = weakref.ref(owner), weakref.ref(payload)
+    del owner, payload
+    assert owner_ref() is not None and payload_ref() is not None
+    event.cancel()
+    assert len(loop._heap) == 1   # still queued, not yet compacted away
+    assert owner_ref() is None and payload_ref() is None
+    loop.run()
+    assert loop.now == 0.0
 
 
 def test_run_until_stops_at_boundary():
