@@ -363,10 +363,10 @@ class ApplicationMaster(Actor):
     def _start_timers(self) -> None:
         self.set_periodic_timer("full-sync", self.config.full_sync_interval,
                                 self._periodic_full_sync)
-        self.set_periodic_timer("retransmit", self.config.retransmit_interval,
-                                self.hub.retransmit_pending)
-        self.set_periodic_timer("am-heartbeat", self.config.heartbeat_interval,
-                                self._send_heartbeat)
+        self.set_grid_timer("retransmit", self.config.retransmit_interval,
+                            self.hub.retransmit_pending)
+        self.set_grid_timer("am-heartbeat", self.config.heartbeat_interval,
+                            self._send_heartbeat)
 
     def _send_heartbeat(self) -> None:
         if not self.finished:

@@ -111,7 +111,7 @@ class DagJobMaster(ApplicationMaster):
         self._instances_finished = 0
         super().__init__(loop, bus, app_id, config)
         self._snapshot_init()
-        self.set_periodic_timer("housekeeping", 1.0, self._housekeeping)
+        self.set_grid_timer("housekeeping", 1.0, self._housekeeping)
         self.loop.call_after(0.0, self._schedule_ready_tasks)
 
     def _make_rng(self, app_id: str):
@@ -331,6 +331,22 @@ class DagJobMaster(ApplicationMaster):
             self._add_worker(info)
             self.send_work_plan(worker_id, unit_key, machine,
                                 spec={"task": task})
+        self._withdraw_excess_demand(unit_key)
+
+    def _withdraw_excess_demand(self, unit_key: UnitKey) -> None:
+        """Never want more containers than the unit's ``max_count``.
+
+        A full sync after a FuxiMaster failover can hand back containers
+        whose return was lost, on top of the replacement already asked
+        for.  Demand beyond the cap can never be granted; it would wait in
+        the master's queues, passed over by every machine event."""
+        outstanding = self.outstanding(unit_key)
+        unit = self.units.get(unit_key)
+        if outstanding <= 0 or unit is None:
+            return
+        excess = self.held_count(unit_key) + outstanding - unit.max_count
+        if excess > 0:
+            self.request(unit_key, -min(excess, outstanding))
 
     def on_revoked(self, unit_key: UnitKey, machine: str, count: int) -> None:
         """Containers revoked (node down or preemption): replace them."""
@@ -356,13 +372,22 @@ class DagJobMaster(ApplicationMaster):
         info = self._workers.get(worker_id)
         if info is None:
             return
-        if reason in ("capacity-revoked", "not-expected"):
-            # Not the machine's fault: the container went away (preemption /
-            # reconciliation); on_revoked drives the replacement request.
+        if reason in ("capacity-revoked", "not-expected",
+                      "insufficient-resource"):
+            # Not the machine's fault.  The container went away (preemption
+            # / reconciliation), and on_revoked drives the replacement
+            # request; or the plan overtook FuxiMaster's grant delta to the
+            # agent, a race between two edges, and the container we still
+            # hold is re-planned by _housekeeping's reconciliation pass.
             self._worker_lost(info, blame_machine=False)
             return
         self._launch_failures[machine] = self._launch_failures.get(machine, 0) + 1
         blame = reason in ("launch-failure", "crashed")
+        if reason == "crashed":
+            # Declared dead for its silence: a hung process still holds
+            # its slot in the agent's books, and the container would be
+            # refused to every replacement planned into it.
+            self.stop_worker(worker_id)
         self._worker_lost(info, blame_machine=blame)
         task = info.task
         if task in self.finished_tasks:
@@ -745,7 +770,7 @@ class DagJobMaster(ApplicationMaster):
         if snap is not None:
             self.submitted_at = snap.get("submitted_at", self.submitted_at)
             self.finished_tasks = set(snap.get("finished_tasks", ()))
-        self.set_periodic_timer("housekeeping", 1.0, self._housekeeping)
+        self.set_grid_timer("housekeeping", 1.0, self._housekeeping)
         for task in sorted(self.spec.tasks):
             if task in self.finished_tasks:
                 # keep slot numbering stable across incarnations

@@ -21,6 +21,13 @@ from repro.core import messages as msg
 from repro.sim.actor import Actor
 from repro.sim.events import EventLoop
 
+#: the phase of the reports' grid: a quarter second before the job
+#: masters' instants (``repro.sim.actor.GRID_PHASE``), so a report never
+#: leaves in the instant a JobMaster's housekeeping stops its worker — it
+#: would arrive at a master that has just forgotten the worker, and be
+#: adopted as a survivor of a JobMaster failover
+REPORT_PHASE = 0.25
+
 
 # ------------------------------------------------------------------ #
 # worker <-> job master messages
@@ -77,12 +84,18 @@ class InstanceFailed:
 
 @dataclass(frozen=True, slots=True)
 class WorkerStatusReport:
-    """Worker -> JobMaster: periodic progress (drives long-tail detection)."""
+    """Worker -> JobMaster: the periodic status report.
+
+    It stamps the worker alive (``DagJobMaster.WORKER_SILENCE_TIMEOUT``),
+    re-offers work to an idle worker, and lets a restarted JobMaster adopt
+    a worker it does not know, with its running attempt (``running_for``).
+    Long tails are detected from the TaskMaster's attempt start times, not
+    from reports.
+    """
 
     worker_id: str
     machine: str
     instance_id: Optional[str]
-    progress: float
     running_for: float
     last_completed: Optional[str] = None
 
@@ -113,7 +126,8 @@ class TaskWorker(Actor):
         # master" (§2.2)
         self.send(self.master_address,
                   WorkerReady(self.worker_id, self.machine))
-        self.set_periodic_timer("report", self.report_interval, self._report)
+        self.set_grid_timer("report", self.report_interval, self._report,
+                            REPORT_PHASE)
 
     # ------------------------------------------------------------------ #
     # execution
@@ -160,14 +174,11 @@ class TaskWorker(Actor):
 
     def _report(self) -> None:
         running_for = 0.0
-        progress = 1.0
         if self.current_instance is not None:
             running_for = self.loop.now - self.instance_started_at
-            if self.instance_duration > 0:
-                progress = min(running_for / self.instance_duration, 0.99)
         self.send(self.master_address, WorkerStatusReport(
             self.worker_id, self.machine, self.current_instance,
-            progress, running_for, self.last_completed))
+            running_for, self.last_completed))
 
     def on_crash(self) -> None:
         self.current_instance = None

@@ -21,7 +21,9 @@ from repro.cluster.faults import FaultPlan
 from repro.core.scheduler import FuxiScheduler
 from repro.obs.recorder import FlightRecorder
 
-SEED = 3
+#: a workload whose jobs hold containers when the master fails over, so
+#: the rebuild restores allocations (the mutated path) from agent reports
+SEED = 1
 NOISY_SPEC = ("AgentRestart@8:r00m001;"
               "SlowMachine@9:r01m002:factor=2.5;"
               "FuxiMasterFailure@12;"

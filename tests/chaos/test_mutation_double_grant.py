@@ -23,7 +23,9 @@ from repro.chaos.shrink import violation_matcher
 from repro.cluster.faults import FaultPlan
 from repro.core.scheduler import FuxiScheduler
 
-SEED = 3
+#: a workload whose jobs hold containers when the master fails over, so
+#: the rebuild restores allocations (the mutated path) from agent reports
+SEED = 1
 NOISY_SPEC = ("AgentRestart@8:r00m001;"
               "SlowMachine@9:r01m002:factor=2.5;"
               "FuxiMasterFailure@12;"

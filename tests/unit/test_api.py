@@ -140,7 +140,13 @@ def test_summary_dict_is_deterministic_and_json_able():
 # --------------------- golden grant-stream digests ------------------- #
 # Recorded at commit ca049c4 and never re-recorded by a refactor: a change
 # that claims "same behaviour" must reproduce every row, under both kernel
-# backends.  The fault plans fire at exact instants (two NodeDowns 0.25 ms
+# backends.  Re-recorded once, when the job plane's periodic timers moved
+# onto the phase grid (a stream-moving change: reports, AM heartbeats,
+# retransmits and housekeeping fire at other instants), together with the
+# job-level blacklist no longer blaming a machine for a work plan that
+# overtook its grant delta, a worker declared dead for its silence being
+# stopped at its agent, and a JobMaster withdrawing demand beyond its
+# unit's max_count.  The fault plans fire at exact instants (two NodeDowns 0.25 ms
 # apart must give different streams) and cover machine and agent restart,
 # a lossy network window and master failover.
 
@@ -149,24 +155,24 @@ GOLDEN_SPEC = RunSpec(racks=2, machines_per_rack=5, concurrent_jobs=6,
                       seed=11)
 
 GOLDEN = {
-    "": (["fuxi-master-0:99c1765a9bef62b2:17",
-          "fuxi-master-1:cbf29ce484222325:0"], 2452),
+    "": (["fuxi-master-0:9f53e2d6d16ee583:18",
+          "fuxi-master-1:cbf29ce484222325:0"], 2411),
     "NodeDown@12.0:r00m001": (
-        ["fuxi-master-0:332f03bcf3ac1e9f:19",
-         "fuxi-master-1:cbf29ce484222325:0"], 2416),
+        ["fuxi-master-0:7135b35d033a1b98:19",
+         "fuxi-master-1:cbf29ce484222325:0"], 2374),
     "NodeDown@12.00025:r00m001": (
-        ["fuxi-master-0:c5a5fba02e45756c:19",
-         "fuxi-master-1:cbf29ce484222325:0"], 2408),
+        ["fuxi-master-0:e37cdbe56679de68:20",
+         "fuxi-master-1:cbf29ce484222325:0"], 2367),
     "NodeDown@10.0:r01m000;MachineRestart@18.0:r01m000;"
     "AgentRestart@22.0:r00m002": (
-        ["fuxi-master-0:1ad93704d07e94b9:19",
-         "fuxi-master-1:cbf29ce484222325:0"], 2423),
+        ["fuxi-master-0:78c3958182de2e74:22",
+         "fuxi-master-1:cbf29ce484222325:0"], 2421),
     "NodeDown@8.0:r00m001;SlowMachine@9.0:r00m003:factor=3.0;"
     "NetworkBurst@11.0:dur=4.0:drop=0.2:delay=0.004;"
     "PartialWorkerFailure@13.0:r01m002;FuxiMasterFailure@15.0;"
     "FuxiMasterRestart@24.0": (
-        ["fuxi-master-0:e003c182bbfaab48:14",
-         "fuxi-master-1:fc89389ea62524c4:4"], 2247),
+        ["fuxi-master-0:375d2225a953f1bb:15",
+         "fuxi-master-1:708e6323844411f3:6"], 2273),
 }
 
 

@@ -107,15 +107,15 @@ def test_cancel_of_other_instance_ignored():
     assert master.of_type(InstanceCompleted)
 
 
-def test_status_reports_progress():
+def test_status_reports_the_running_attempt():
     loop, master, worker = make_worker(report_interval=1.0)
     worker.deliver("app:a1", ExecuteInstance("t/0", 10.0, {}))
-    loop.run_until(3.5)
+    loop.run_until(3.6)
     reports = [r for r in master.of_type(WorkerStatusReport)
                if r.instance_id == "t/0"]
-    assert reports
-    assert 0 < reports[-1].progress < 1.0
-    assert reports[-1].running_for > 0
+    # on the reports' phase grid: the first instant 0.25 + k at least one
+    # interval after the worker registered at t = 0, then every interval
+    assert [r.running_for for r in reports] == [1.25, 2.25, 3.25]
 
 
 def test_idle_status_reports_last_completed():
