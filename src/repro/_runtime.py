@@ -265,12 +265,8 @@ class FuxiCluster:
             config.drop_prob, config.jitter = self._burst_baseline
 
     def workers_on(self, machine: str) -> List[TaskWorker]:
-        found = []
-        for name, actor in list(self.bus._actors.items()):
-            if (name.startswith("worker:") and actor.alive
-                    and getattr(actor, "machine", None) == machine):
-                found.append(actor)
-        return found
+        """The live worker processes on ``machine``, in registration order."""
+        return self.bus.hosted_on(machine)
 
     def live_workers(self) -> int:
         return sum(1 for name, actor in self.bus._actors.items()

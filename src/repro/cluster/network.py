@@ -43,6 +43,16 @@ instead of one delivery event per message.  Each message still arrives at
 its own ``(time, seq)`` position; a batch whose one destination can fold
 messages that change nothing does so for a whole chunk, and every other
 message goes through :meth:`MessageBus._deliver` as a single send would.
+
+**Outboxes.**  While a grid instant of the job plane fires
+(:mod:`repro.sim.grid`), the bus holds every message an actor sends
+(:meth:`MessageBus.hold`, :meth:`MessageBus.post`): each takes its edge
+slot and its delivery's sequence number at its turn, exactly where
+:meth:`send` takes them, and
+:meth:`MessageBus.release` then draws the delays of the whole outbox in
+one kernel pass and schedules it as one delivery run.  A run with a
+destination per message offers each arrival to that destination's
+``absorb_message``.
 """
 
 from __future__ import annotations
@@ -56,6 +66,7 @@ from repro import kernels
 from repro.kernels.edgedelay import EdgeColumns, arrival_order
 from repro.sim.actor import Actor
 from repro.sim.events import Event, EventLoop
+from repro.sim.grid import PhaseGrid
 from repro.sim.rng import SplitRandom
 
 _M64 = (1 << 64) - 1
@@ -127,8 +138,8 @@ class EdgeGroup:
 
 class Messages:
     """A :meth:`MessageBus.send_run` batch of ready-made messages, by pair
-    position, for a group without a shared destination (nothing is
-    offered for folding there)."""
+    position, for a group without a shared destination (each arrival is
+    offered to its own destination's ``absorb_message``)."""
 
     __slots__ = ("messages",)
 
@@ -142,6 +153,24 @@ class Messages:
         message = self.messages[position]
         self.messages[position] = None
         return message
+
+
+class Outbox:
+    """Messages sent while the bus holds them (:meth:`MessageBus.hold`),
+    each with the edge slot and sequence number its delivery event would
+    have taken, until :meth:`MessageBus.release` sends them as one run."""
+
+    __slots__ = ("senders", "dests", "messages", "states", "indices",
+                 "seqs")
+
+    def __init__(self):
+        self.senders: List[str] = []
+        self.dests: List[str] = []
+        self.messages: List[Any] = []
+        #: each message's edge state and the edge counter it took
+        self.states: List[list] = []
+        self.indices: List[int] = []
+        self.seqs: List[int] = []
 
 
 class _ReservedSeqs:
@@ -166,13 +195,13 @@ class _DeliveryRun:
     __slots__ = ("bus", "senders", "dests", "dest", "batch", "order",
                  "times")
 
-    def __init__(self, bus: "MessageBus", group: EdgeGroup, batch: Any,
+    def __init__(self, bus: "MessageBus", senders: List[str],
+                 dests: List[str], dest: Optional[str], batch: Any,
                  order: List[int], times: List[float]):
         self.bus = bus
-        # the names, not the group: a one-off group's delay columns need
+        # the names, not a group: a one-off group's delay columns need
         # not outlive the send
-        self.senders, self.dests, self.dest = (group.senders, group.dests,
-                                               group.dest)
+        self.senders, self.dests, self.dest = senders, dests, dest
         self.batch = batch
         self.order = order
         self.times = times
@@ -182,9 +211,11 @@ class _DeliveryRun:
 
         No event lies between them, so a shared destination is resolved
         once: a missing or crashed one drops them all, one that can fold
-        messages in bulk is offered the chunk.  The first message left —
-        every message of a fan-out — is delivered the way
-        :meth:`MessageBus.send` delivers, alone.
+        messages in bulk is offered the chunk.  Without one, each arrival
+        is offered to its own destination's ``absorb_message(sender,
+        message, arrival)``, in arrival order, until one declines.  The
+        first message left is delivered the way :meth:`MessageBus.send`
+        delivers, alone.
         """
         bus = self.bus
         if self.dest is not None:
@@ -197,10 +228,44 @@ class _DeliveryRun:
             if stop > start:
                 bus.messages_delivered += stop - start
                 return stop
+        else:
+            stop = self._absorb_each(start, end)
+            if stop > start:
+                return stop
         position = self.order[start]
         bus._deliver(self.senders[position], self.dests[position],
                      self.batch.message(position))
         return start + 1
+
+    def _absorb_each(self, start: int, end: int) -> int:
+        """Fold arrivals ``[start, end)`` one by one into their own
+        destinations; returns the index of the first one left.  An
+        arrival at a missing or crashed actor is dropped, as ``_deliver``
+        drops it.  A destination whose ``deliver`` was replaced on the
+        instance folds nothing: whoever intercepts deliveries must see
+        every message."""
+        bus = self.bus
+        actors, aliases = bus._actors, bus._aliases
+        order, times = self.order, self.times
+        senders, dests = self.senders, self.dests
+        messages = self.batch.messages
+        index = start
+        while index < end:
+            position = order[index]
+            dest = dests[position]
+            actor = actors.get(aliases.get(dest, dest))
+            if actor is None or not actor.alive:
+                bus.messages_dropped += 1
+            else:
+                fold = getattr(actor, "absorb_message", None)
+                if (fold is None or "deliver" in actor.__dict__
+                        or not fold(senders[position], messages[position],
+                                    times[index])):
+                    break
+                bus.messages_delivered += 1
+            messages[position] = None
+            index += 1
+        return index
 
 
 class MessageBus:
@@ -214,6 +279,9 @@ class MessageBus:
         # (sender, dest) -> [edge_key, epsilon, next_message_index]
         self._edges: Dict[Tuple[str, str], list] = {}
         self._actors: Dict[str, Actor] = {}
+        #: machine -> the worker processes filed under it (``host``), by
+        #: name in registration order: what ``ps`` on the machine lists
+        self._hosted: Dict[str, Dict[str, Actor]] = {}
         self._aliases: Dict[str, str] = {}
         self.messages_sent = 0
         self.messages_delivered = 0
@@ -222,6 +290,10 @@ class MessageBus:
         #: the sender cohort opened last on this bus; senders arming in
         #: the same loop step join it (see repro.core.heartbeat)
         self.open_cohort: Any = None
+        #: the job plane's shared timer instants (see repro.sim.grid)
+        self.grid = PhaseGrid(loop, self)
+        #: where ``Actor.send`` puts messages while the bus holds them
+        self.outbox: Optional[Outbox] = None
 
     # --------------------------------------------------------------- #
     # registry
@@ -231,7 +303,26 @@ class MessageBus:
         self._actors[actor.name] = actor
 
     def unregister(self, name: str) -> None:
-        self._actors.pop(name, None)
+        actor = self._actors.pop(name, None)
+        if actor is not None:
+            hosted = self._hosted.get(getattr(actor, "machine", None))
+            if hosted is not None:
+                hosted.pop(name, None)
+
+    def host(self, actor: Actor, machine: str) -> None:
+        """File the registered ``actor`` as a process running on
+        ``machine`` until it is unregistered.  A worker is unregistered
+        the moment it crashes, so the filed processes of a machine keep
+        the order in which the bus registered them."""
+        self._hosted.setdefault(machine, {})[actor.name] = actor
+
+    def hosted_on(self, machine: str) -> List[Actor]:
+        """The live processes filed under ``machine``, in registration
+        order — without walking every actor on the bus."""
+        hosted = self._hosted.get(machine)
+        if not hosted:
+            return []
+        return [actor for actor in hosted.values() if actor.alive]
 
     def set_alias(self, alias: str, target: str) -> None:
         self._aliases[alias] = target
@@ -438,8 +529,69 @@ class MessageBus:
             rank = {position: first + index
                     for index, position in enumerate(sorted(order))}
             seqs = [rank[position] for position in order]
-        run = _DeliveryRun(self, group, batch, order, times)
+        run = _DeliveryRun(self, group.senders, group.dests, group.dest,
+                           batch, order, times)
         self.loop.call_series(times, seqs, run.consume)
+
+    # --------------------------------------------------------------- #
+    # outboxes: the messages of one instant, sent as one run
+    # --------------------------------------------------------------- #
+
+    def hold(self) -> None:
+        """Hold every message actors send from now until :meth:`release`,
+        for one delivery run.  Only a transport that neither drops,
+        duplicates nor reorders is held: there, which sequence numbers a
+        message takes does not depend on its draws."""
+        config = self.config
+        if not (config.drop_prob or config.duplicate_prob
+                or config.reorder_prob):
+            self.outbox = Outbox()
+
+    def post(self, outbox: Outbox, sender: str, dest: str,
+             message: Any) -> None:
+        """:meth:`send` with the delivery held in ``outbox`` instead of
+        put on the loop: the counter, the edge slot and the delivery's
+        sequence number are taken here, as ``send`` takes them."""
+        self.messages_sent += 1
+        state = self._edges.get((sender, dest))
+        if state is None:
+            state = self._edge(sender, dest)
+        outbox.states.append(state)
+        outbox.indices.append(state[2])
+        state[2] += 1
+        loop = self.loop
+        outbox.seqs.append(loop._seq)
+        loop._seq += 1
+        outbox.senders.append(sender)
+        outbox.dests.append(dest)
+        outbox.messages.append(message)
+
+    def release(self) -> None:
+        """Stop holding, and schedule what the outbox holds as one delivery
+        run: every message's delay drawn from the edge slot it took (one
+        kernel pass, bit-identical to ``send``'s inline draw), each
+        arriving at ``(now + delay, its sequence number)``."""
+        outbox, self.outbox = self.outbox, None
+        if outbox is None or not outbox.senders:
+            return
+        config = self.config
+        states, indices = outbox.states, outbox.indices
+        if kernels.np() is None:
+            delays = [self._one_delay(config, state[0] ^ (index << 3),
+                                      state[1], 2)
+                      for state, index in zip(states, indices)]
+        else:
+            columns = EdgeColumns([state[0] for state in states],
+                                  [state[1] for state in states])
+            delays, _ = columns.delays(indices, config.latency,
+                                       config.jitter, 0.0)
+        # equal arrivals keep sending order, which is sequence order
+        order, times = arrival_order(self.loop.now, delays, None)
+        held = outbox.seqs
+        run = _DeliveryRun(self, outbox.senders, outbox.dests, None,
+                           Messages(outbox.messages), order, times)
+        self.loop.call_series(times, [held[position] for position in order],
+                              run.consume)
 
 
 def _draw(base: int, slot: int) -> float:

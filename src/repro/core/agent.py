@@ -308,14 +308,7 @@ class FuxiAgent(Actor):
         """Find worker processes of this machine still alive (simulated ps)."""
         if self.bus is None:
             return []
-        plans = []
-        for name, actor in list(getattr(self.bus, "_actors", {}).items()):
-            if not name.startswith("worker:") or not actor.alive:
-                continue
-            plan = getattr(actor, "plan", None)
-            if plan is not None and getattr(actor, "machine", None) == self.machine:
-                plans.append(plan)
-        return plans
+        return [worker.plan for worker in self.bus.hosted_on(self.machine)]
 
     def _handle_worker_list_reply(self, sender: str,
                                   reply: msg.WorkerListReply) -> None:

@@ -68,6 +68,8 @@ class ApplicationMaster(Actor):
         self.worker_machines: Dict[str, str] = {}
         self._pending_deltas: List[RequestDelta] = []
         self.finished = False
+        #: every heartbeat is this message (immutable, so one serves all)
+        self._beat = msg.AppHeartbeat(app_id)
         self._start_timers()
 
     def dispose(self) -> None:
@@ -370,7 +372,7 @@ class ApplicationMaster(Actor):
 
     def _send_heartbeat(self) -> None:
         if not self.finished:
-            self.send(self.config.master_address, msg.AppHeartbeat(self.app_id))
+            self.send(self.config.master_address, self._beat)
 
     # ------------------------------------------------------------------ #
     # AM failover

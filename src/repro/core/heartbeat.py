@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, List, Optional
 
 from repro.core import messages as msg
+from repro.sim.grid import InstantRun
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.agent import FuxiAgent
@@ -103,37 +104,27 @@ class _Roster:
         self.group = bus.edge_group([agent.name for agent in agents], dest)
 
 
-class _FirstBeats:
+class _FirstBeats(InstantRun):
     """The immediate beats of agents (re)started in one instant, in arming
-    order: the consumer of their :class:`~repro.sim.events.EventSeries`.
+    order: an :class:`~repro.sim.grid.InstantRun` of agents.
 
     An occurrence is added where ``call_after(0.0, agent._send_heartbeat)``
     used to be called and takes the sequence number that call took, so
     each beat is sent exactly where its own event would have fired.
     """
 
-    __slots__ = ("cohort", "agents", "times", "seqs")
+    __slots__ = ("cohort",)
 
     def __init__(self, cohort: "HeartbeatCohort"):
+        super().__init__(cohort.loop, cohort.loop.now)
         self.cohort = cohort
-        self.agents: List["FuxiAgent"] = []
-        self.times: List[float] = []
-        self.seqs: List[int] = []
-
-    def add(self, agent: "FuxiAgent") -> None:
-        loop = self.cohort.loop
-        self.agents.append(agent)
-        self.times.append(loop.now)
-        self.seqs.append(loop.reserve_seqs(1))
-        if len(self.agents) == 1:
-            loop.call_series(self.times, self.seqs, self.consume)
 
     def consume(self, start: int, end: int) -> int:
         """Send the beats ``[start, end)``: no event lies between them, so
         the agents alive now are the ones alive at each beat, and the
         batch's deliveries all lie after this instant."""
-        agents = [agent for agent in self.agents[start:end] if agent.alive]
-        if end == len(self.agents):
+        agents = [agent for agent in self.items[start:end] if agent.alive]
+        if end == len(self.items):
             self.cohort._first = None    # the run is over: free its columns
         if agents:
             self.cohort.send(agents)

@@ -274,6 +274,17 @@ class FuxiMaster(Actor):
                               message: msg.AppHeartbeat) -> None:
         self._last_app_seen[message.app_id] = self.loop.now
 
+    def absorb_message(self, sender: str, message, arrival: float) -> bool:
+        """Fold one arrival of a delivery run that changes nothing but a
+        stamp (§3.4's "roll-up manner"): an application master's heartbeat
+        only stamps its arrival in ``_last_app_seen`` — a standby ignores
+        it.  Anything else is declined and delivered as a message."""
+        if type(message) is not msg.AppHeartbeat:
+            return False
+        if self.is_primary:
+            self._last_app_seen[message.app_id] = arrival
+        return True
+
     def _handle_am_started(self, sender: str,
                            message: msg.AppMasterStarted) -> None:
         self._set_am_machine(message.app_id, message.machine)

@@ -598,6 +598,22 @@ class DagJobMaster(ApplicationMaster):
         if message.instance_id is None and info.state in ("idle", "busy"):
             self._worker_reports_idle(info, message.last_completed)
 
+    def absorb_message(self, sender: str, message, arrival: float) -> bool:
+        """Fold one arrival of a delivery run that only stamps its worker
+        alive: a status report from a known worker that is running an
+        instance, or is neither idle nor busy — the rows of
+        :meth:`_on_status_report` that end at ``last_seen``.  The
+        ``_silence`` heap tolerates the stamp moving past its entry.
+        Anything else is declined and delivered as a message."""
+        if type(message) is not wmsg.WorkerStatusReport:
+            return False
+        info = self._workers.get(message.worker_id)
+        if info is None or (message.instance_id is None
+                            and info.state in ("idle", "busy")):
+            return False
+        info.last_seen = arrival
+        return True
+
     # ------------------------------------------------------------------ #
     # housekeeping: backups and stuck-worker checks
     # ------------------------------------------------------------------ #

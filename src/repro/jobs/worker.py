@@ -2,10 +2,12 @@
 
 A worker runs inside one granted container on one machine.  It registers
 itself to its application master, executes task *instances* the TaskMaster
-assigns, reports progress periodically ("All TaskWorkers will periodically
-report their status including execution progresses"), and — because Fuxi
-separates containers from tasks — stays alive between instances so the
-master can reuse it for the next instance without another scheduling round.
+assigns, reports its status periodically ("All TaskWorkers will
+periodically report their status including execution progresses"; here
+the running instance and how long it has run, on a phase grid shared by
+every worker), and — because Fuxi separates containers from tasks — stays
+alive between instances so the master can reuse it for the next instance
+without another scheduling round.
 
 Execution is simulated: an instance occupies the worker for its duration
 multiplied by the machine's ``slow_factor`` (the SlowMachine fault).
@@ -22,7 +24,7 @@ from repro.sim.actor import Actor
 from repro.sim.events import EventLoop
 
 #: the phase of the reports' grid: a quarter second before the job
-#: masters' instants (``repro.sim.actor.GRID_PHASE``), so a report never
+#: masters' instants (``repro.sim.grid.GRID_PHASE``), so a report never
 #: leaves in the instant a JobMaster's housekeeping stops its worker — it
 #: would arrive at a master that has just forgotten the worker, and be
 #: adopted as a survivor of a JobMaster failover
@@ -113,10 +115,10 @@ class TaskWorker(Actor):
         self.worker_id = plan.worker_id
         self.machine = machine_state.spec.name
         self.master_address = f"app:{plan.app_id}"
+        bus.host(self, self.machine)
         self.report_interval = report_interval
         self.current_instance: Optional[str] = None
         self.instance_started_at: float = 0.0
-        self.instance_duration: float = 0.0
         self.instances_run = 0
         self.last_completed: Optional[str] = None
         self._register()
@@ -155,7 +157,6 @@ class TaskWorker(Actor):
         duration = command.duration * self.machine_state.slow_factor
         self.current_instance = command.instance_id
         self.instance_started_at = self.loop.now
-        self.instance_duration = duration
         self.set_timer("finish", duration, self._finish)
 
     def _finish(self) -> None:

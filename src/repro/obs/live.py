@@ -246,6 +246,7 @@ _SUBSYSTEM_BY_MODULE: Dict[str, str] = {
     "repro.jobs.service": "jobmaster",
     "repro.jobs.backup": "jobmaster",
     "repro.jobs.worker": "worker",
+    "repro.sim.grid": "jobmaster",
     "repro.cluster.network": "network",
     "repro.cluster.lockservice": "locks",
     "repro.cluster.faults": "faults",

@@ -10,28 +10,11 @@ failures the paper handles look to peers.
 
 from __future__ import annotations
 
-from math import ceil
 from sys import intern as _intern
 from typing import Any, Callable, Dict, Optional
 
 from repro.sim.events import Event, EventLoop
-
-#: the offset of the job plane's phase grid: a timer armed with
-#: :meth:`Actor.set_grid_timer` fires at ``phase + k * interval``.  The job
-#: masters' timers take this one: half a second away from the whole seconds
-#: the agents built at t = 0 beat on, so the job plane's deliveries do not
-#: land among theirs (DESIGN.md, "The job plane: grid, cohorts, roll-up").
-GRID_PHASE = 0.5
-
-
-def grid_instant(now: float, interval: float,
-                 phase: float = GRID_PHASE) -> float:
-    """The first instant ``phase + k * interval`` at least one full
-    interval after ``now``."""
-    when = phase + ceil((now + interval - phase) / interval) * interval
-    if when < now + interval:
-        when += interval
-    return when
+from repro.sim.grid import GRID_PHASE
 
 
 class _PeriodicChain:
@@ -46,16 +29,13 @@ class _PeriodicChain:
     ``_timers`` dict, which :meth:`Actor.cancel_all_timers` breaks.
     """
 
-    __slots__ = ("owner", "key", "callback", "phase")
+    __slots__ = ("owner", "key", "callback")
 
     def __init__(self, owner: "Actor", key: str,
-                 callback: Callable[[], None],
-                 phase: Optional[float] = None):
+                 callback: Callable[[], None]):
         self.owner = owner
         self.key = key
         self.callback = callback
-        #: the phase grid it re-arms on (Actor.set_grid_timer), or None
-        self.phase = phase
 
     def __call__(self) -> None:
         owner = self.owner
@@ -67,10 +47,7 @@ class _PeriodicChain:
         # ``key not in timers``: the callback may have re-registered the
         # timer (new chain, possibly new interval) — that chain wins.
         if interval is not None and owner.alive and key not in timers:
-            loop = owner.loop
-            when = (loop.now + interval if self.phase is None
-                    else grid_instant(loop.now, interval, self.phase))
-            timers[key] = loop.call_at(when, self, recycle=True)
+            timers[key] = owner.loop.call_after(interval, self, recycle=True)
 
 
 class Actor:
@@ -94,12 +71,22 @@ class Actor:
     # ------------------------------------------------------------------ #
 
     def send(self, dest: str, message: Any) -> None:
-        """Send ``message`` to the actor registered under ``dest``."""
-        if self.bus is None:
+        """Send ``message`` to the actor registered under ``dest``.
+
+        While the bus holds messages (a grid instant is firing), the
+        message joins the bus's outbox instead of becoming a delivery
+        event of its own; it takes the same counters, edge slot and
+        sequence number either way."""
+        bus = self.bus
+        if bus is None:
             raise RuntimeError(f"actor {self.name!r} has no message bus")
         if not self.alive:
             return
-        self.bus.send(self.name, dest, message)
+        outbox = bus.outbox
+        if outbox is None:
+            bus.send(self.name, dest, message)
+        else:
+            bus.post(outbox, self.name, dest, message)
 
     def deliver(self, sender: str, message: Any) -> None:
         """Called by the bus when a message arrives.  Dead actors drop it."""
@@ -158,19 +145,19 @@ class Actor:
     def set_grid_timer(self, key: str, interval: float,
                        callback: Callable[[], None],
                        phase: float = GRID_PHASE) -> None:
-        """:meth:`set_periodic_timer` on a phase grid: the first firing is
-        the first instant ``phase + k * interval`` at least one interval
-        from now, and every firing after it is the next grid instant.
-        Paper §4.3 gives the job plane's periodic traffic a period, not a
-        phase; a shared phase lets every timer of one interval fire in the
-        same instant."""
+        """:meth:`set_periodic_timer` on a phase grid
+        (:mod:`repro.sim.grid`): the first firing is the first instant
+        ``phase + k * interval`` at least one interval from now, and every
+        firing after it is the next grid instant.  Paper §4.3 gives the job
+        plane's periodic traffic a period, not a phase; a shared phase
+        lets every timer of one interval fire in the same instant, from
+        one loop event, and send what it sends in one delivery run."""
         self._periodic[key] = interval
         previous = self._timers.pop(key, None)
         if previous is not None:
             previous.cancel()
-        self._timers[key] = self.loop.call_at(
-            grid_instant(self.loop.now, interval, phase),
-            _PeriodicChain(self, key, callback, phase), recycle=True)
+        self._timers[key] = self.bus.grid.arm(self, key, interval, phase,
+                                              callback)
 
     def cancel_timer(self, key: str) -> None:
         self._periodic.pop(key, None)

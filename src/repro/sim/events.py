@@ -132,10 +132,13 @@ class EventSeries:
     schedule only events that sort after every occurrence it handles — a
     call that handles one meets this whatever it schedules, since a new
     event takes a later sequence number; a batch of same-instant sends
-    meets it because every delivery lies in the future.  A call that
-    handles more than one occurrence must neither cancel events nor read
-    the clock for the later ones (the bound was taken before the call).  An
-    occurrence that needs more is therefore handled by a call of its own.
+    meets it because every delivery lies in the future, and the timers of
+    one grid instant because their sequence numbers were reserved an
+    interval before it.  A call that handles more than one occurrence must
+    not read the clock for the later ones unless they share its time (the
+    bound was taken before the call).  It may cancel events: that only
+    removes one the bound may have named.  An occurrence that needs more
+    is therefore handled by a call of its own.
     After every call the bound is read again, so whatever a call scheduled
     inside the rest of the run is honoured.  After an invocation
     ``loop.now`` is the time of the last occurrence consumed.

@@ -175,7 +175,7 @@ def test_agents_built_together_share_one_cohort_and_one_event():
     assert all("heartbeat" not in agent._timers for agent in agents.values())
     # the immediate beats as one run + the cohort's one timer
     assert loop.pending() == 2
-    assert cohort._first.agents == list(agents.values())
+    assert cohort._first.items == list(agents.values())
     loop.run_until(3.5)
     assert cohort.fires_at == 4.0
     assert sorted(name for name, when in log if 3.0 < when < 3.5) \
