@@ -107,6 +107,9 @@ class FuxiMaster(Actor):
         self._pending_agent_reports: Dict[str, msg.AgentFullState] = {}
         self._pending_allocations: Dict[str, Dict[UnitKey, int]] = {}
         self._pending_am_holdings: Dict[str, Dict[UnitKey, int]] = {}
+        #: machine -> arrival of a beat whose digest differed with nothing
+        #: in flight; drift if the machine's next beat differs too
+        self._drift_suspects: Dict[str, float] = {}
         self._dispatch: Dict[type, Callable[[str, Any], None]] = {
             msg.Envelope: self._handle_envelope,
             msg.Ack: self._handle_ack,
@@ -148,6 +151,11 @@ class FuxiMaster(Actor):
             "master.failover", detached=True,
             master=self.name, takeover=self.failovers)
         self.bus.set_alias(self.config.alias, self.name)
+        # A fresh hub per term, its streams at an epoch above any earlier
+        # term's: an agent may still hold this stream name's receiver at
+        # the old term's position, and the post-recovery push no longer
+        # resets it (DESIGN.md §12).
+        self.hub = StreamHub(self, epoch=self.failovers)
         self.scheduler = FuxiScheduler(self.config.scheduler,
                                        tracer=self.tracer)
         self._last_agent_seen = make_time_column()
@@ -161,6 +169,7 @@ class FuxiMaster(Actor):
         self._pending_agent_reports = {}
         self._pending_allocations = {}
         self._pending_am_holdings = {}
+        self._drift_suspects = {}
         self._load_hard_state()
         self.set_periodic_timer("renew", self.config.renew_interval, self._renew)
         self.set_periodic_timer("liveness", self.config.liveness_check_interval,
@@ -221,12 +230,12 @@ class FuxiMaster(Actor):
         self._failover_span = None
 
     def on_restart(self) -> None:
-        self.hub = StreamHub(self)
         self._campaign()
 
     def _finish_recovery(self) -> None:
         """Recovery window over: install buffered reports, resume scheduling."""
         self.recovering = False
+        reports = self._pending_agent_reports
         self._install_pending_allocations()
         decisions: List[Grant] = []
         if self.scheduler is not None:
@@ -235,12 +244,18 @@ class FuxiMaster(Actor):
             # AMs; the full sync hands them over (or triggers their return).
             for app_id in self._known_app_ids():
                 self._send_grant_full(app_id)
-            # Symmetrically, tell every agent the authoritative allocation
-            # books: an agent may hold grants for an app that finished (or
-            # whose AM died) during the failover window — no AM will ever
-            # return those, so without this wholesale push the agent's
-            # hard-state entry would leak forever.
-            self._push_alloc_full(list(self.scheduler.pool.machines()))
+            # Symmetrically, tell every agent whose books the rebuilt ledger
+            # does not hold exactly the authoritative allocation books: an
+            # agent may hold grants for an app that finished (or whose AM
+            # died) during the failover window — no AM will ever return
+            # those, so without this wholesale push the agent's hard-state
+            # entry would leak forever.  An agent whose report the ledger
+            # now holds exactly has nothing to repair.  (Every pool machine
+            # has a report: nothing else adds one mid-recovery.)
+            books_match = self.scheduler.ledger.books_match
+            self._push_alloc_full([
+                machine for machine in self.scheduler.pool.machines()
+                if not books_match(machine, reports[machine].allocations)])
             decisions = self.scheduler.schedule_all_machines()
         if self._failover_span is not None:
             machines = (self.scheduler.pool.machine_count()
@@ -406,23 +421,33 @@ class FuxiMaster(Actor):
     # agents: heartbeats, liveness, failover reports
     # ------------------------------------------------------------------ #
 
-    def _note_agent_alive(self, machine: str) -> None:
-        if machine not in self._last_agent_seen:
+    def _note_agent_alive(self, machine: str) -> Optional[float]:
+        """Stamp ``machine``'s agent alive; returns its previous stamp."""
+        previous = self._last_agent_seen.get(machine)
+        if previous is None:
             # New (or returning) live agent: make it visible to AM placement
             # at its current load.
             heapq.heappush(self._am_heap,
                            (self._am_hosted.get(machine, 0), machine))
         self._last_agent_seen.set(machine, self.loop.now)
+        return previous
 
     def _handle_agent_heartbeat(self, sender: str, beat: msg.AgentHeartbeat) -> None:
         if self.scheduler is None:
             return
-        self._note_agent_alive(beat.machine)
+        previous = self._note_agent_alive(beat.machine)
         self.metrics.increment("fm.heartbeat_bytes", beat.payload_bytes())
         self.health.record_sample(beat.machine, beat.health_sample,
                                   self.loop.now)
         if not self.scheduler.pool.has_machine(beat.machine):
             if self.recovering:
+                if beat.book_version == 0:
+                    # Version 0 proves the books empty (every change to
+                    # them bumps it, a crash too, and it never resets): the
+                    # beat is the agent's whole report (DESIGN.md §12).
+                    self._buffer_agent_report(msg.AgentFullState(
+                        beat.machine, beat.rack, beat.capacity, {}))
+                    return
                 # Ask for the full allocation picture before re-adding.
                 self.send(sender, msg.ResyncRequest(self.name, self.failovers))
                 return
@@ -434,8 +459,10 @@ class FuxiMaster(Actor):
             # The agent may have outlived its removal (e.g. its heartbeats
             # were lost in a partition while revocations for its apps were
             # skipped as undeliverable): push the authoritative — empty —
-            # allocation books wholesale so stale entries can't leak.
-            self._send_alloc_full(beat.machine)
+            # allocation books wholesale so stale entries can't leak.  At
+            # version 0 the agent's books are empty already.
+            if beat.book_version:
+                self._send_alloc_full(beat.machine)
             self._disseminate(decisions)
         elif beat.capacity != self.scheduler.pool.capacity(beat.machine):
             # "The total virtual resource on each node can be changed at any
@@ -446,7 +473,8 @@ class FuxiMaster(Actor):
             self._disseminate(decisions)
         elif (not self.recovering
               and beat.book_digest
-              != self.scheduler.ledger.machine_digest(beat.machine)):
+              != self.scheduler.ledger.machine_digest(beat.machine)
+              and not self.hub.in_flight(f"agent:{beat.machine}", "alloc")):
             # Periodic safety sync (§3.1), agent side, in O(1): the beat
             # carries a digest of the agent's books instead of a book copy;
             # a mismatch means the views drifted — e.g. a fire-and-forget
@@ -454,12 +482,21 @@ class FuxiMaster(Actor):
             # undeliverable while the machine was out of the pool.  The
             # master's view is authoritative; push it wholesale.  (Skipped
             # mid-recovery: the rebuilding master's books are incomplete
-            # and must not wipe agent hard state.)
-            self.metrics.increment("fm.digest_drift")
-            if self.tracer.enabled:
-                self.tracer.event("master.book_drift", machine=beat.machine,
-                                  version=beat.book_version)
-            self._send_alloc_full(beat.machine)
+            # and must not wipe agent hard state.  Skipped while a delta or
+            # full sync to the agent awaits its ack: the beat may predate
+            # it.)  The agent's previous beat must have shown it too: a
+            # beat sent just before a delta landed can arrive after that
+            # delta's ack, and the next beat then matches.
+            suspected_at = self._drift_suspects.pop(beat.machine, None)
+            if suspected_at is None or suspected_at != previous:
+                self._drift_suspects[beat.machine] = self.loop.now
+            else:
+                self.metrics.increment("fm.digest_drift")
+                if self.tracer.enabled:
+                    self.tracer.event("master.book_drift",
+                                      machine=beat.machine,
+                                      version=beat.book_version)
+                self._send_alloc_full(beat.machine)
         if (not self.recovering
                 and self.scheduler.policy.heartbeat_paced
                 and self.scheduler.pool.has_machine(beat.machine)):
@@ -541,23 +578,27 @@ class FuxiMaster(Actor):
             return
         self._note_agent_alive(report.machine)
         if self.recovering:
-            self.tracer.event("master.agent_report",
-                              parent=self._failover_span,
-                              machine=report.machine)
-            self._pending_agent_reports[report.machine] = report
-            pending = self._pending_allocations.setdefault(report.machine, {})
-            for unit_key, count in report.allocations.items():
-                pending[unit_key] = int(count)
-            # Targeted install: re-scanning *every* buffered report per
-            # arriving report is quadratic across a 5k-machine recovery;
-            # entries whose units are still missing are swept up by
-            # _install_pending_allocations when the window closes.
-            self._install_machine_report(report.machine)
+            self._buffer_agent_report(report)
         else:
             if not self.scheduler.pool.has_machine(report.machine):
                 decisions = self.scheduler.add_machine(
                     report.machine, report.rack, report.capacity)
                 self._disseminate(decisions)
+
+    def _buffer_agent_report(self, report: msg.AgentFullState) -> None:
+        """Take one agent's report in the recovery window and install it."""
+        self.tracer.event("master.agent_report", parent=self._failover_span,
+                          machine=report.machine)
+        self._pending_agent_reports[report.machine] = report
+        if report.allocations:
+            pending = self._pending_allocations.setdefault(report.machine, {})
+            for unit_key, count in report.allocations.items():
+                pending[unit_key] = int(count)
+        # Targeted install: re-scanning *every* buffered report per
+        # arriving report is quadratic across a 5k-machine recovery;
+        # entries whose units are still missing are swept up by
+        # _install_pending_allocations when the window closes.
+        self._install_machine_report(report.machine)
 
     def _install_machine_report(self, machine: str) -> None:
         """Install one machine's buffered report (single-machine form of
@@ -900,6 +941,8 @@ class FuxiMaster(Actor):
         one fan-out run: same stream state, counters, draws and sequence
         numbers, one series for the deliveries (DESIGN.md §12).  A
         transport that duplicates or reorders sends them one by one."""
+        if not machines:
+            return
         config = self.bus.config
         if config.duplicate_prob or config.reorder_prob:
             for machine in machines:

@@ -46,20 +46,26 @@ class StreamSender:
     """Sender half of one directed stream.
 
     The *epoch* increments every time the sender restarts (failover); a
-    receiver seeing a higher epoch discards its old stream position and waits
-    for the full sync the restarted sender emits first.
+    receiver seeing a higher epoch discards its old stream position and
+    applies the new incarnation from its full sync or its first delta.
     """
 
     # a master holds one per agent
-    __slots__ = ("stream", "epoch", "ordinal", "_seq", "_unacked")
+    __slots__ = ("stream", "epoch", "ordinal", "sent_tick", "_seq",
+                 "_unacked", "_full_seq")
 
     def __init__(self, stream: str, epoch: int = 0, ordinal: int = 0):
         self.stream = stream
         self.epoch = epoch
         #: creation rank within the owning hub (its ``_senders`` order)
         self.ordinal = ordinal
+        #: the owning hub's retransmit tick when the oldest send still
+        #: unacknowledged went out, or when the peer last acked progress
+        self.sent_tick = 0
         self._seq = 0
         self._unacked: Dict[int, DeltaEnvelope] = {}
+        #: seq of the full sync not yet acknowledged, -1 when none is
+        self._full_seq = -1
 
     def next_delta(self, payload: Any) -> DeltaEnvelope:
         self._seq += 1
@@ -70,12 +76,23 @@ class StreamSender:
     def full_sync(self, state: Any) -> FullSyncEnvelope:
         """Emit the sender's complete state; clears the retransmit buffer."""
         self._unacked.clear()
+        self._full_seq = self._seq
         return FullSyncEnvelope(self.stream, self.epoch, self._seq, state)
 
-    def acknowledge(self, seq: int) -> None:
-        """Peer confirmed everything up to ``seq``; drop retransmit copies."""
-        for old in [s for s in self._unacked if s <= seq]:
+    def acknowledge(self, seq: int) -> bool:
+        """Peer confirmed everything up to ``seq``; drop retransmit copies.
+        Returns whether this acknowledged anything not acknowledged yet."""
+        progress = 0 <= self._full_seq <= seq
+        if progress:
+            self._full_seq = -1
+        acked = [s for s in self._unacked if s <= seq]
+        for old in acked:
             del self._unacked[old]
+        return progress or bool(acked)
+
+    def unacknowledged(self) -> bool:
+        """A delta or a full sync of this stream awaits its ack."""
+        return bool(self._unacked) or self._full_seq >= 0
 
     def pending_retransmit(self) -> List[DeltaEnvelope]:
         """Unacknowledged deltas, oldest first (resent on a timer)."""
@@ -86,6 +103,7 @@ class StreamSender:
         self.epoch += 1
         self._seq = 0
         self._unacked.clear()
+        self._full_seq = -1
 
 
 class StreamReceiver:
@@ -185,15 +203,24 @@ class StreamHub:
     """
 
     # every actor holds one, most of them (agents) idle
-    __slots__ = ("actor", "stats", "_senders", "_dest_of", "_receivers",
-                 "_full_state_of", "_sender_keys_of", "_receiver_streams_of",
-                 "_unacked_streams", "_created", "_on_first_sender")
+    __slots__ = ("actor", "stats", "epoch", "_senders", "_dest_of",
+                 "_receivers", "_full_state_of", "_sender_keys_of",
+                 "_receiver_streams_of", "_unacked_streams", "_created",
+                 "_on_first_sender", "_ticks")
 
     def __init__(self, actor: Any, stats: Optional["ProtocolStats"] = None,
-                 on_first_sender: Optional[Callable[[], None]] = None):
+                 on_first_sender: Optional[Callable[[], None]] = None,
+                 epoch: int = 0):
         # ``actor`` needs .name, .send(dest, message), .set_periodic_timer().
         self.actor = actor
         self.stats = stats or ProtocolStats()
+        #: the epoch every outgoing stream of this hub starts at: a master
+        #: gives each primary term a hub whose epoch is above any earlier
+        #: term's, so its first delta is never taken for a duplicate of a
+        #: stream position an agent kept from an earlier term
+        self.epoch = epoch
+        #: retransmit ticks so far (see :meth:`in_flight`)
+        self._ticks = 0
         self._senders: Dict[tuple, StreamSender] = {}
         self._dest_of: Dict[str, str] = {}
         self._receivers: Dict[str, StreamReceiver] = {}
@@ -226,8 +253,8 @@ class StreamHub:
             if first:
                 self._unacked_streams = {}
             stream = f"{self.actor.name}>{dest}:{kind}"
-            sender = self._senders[key] = StreamSender(stream,
-                                                       ordinal=self._created)
+            sender = self._senders[key] = StreamSender(
+                stream, self.epoch, self._created)
             self._created += 1
             self._dest_of[stream] = dest
             self._sender_keys_of.setdefault(dest, []).append(key)
@@ -243,6 +270,8 @@ class StreamHub:
                    items: int = 1) -> None:
         from repro.core.messages import Envelope
         sender = self.sender(dest, kind)
+        if not sender.unacknowledged():
+            sender.sent_tick = self._ticks
         envelope = sender.next_delta(payload)
         self._unacked_streams[sender.ordinal] = (dest, kind)
         self.stats.record_delta(items)
@@ -257,9 +286,25 @@ class StreamHub:
         as part of a run: the stream's retransmit buffer is cleared and
         the sync counted here."""
         from repro.core.messages import Envelope
-        envelope = self.sender(dest, kind).full_sync(state)
+        sender = self.sender(dest, kind)
+        envelope = sender.full_sync(state)
+        # it supersedes every earlier send: the oldest outstanding now
+        sender.sent_tick = self._ticks
         self.stats.record_full(items)
         return Envelope(envelope)
+
+    def in_flight(self, dest: str, kind: str) -> bool:
+        """True while a delta or full sync sent on the stream awaits its
+        ack, for at most two retransmit ticks from the oldest such send
+        (or from the peer's latest acked progress, if later): a peer's
+        view taken before it lands may still differ.  Past that the stream
+        counts as stuck however many deltas follow (a full sync lost in
+        transit leaves the peer a gap no retransmitted delta fills, and
+        every later delta waits behind it), so a differing view is
+        drift."""
+        sender = self._senders.get((dest, kind))
+        return (sender is not None and sender.unacknowledged()
+                and self._ticks - sender.sent_tick < 2)
 
     def restart_all_senders(self) -> None:
         """New incarnation: every outgoing stream starts a fresh epoch."""
@@ -288,6 +333,7 @@ class StreamHub:
         master holds one stream per agent, nearly all acknowledged).
         """
         from repro.core.messages import Envelope
+        self._ticks += 1
         if not self._senders:
             return
         unacked = self._unacked_streams
@@ -353,7 +399,8 @@ class StreamHub:
         _, _, kind = stream.rpartition(":")
         sender = self._senders.get((dest, kind))
         if sender is not None and sender.epoch == ack.epoch:
-            sender.acknowledge(ack.seq)
+            if sender.acknowledge(ack.seq):
+                sender.sent_tick = self._ticks
             if not sender._unacked:
                 self._unacked_streams.pop(sender.ordinal, None)
 

@@ -204,6 +204,7 @@ class DagJobMaster(ApplicationMaster):
             return
         self._set_state(info, "gone")
         self.stop_worker(info.worker_id)
+        self._retired.add(info.worker_id)
         held = self.held_count(info.unit_key, info.machine)
         if held > 0:
             self.return_grant(info.unit_key, info.machine, 1)
@@ -225,6 +226,9 @@ class DagJobMaster(ApplicationMaster):
         #: (holdings_version, _roster_version) the reconciliation pass
         #: last ran at
         self._reconciled: Tuple[int, int] = (-1, -1)
+        #: workers this incarnation retired: a report one of them had in
+        #: flight is not a crash survivor to adopt
+        self._retired: Set[str] = set()
 
     def _add_worker(self, info: _WorkerInfo) -> None:
         self._workers[info.worker_id] = info
@@ -591,6 +595,12 @@ class DagJobMaster(ApplicationMaster):
                           message: wmsg.WorkerStatusReport) -> None:
         info = self._workers.get(message.worker_id)
         if info is None:
+            if message.worker_id in self._retired:
+                # Retired while this report was in flight: adopted, it
+                # would fall silent and be declared crashed on its machine.
+                self.send(f"agent:{message.machine}",
+                          msg.StopWorker(self.app_id, message.worker_id))
+                return
             # Unknown worker still running (JobMaster failover): adopt it.
             self._adopt_worker(message)
             return

@@ -16,8 +16,12 @@ batched paths against.
   the immediate beat a ``call_after(0.0, _send_heartbeat)`` of its own.
 - :class:`PerMachinePushMaster` overrides ``FuxiMaster._finish_recovery``
   and ``_send_alloc_full`` with their bodies at that commit: the recovery
-  window ends in one ``hub.send_full`` per pool machine, each a message of
-  its own.
+  window ends in one ``hub.send_full`` per pushed machine, each a message
+  of its own.  The one adaptation is the push rule of the protocol both
+  sides now run (DESIGN.md §12): a machine whose report the rebuilt
+  ledger holds exactly is not pushed.  Registration from a version-0 beat
+  needs no port: it is in ``_handle_agent_heartbeat``, which both sides
+  share.
 
 Slow and obviously per-message.  Do not "tidy" the copied bodies; their
 value is that they are the old code.
@@ -90,6 +94,7 @@ class PerMachinePushMaster(FuxiMaster):
     def _finish_recovery(self) -> None:
         """Recovery window over: install buffered reports, resume scheduling."""
         self.recovering = False
+        reports = self._pending_agent_reports
         self._install_pending_allocations()
         decisions: List[Grant] = []
         if self.scheduler is not None:
@@ -104,7 +109,9 @@ class PerMachinePushMaster(FuxiMaster):
             # return those, so without this wholesale push the agent's
             # hard-state entry would leak forever.
             for machine in self.scheduler.pool.machines():
-                self._send_alloc_full(machine)
+                if not self.scheduler.ledger.books_match(
+                        machine, reports[machine].allocations):
+                    self._send_alloc_full(machine)
             decisions = self.scheduler.schedule_all_machines()
         if self._failover_span is not None:
             machines = (self.scheduler.pool.machine_count()

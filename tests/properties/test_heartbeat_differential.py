@@ -3,12 +3,14 @@
 Two oracles (``per_beat_oracle``), one driver, the same generated cases:
 
 - *per beat*: one timer + send + delivery event + ``handle_message`` per
-  beat, and one message per machine in the post-recovery push, against
+  beat, and one message per pushed machine in the post-recovery push (a
+  machine whose books the rebuilt ledger holds exactly is not pushed, on
+  either side), against
   cohort timers, delivery runs, the master's roll-up, first-beat runs and
   the fan-out push;
 - *first beat*: the commit before first-beat runs — cohort beats, but an
-  event of its own per immediate beat and a message per machine in the
-  push — against first-beat runs and the fan-out push.  Their tie-break
+  event of its own per immediate beat and a message per pushed machine —
+  against first-beat runs and the fan-out push.  Their tie-break
   sequence numbers are taken in the same places, so this one also
   requires the same ``loop._seq``.
 
@@ -219,12 +221,13 @@ def test_the_oracle_is_per_beat_and_the_cohort_is_not():
                for agent in single.agents.values())
     assert not any("heartbeat" in agent._timers
                    for agent in batched.agents.values())
-    # per machine: its first beat, that beat's delivery and its push
-    # delivery are loop steps of their own in the first-beat oracle (the
-    # batches' runs may split where a job's messages land among them)
+    # per machine: its first beat and that beat's delivery are loop steps
+    # of their own in the first-beat oracle, where the batched side takes
+    # one step for each run (a cold start pushes no books: every first
+    # beat is at version 0)
     machines = len(batched.agents)
     assert first.loop._seq == batched.loop._seq
     assert (first.loop.events_executed - batched.loop.events_executed
-            >= 2 * machines)
+            >= 2 * (machines - 1))
     check_case(case, per_beat_agents)
     check_case(case, first_beat_agents)

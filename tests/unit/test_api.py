@@ -140,39 +140,46 @@ def test_summary_dict_is_deterministic_and_json_able():
 # --------------------- golden grant-stream digests ------------------- #
 # Recorded at commit ca049c4 and never re-recorded by a refactor: a change
 # that claims "same behaviour" must reproduce every row, under both kernel
-# backends.  Re-recorded once, when the job plane's periodic timers moved
+# backends.  Re-recorded when the job plane's periodic timers moved
 # onto the phase grid (a stream-moving change: reports, AM heartbeats,
 # retransmits and housekeeping fire at other instants), together with the
 # job-level blacklist no longer blaming a machine for a work plan that
 # overtook its grant delta, a worker declared dead for its silence being
 # stopped at its agent, and a JobMaster withdrawing demand beyond its
-# unit's max_count.  The fault plans fire at exact instants (two NodeDowns 0.25 ms
-# apart must give different streams) and cover machine and agent restart,
-# a lossy network window and master failover.
+# unit's max_count.  Re-recorded again when a version-0 first beat began
+# registering its machine and the recovery push began skipping books that
+# already match: a clean start sends no ResyncRequest, AgentFullState,
+# pushed full sync or ack, so every agent <-> master edge draws its delays
+# from other counter slots, and a digest mismatch behind an unacked send
+# no longer pushes a full sync; the NodeDown pair moved from r00m001,
+# whose two instants then gave the same grants, to r00m000.  The fault
+# plans fire at exact instants (two NodeDowns 0.25 ms apart, the first on
+# a beat instant, must give different streams) and cover machine and
+# agent restart, a lossy network window and master failover.
 
 GOLDEN_SPEC = RunSpec(racks=2, machines_per_rack=5, concurrent_jobs=6,
                       duration=30.0, workload_scale=20, workers_cap=4,
                       seed=11)
 
 GOLDEN = {
-    "": (["fuxi-master-0:9f53e2d6d16ee583:18",
-          "fuxi-master-1:cbf29ce484222325:0"], 2411),
-    "NodeDown@12.0:r00m001": (
-        ["fuxi-master-0:7135b35d033a1b98:19",
-         "fuxi-master-1:cbf29ce484222325:0"], 2374),
-    "NodeDown@12.00025:r00m001": (
-        ["fuxi-master-0:e37cdbe56679de68:20",
-         "fuxi-master-1:cbf29ce484222325:0"], 2367),
+    "": (["fuxi-master-0:d2ff16e625ac9a92:18",
+          "fuxi-master-1:cbf29ce484222325:0"], 2371),
+    "NodeDown@12.0:r00m000": (
+        ["fuxi-master-0:01050132cda101db:21",
+         "fuxi-master-1:cbf29ce484222325:0"], 2326),
+    "NodeDown@12.00025:r00m000": (
+        ["fuxi-master-0:477b3869727816f7:21",
+         "fuxi-master-1:cbf29ce484222325:0"], 2282),
     "NodeDown@10.0:r01m000;MachineRestart@18.0:r01m000;"
     "AgentRestart@22.0:r00m002": (
-        ["fuxi-master-0:78c3958182de2e74:22",
-         "fuxi-master-1:cbf29ce484222325:0"], 2421),
+        ["fuxi-master-0:4dc1861e741c48f8:18",
+         "fuxi-master-1:cbf29ce484222325:0"], 2368),
     "NodeDown@8.0:r00m001;SlowMachine@9.0:r00m003:factor=3.0;"
     "NetworkBurst@11.0:dur=4.0:drop=0.2:delay=0.004;"
     "PartialWorkerFailure@13.0:r01m002;FuxiMasterFailure@15.0;"
     "FuxiMasterRestart@24.0": (
-        ["fuxi-master-0:375d2225a953f1bb:15",
-         "fuxi-master-1:708e6323844411f3:6"], 2273),
+        ["fuxi-master-0:ce3ffbd618b2629e:13",
+         "fuxi-master-1:4e8a71c2c16d5acc:12"], 2306),
 }
 
 

@@ -1,26 +1,34 @@
-"""Counts that prove the bulk set-up saves work; CI runs them as a
-``perf-smoke`` step.
+"""Counts that prove cold start and the recovery push save work; CI runs
+them as a ``perf-smoke`` step.
 
-Exact functions of the code, not timings: loop steps and events of a
-warm-up, what the post-recovery push puts on the loop, and how many
-collections a build triggers.  The constants were measured at the commit
-before first-beat runs and fan-out pushes: ``events_total`` must not move
-(an occurrence lost or doubled by the batching would move it), loop steps
-must fall by at least one per machine.
+Exact functions of the code, not timings: loop steps, events and messages
+of a warm-up, what the post-recovery push sends, and how many collections a
+build triggers.  An agent whose books are provably empty (``book_version``
+0) registers with its first beat, and the push skips every machine whose
+books the rebuilt ledger holds exactly (DESIGN.md §12), so a cold start
+takes no per-machine round trip and pushes nothing.
 """
 
 import gc
 
 from repro.api import ClusterBuilder
 from repro.core import messages as msg
+from repro.core.grant import Grant
 from repro.core.protocol import FullSyncEnvelope
+from repro.core.units import UnitKey
+from repro.workloads.synthetic import mapreduce_job
+from tests.conftest import make_cluster
 
-#: a 10 x 20 cluster's 3-s warm-up at the commit before first-beat runs:
-#: per machine a first-beat event, its delivery, the ResyncRequest and the
-#: AgentFullState (plus the election, the timers and the t = 3 push)
-PARENT_WARM_UP_STEPS = 813
-#: ... and its events_total, which batching must keep
-WARM_UP_EVENTS = 1808
+#: a 10 x 20 cluster's 3-s warm-up at the commit before registration from
+#: the beat: 415 loop steps (a step per ResyncRequest and AgentFullState
+#: delivery) and 1,808 events ...
+PARENT_WARM_UP_STEPS = 415
+#: ... now the first beats, their deliveries and the election alone, in
+#: steps that do not grow with the machine count
+MAX_WARM_UP_STEPS = 15
+#: 1,808 - 200 ResyncRequests - 200 AgentFullStates (the parent's t = 3
+#: push was delivered after the warm-up)
+WARM_UP_EVENTS = 1408
 
 
 def small_cluster():
@@ -28,40 +36,128 @@ def small_cluster():
         warm_up=False)
 
 
-def test_warm_up_takes_at_least_one_loop_step_per_machine_fewer():
-    cluster = small_cluster()
-    cluster.warm_up()
-    machines = len(cluster.agents)
-    assert cluster.events_total == WARM_UP_EVENTS
-    assert cluster.loop.events_executed <= PARENT_WARM_UP_STEPS - machines
-
-
-def test_post_recovery_push_schedules_one_series():
-    cluster = small_cluster()
-    cluster.run_for(2.5)
-    master = cluster.primary_master
-    assert master.recovering
+def record_traffic(cluster):
+    """Count the messages sent by type, and the alloc full syncs, whether
+    sent one by one or in a fan-out run; note each run of alloc full syncs
+    as its destinations and the events it put on the loop."""
     bus, loop = cluster.bus, cluster.loop
-    runs, full_syncs = [], []
+    counts = {"alloc_full": 0}
+    pushes = []
     send_run, send = bus.send_run, bus.send
 
+    def is_alloc_full(message):
+        return (isinstance(message, msg.Envelope)
+                and isinstance(message.inner, FullSyncEnvelope)
+                and message.inner.stream.endswith(":alloc"))
+
     def recording_run(group, batch):
+        messages = getattr(batch, "messages", ())
+        fulls = [message for message in messages if is_alloc_full(message)]
         before = loop.pending()
         send_run(group, batch)
-        runs.append((group.dest, len(group.senders), loop.pending() - before))
+        if fulls:
+            counts["alloc_full"] += len(fulls)
+            pushes.append((sorted(group.dests), loop.pending() - before))
 
     def recording_send(sender, dest, message):
-        if (isinstance(message, msg.Envelope)
-                and isinstance(message.inner, FullSyncEnvelope)):
-            full_syncs.append(dest)
+        name = type(message).__name__
+        counts[name] = counts.get(name, 0) + 1
+        if is_alloc_full(message):
+            counts["alloc_full"] += 1
         send(sender, dest, message)
 
     bus.send_run, bus.send = recording_run, recording_send
-    cluster.run_for(0.5)                     # the window closes at t = 3
+    return counts, pushes
+
+
+def test_warm_up_takes_at_least_one_loop_step_per_machine_fewer():
+    """Than the parent's 415 steps: the ResyncRequest and AgentFullState
+    deliveries are gone, and no step is left per machine at all."""
+    cluster = small_cluster()
+    cluster.warm_up()
+    assert len(cluster.agents) == 200
+    assert cluster.events_total == WARM_UP_EVENTS
+    assert cluster.loop.events_executed <= MAX_WARM_UP_STEPS
+    assert PARENT_WARM_UP_STEPS - MAX_WARM_UP_STEPS >= 2 * len(cluster.agents)
+
+
+def test_cold_start_sends_no_round_trip_and_no_push():
+    cluster = small_cluster()
+    counts, pushes = record_traffic(cluster)
+    cluster.warm_up()
+    cluster.run_for(2.0)              # past the t = 3 window and its acks
+    master = cluster.primary_master
     assert not master.recovering
-    fan_outs = [run for run in runs if run[0] is None]
-    assert fan_outs == [(None, len(cluster.agents), 1)]
-    assert full_syncs == []
+    assert master.scheduler.pool.machine_count() == 200
+    assert counts.get("ResyncRequest", 0) == 0
+    assert counts.get("AgentFullState", 0) == 0
+    assert counts["alloc_full"] == 0 and pushes == []
+    assert not any(kind == "alloc" for _, kind in master.hub._senders)
+    assert not any(agent.hub._receivers for agent in cluster.agents.values())
+
+
+def test_post_recovery_push_schedules_one_series():
+    """A failover with grants on the books: the push reaches exactly the
+    machines whose report the rebuilt ledger does not hold (here, books
+    carrying a unit no application master reports), in one run."""
+    cluster = small_cluster()
+    cluster.warm_up()
+    cluster.submit_job(mapreduce_job("wc", mappers=400, reducers=1,
+                                     map_duration=30.0))
+    cluster.run_for(4.0)
+    old = cluster.primary_master
+    holding = sorted({machine for _, machine, _ in old.scheduler.ledger.entries()})
+    idle = sorted(set(cluster.agents) - set(holding))
+    assert holding and idle
+    ghost = UnitKey("no-such-app", 0)
+    differing = [holding[0], idle[0]]
+    cluster.crash_primary_master()
+    for machine in differing:
+        cluster.agents[machine]._apply_grant(Grant(ghost, machine, 1))
+    counts, pushes = record_traffic(cluster)
+    cluster.run_for(10.0)             # lease expiry + the recovery window
+    new = cluster.primary_master
+    assert new is not old and not new.recovering
+    # one run to the differing machines, one event on the loop for it
+    assert pushes == [(sorted(f"agent:{machine}" for machine in differing), 1)]
+    assert counts["alloc_full"] == len(differing)
+    for machine, agent in cluster.agents.items():
+        assert agent.allocation_books() == new.alloc_view(machine), machine
+    assert new.metrics.counter("fm.digest_drift") == 0
+
+
+def test_a_new_term_reaches_an_agent_the_push_skipped():
+    """fm-0 -> fm-1 -> fm-0 with every push skipped: the agents still hold
+    fm-0's first-term stream position, and the second term's first delta
+    (seq 1) must not be dropped as a duplicate of it."""
+    cluster = make_cluster(racks=1, machines_per_rack=2)
+    app = cluster.submit_job(mapreduce_job(
+        "wc", mappers=160, reducers=1, map_duration=1.5, reduce_duration=1.0))
+    cluster.run_for(4.0)
+    first = cluster.primary_master
+    assert first.name == "fuxi-master-0"
+    positions = {machine: agent.hub._receivers[
+        f"fuxi-master-0>agent:{machine}:alloc"] for machine, agent
+        in cluster.agents.items()}
+    assert all(receiver.last_seq >= 1 for receiver in positions.values())
+    first_epoch = {receiver.epoch for receiver in positions.values()}
+    cluster.crash_primary_master()
+    cluster.run_for(10.0)
+    assert cluster.primary_master.name == "fuxi-master-1"
+    cluster.restart_master("fuxi-master-0")
+    cluster.run_for(1.0)
+    cluster.crash_primary_master()
+    counts, pushes = record_traffic(cluster)
+    cluster.run_for(10.0)
+    second = cluster.primary_master
+    assert second is first and second.failovers == 2
+    assert counts["alloc_full"] == 0           # every push skipped
+    assert cluster.run_until_complete([app], timeout=200)
+    for machine, agent in cluster.agents.items():
+        receiver = agent.hub._receivers[f"fuxi-master-0>agent:{machine}:alloc"]
+        assert receiver.epoch > max(first_epoch) and receiver.last_seq >= 1
+        assert agent.allocation_books() == second.alloc_view(machine)
+    assert second.metrics.counter("fm.digest_drift") == 0
 
 
 def test_build_and_warm_up_trigger_no_automatic_collection():

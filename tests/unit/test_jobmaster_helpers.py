@@ -1,6 +1,8 @@
 """Unit tests for DagJobMaster's helper logic (driven through a live AM)."""
 
+from repro.core import messages as msg
 from repro.core.units import UnitKey
+from repro.jobs.worker import WorkerStatusReport
 from repro.workloads.synthetic import mapreduce_job
 from tests.conftest import make_cluster
 
@@ -150,3 +152,45 @@ def test_plan_that_overtakes_its_grant_delta_blames_no_machine(cluster):
     del am.deliver
     assert cluster.run_until_complete([app], timeout=300)
     assert cluster.job_results[app].success
+
+
+def test_report_from_a_retired_worker_stops_it_and_blames_nothing():
+    """A report in flight when housekeeping retired its worker reaches a
+    JobMaster that no longer knows the worker.  It is no failover survivor:
+    adopted, it would fall silent (its agent stopped it), be declared
+    crashed and get its machine blamed."""
+    cluster = make_cluster()
+    app, am = running_master(cluster, mappers=4, duration=60.0, workers=2)
+    master = am.task_masters["map"]
+    workers = [info for info in am._workers.values() if info.task == "map"]
+    now = cluster.loop.now
+    for info in workers:  # as in the spare test above: both go idle ...
+        master.on_completed(info.worker_id,
+                            master.assignment_of(info.worker_id), now)
+        am._set_state(info, "idle")
+    for attempt in range(2 * master.spec.max_attempts):
+        instance = master.next_assignment("ghost", f"elsewhere{attempt}", now)
+        if instance is None:
+            break
+        master.on_failed("ghost", instance.instance_id,
+                         f"elsewhere{attempt}", now)
+    cluster.run_for(4)   # ... and housekeeping retires the first
+    retired = workers[0]
+    assert retired.worker_id not in am._workers
+    stops = []
+    send = am.send
+
+    def watch(dest, message):
+        if isinstance(message, msg.StopWorker):
+            stops.append((dest, message.worker_id))
+        send(dest, message)
+
+    am.send = watch
+    cluster.run_for(0.3)
+    am.deliver(f"worker:{retired.worker_id}", WorkerStatusReport(
+        retired.worker_id, retired.machine, None, 0.0))
+    assert retired.worker_id not in am._workers
+    assert stops == [(f"agent:{retired.machine}", retired.worker_id)]
+    cluster.run_for(2 * am.WORKER_SILENCE_TIMEOUT)
+    assert retired.machine not in am._launch_failures
+    assert retired.machine not in am.blacklist.job_bad_machines()

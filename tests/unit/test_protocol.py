@@ -5,8 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.messages import Ack
 from repro.core.protocol import (DeltaEnvelope, FullSyncEnvelope,
-                                 StreamReceiver, StreamSender)
+                                 StreamHub, StreamReceiver, StreamSender)
 
 
 class Collector:
@@ -119,6 +120,48 @@ def test_full_sync_clears_retransmit_buffer():
     sender.next_delta("a")
     sender.full_sync("state")
     assert sender.pending_retransmit() == []
+
+
+class Outbox:
+    """The actor side a :class:`StreamHub` needs: a name and a send."""
+
+    name = "a"
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, dest, message):
+        self.sent.append((dest, message))
+
+
+def test_in_flight_counts_from_the_oldest_unacknowledged_send():
+    """Later deltas do not keep a stuck stream in flight; an ack that
+    moves the peer on does, while anything is left outstanding."""
+    hub = StreamHub(Outbox())
+    hub.send_delta("b", "k", "d1")
+    for _ in range(2):
+        hub.send_delta("b", "k", "d")
+        assert hub.in_flight("b", "k")
+        hub.retransmit_pending()
+    assert not hub.in_flight("b", "k")        # two ticks, no progress
+    hub.on_ack(Ack("a>b:k", 0, 0))            # no progress either
+    assert not hub.in_flight("b", "k")
+    hub.on_ack(Ack("a>b:k", 0, 1))
+    assert hub.in_flight("b", "k")            # d2 and d3 outstanding
+    hub.on_ack(Ack("a>b:k", 0, 3))
+    assert not hub.in_flight("b", "k")        # nothing outstanding
+
+
+def test_unacknowledged_full_sync_is_in_flight_until_acked_past_it():
+    hub = StreamHub(Outbox())
+    hub.send_delta("b", "k", "d1")
+    hub.on_ack(Ack("a>b:k", 0, 1))
+    hub.send_delta("b", "k", "d2")
+    hub.send_full("b", "k", "state")          # supersedes d2, at seq 2
+    hub.on_ack(Ack("a>b:k", 0, 1))            # the peer is still behind it
+    assert hub.in_flight("b", "k")
+    hub.on_ack(Ack("a>b:k", 0, 2))
+    assert not hub.in_flight("b", "k")
 
 
 def test_buffer_overflow_guard():
