@@ -67,10 +67,9 @@ class FuxiAgent(Actor):
         self.machine_state = machine_state
         self.config = config or FuxiAgentConfig()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        # Agents normally have no outgoing streams; the retransmit timer is
-        # armed lazily the first time one appears instead of ticking idly
-        # on thousands of machines.
-        self.hub = StreamHub(self, on_first_sender=self._arm_retransmit)
+        # Made on first use (see ``hub``): most agents of a large cluster
+        # never receive an envelope.
+        self._hub: Optional[StreamHub] = None
         self.worker_factory = worker_factory
         # allocation books: granted units per (app, slot) on this machine,
         # plus the incrementally-maintained digest the heartbeat carries
@@ -102,11 +101,23 @@ class FuxiAgent(Actor):
     def capacity(self) -> ResourceVector:
         return self.machine_state.spec.capacity
 
+    @property
+    def hub(self) -> StreamHub:
+        """The agent's stream hub, made by its first envelope, ack or
+        sender.  Agents normally have no outgoing streams; the retransmit
+        timer is armed lazily the first time one appears instead of
+        ticking idly on thousands of machines."""
+        hub = self._hub
+        if hub is None:
+            hub = self._hub = StreamHub(self,
+                                        on_first_sender=self._arm_retransmit)
+        return hub
+
     def _start_timers(self) -> None:
         # Beat every heartbeat_interval from now on, together with every
         # agent started in this instant (first firing one interval out) ...
         self._cohort = HeartbeatCohort.join(self)
-        if self.hub.has_senders():
+        if self._hub is not None and self._hub.has_senders():
             self._arm_retransmit()
         # ... and once right away, with the agents started in this instant
         # (the first beat is the one that registers the machine).
@@ -287,8 +298,9 @@ class FuxiAgent(Actor):
         """Adopt running workers, then rebuild books from AMs and FuxiMaster."""
         span = self.tracer.start_span("agent.adopt", detached=True,
                                       machine=self.machine)
-        self.hub.restart_all_senders()
-        self.hub.reset_receivers()
+        if self._hub is not None:
+            self._hub.restart_all_senders()
+            self._hub.reset_receivers()
         adopted = self._collect_running_workers()
         apps = set()
         for plan in adopted:

@@ -14,7 +14,7 @@ long each machine has stayed below the threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Set
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.kernels.heartbeat import make_time_column
 
@@ -89,14 +89,16 @@ def default_plugins() -> List[HealthPlugin]:
     return [DiskHealthPlugin(), LoadHealthPlugin(), NetworkHealthPlugin()]
 
 
-@dataclass
+@dataclass(slots=True)
 class _MachineHealth:
     score: float = 1.0
     # Copy of the last raw sample and a memo of its score.  A copy because
     # record_sample takes any mapping and its caller may change it later;
     # the samples agents send (MachineState.health_sample) are replaced,
     # never mutated, which is what lets HealthMonitor.folded certify "same
-    # sample" by identity without this comparison.
+    # sample" by identity without this comparison.  Machines whose samples
+    # are equal share one copy (HealthMonitor._last_scored); it is only
+    # ever compared, never written.
     last_sample: Optional[Dict[str, float]] = None
 
 
@@ -120,6 +122,10 @@ class HealthMonitor:
         #: means folding it again would change nothing (the heartbeat
         #: roll-up's test; live and read-only for callers).
         self.folded: Dict[str, Mapping[str, float]] = {}
+        #: (copy, score) of the sample the plugins scored last: a machine
+        #: whose sample equals it takes both (a cluster's first samples
+        #: are mostly equal) instead of scoring and copying its own
+        self._last_scored: Optional[Tuple[Dict[str, float], float]] = None
 
     def add_plugin(self, plugin: HealthPlugin) -> None:
         """Administrators can add more check items at runtime."""
@@ -129,6 +135,7 @@ class HealthMonitor:
         for state in self._machines.values():
             state.last_sample = None
         self.folded.clear()
+        self._last_scored = None
 
     def record_sample(self, machine: str, sample: Mapping[str, float],
                       now: float) -> float:
@@ -143,16 +150,22 @@ class HealthMonitor:
             # of the sample, and below_since was already settled for this
             # score last time, so the whole fold can be skipped.
             return state.score
-        weighted = 0.0
-        for p in self.plugins:
-            value = p.evaluate(sample)
-            if value < 0.0:
-                value = 0.0
-            elif value > 1.0:
-                value = 1.0
-            weighted += p.weight * value
-        score = weighted / self._total_weight
-        state.last_sample = dict(sample)
+        last = self._last_scored
+        if last is not None and last[0] == sample:
+            copy, score = last
+        else:
+            weighted = 0.0
+            for p in self.plugins:
+                value = p.evaluate(sample)
+                if value < 0.0:
+                    value = 0.0
+                elif value > 1.0:
+                    value = 1.0
+                weighted += p.weight * value
+            score = weighted / self._total_weight
+            copy = dict(sample)
+            self._last_scored = (copy, score)
+        state.last_sample = copy
         state.score = score
         if score < self.threshold:
             if machine not in self._below_since:

@@ -43,16 +43,17 @@ class HeartbeatBatch:
     is in flight for a network delay, during which the agent's books may
     move.  ``samples`` holds references: a ``MachineState`` sample is
     replaced, never mutated.  The per-roster columns (``agents``,
-    ``machines``) are never modified once built; a membership change
-    builds new ones.
+    ``machines``, ``racks``) are never modified once built; a membership
+    change builds new ones.
     """
 
-    __slots__ = ("agents", "machines", "capacities", "samples", "versions",
-                 "digests", "payload_bytes")
+    __slots__ = ("agents", "machines", "racks", "capacities", "samples",
+                 "versions", "digests", "payload_bytes")
 
     def __init__(self, roster: "_Roster"):
         agents = self.agents = roster.agents
         self.machines = roster.machines
+        self.racks = roster.racks
         states = roster.states
         # "can be changed at any time" (§3.2.1): read per firing
         self.capacities = [state.spec.capacity for state in states]
@@ -67,9 +68,8 @@ class HeartbeatBatch:
     def message(self, position: int) -> msg.AgentHeartbeat:
         """The beat of member ``position`` as the message a single
         ``FuxiAgent._send_heartbeat`` would have sent at the firing."""
-        agent = self.agents[position]
         return msg.AgentHeartbeat(
-            machine=agent.machine, rack=agent.rack,
+            machine=self.machines[position], rack=self.racks[position],
             capacity=self.capacities[position],
             health_sample=self.samples[position],
             book_version=self.versions[position],
@@ -91,16 +91,18 @@ class HeartbeatBatch:
 class _Roster:
     """What a cohort derives from its member list, rebuilt when it changes."""
 
-    __slots__ = ("agents", "machines", "states", "fixed_bytes", "group")
+    __slots__ = ("agents", "machines", "racks", "states", "fixed_bytes",
+                 "group")
 
     def __init__(self, agents: List["FuxiAgent"], bus: Any, dest: str):
         self.agents = agents
-        self.machines = [agent.machine for agent in agents]
+        self.machines = machines = [agent.machine for agent in agents]
+        self.racks = racks = [agent.rack for agent in agents]
         self.states = [agent.machine_state for agent in agents]
         #: a beat's payload_bytes() without its health sample's share
-        self.fixed_bytes = [msg.AgentHeartbeat.HEADER_BYTES
-                            + len(agent.machine) + len(agent.rack)
-                            for agent in agents]
+        header = msg.AgentHeartbeat.HEADER_BYTES
+        self.fixed_bytes = [header + len(machine) + len(rack)
+                            for machine, rack in zip(machines, racks)]
         self.group = bus.edge_group([agent.name for agent in agents], dest)
 
 

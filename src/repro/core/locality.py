@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from bisect import insort
 from typing import (Callable, Dict, Generator, Iterable, Iterator, List,
-                    Optional, Set, Tuple)
+                    Optional, Sequence, Set, Tuple)
 
 from repro.core.request import LocalityLevel
 from repro.core.units import UnitKey
@@ -140,6 +140,10 @@ class LocalityTree:
 
     def set_machine_rack(self, machine: str, rack: str) -> None:
         self._machine_rack[machine] = rack
+
+    def set_machine_racks(self, machines: Sequence[str],
+                          racks: Sequence[str]) -> None:
+        self._machine_rack.update(zip(machines, racks))
 
     def rack_of(self, machine: str) -> str:
         return self._machine_rack.get(machine, CLUSTER_NODE)

@@ -435,19 +435,21 @@ class FuxiMaster(Actor):
     def _handle_agent_heartbeat(self, sender: str, beat: msg.AgentHeartbeat) -> None:
         if self.scheduler is None:
             return
-        previous = self._note_agent_alive(beat.machine)
         self.metrics.increment("fm.heartbeat_bytes", beat.payload_bytes())
+        if (self.recovering and beat.book_version == 0
+                and not self.scheduler.pool.has_machine(beat.machine)):
+            # Version 0 proves the books empty (every change to them bumps
+            # it, a crash too, and it never resets): the beat is the
+            # agent's whole report (DESIGN.md §12).
+            self._register_first_beats(
+                [beat.machine], [beat.rack], [beat.capacity],
+                [beat.health_sample], [self.loop.now])
+            return
+        previous = self._note_agent_alive(beat.machine)
         self.health.record_sample(beat.machine, beat.health_sample,
                                   self.loop.now)
         if not self.scheduler.pool.has_machine(beat.machine):
             if self.recovering:
-                if beat.book_version == 0:
-                    # Version 0 proves the books empty (every change to
-                    # them bumps it, a crash too, and it never resets): the
-                    # beat is the agent's whole report (DESIGN.md §12).
-                    self._buffer_agent_report(msg.AgentFullState(
-                        beat.machine, beat.rack, beat.capacity, {}))
-                    return
                 # Ask for the full allocation picture before re-adding.
                 self.send(sender, msg.ResyncRequest(self.name, self.failovers))
                 return
@@ -519,37 +521,49 @@ class FuxiMaster(Actor):
         ``order[start:end]`` are positions into the columns of ``beats``
         (a :class:`~repro.core.heartbeat.HeartbeatBatch`), in arrival
         order, with no other event between them; ``times`` are their
-        arrival times.  A beat is folded exactly when
+        arrival times.  A beat is taken exactly when
         :meth:`_handle_agent_heartbeat` would do nothing for it but stamp
-        its arrival and count its bytes — DESIGN.md's heartbeat-plane table
-        lists the statement behind each test below.  Returns the index of
-        the first beat that fails a test: that one takes the per-message
-        path (``deliver`` -> ``handle_message``), alone.
+        its arrival and count its bytes, or — mid-recovery — register its
+        machine from a first beat at version 0; DESIGN.md's heartbeat-plane
+        table lists the statement behind each test below.  The chunk's
+        first beats are registered together, in arrival order, when the
+        chunk ends.  Returns the index of the first beat that fails a
+        test: that one takes the per-message path (``deliver`` ->
+        ``handle_message``), alone.
         """
         scheduler = self.scheduler
         if (self.role != "primary" or scheduler is None
                 or scheduler.policy.heartbeat_paced):
             return start
+        recovering = self.recovering
         seen = self._last_agent_seen
         known = seen.keys()
         folded = self.health.folded.get
         pool_capacity = scheduler.pool.capacities().get
         # mid-recovery the books are not compared (see the per-message path)
-        ledger_digest = (None if self.recovering
+        ledger_digest = (None if recovering
                          else scheduler.ledger.machine_digests().get)
         machines, payload_bytes = beats.machines, beats.payload_bytes
         samples, capacities, digests = (beats.samples, beats.capacities,
                                         beats.digests)
+        versions = beats.versions
+        # chunk indices of the first beats taken, and their machines
+        first: List[int] = []
+        fresh: set = set()
         stop = start
         payload = 0
-        # indexed, not sliced: a run of beats the handler must see (first
-        # beats register their machines) offers every one of them here
+        # indexed, not sliced: a run of first beats offers every one here
         while stop < end:
             position = order[stop]
             machine = machines[position]
             capacity = pool_capacity(machine)
-            if (folded(machine) is not samples[position]
-                    or machine not in known
+            if machine not in known:
+                if (not recovering or versions[position]
+                        or capacity is not None or machine in fresh):
+                    break
+                first.append(stop)
+                fresh.add(machine)
+            elif (folded(machine) is not samples[position]
                     or (capacity is not capacities[position]
                         and (capacity is None
                              or capacity != capacities[position]))
@@ -559,11 +573,54 @@ class FuxiMaster(Actor):
             payload += payload_bytes[position]
             stop += 1
         if stop > start:
-            seen.set_present([machines[position]
-                              for position in order[start:stop]],
-                             times[start:stop])
+            if first:
+                positions = [order[index] for index in first]
+                self._register_first_beats(
+                    [machines[position] for position in positions],
+                    [beats.racks[position] for position in positions],
+                    [capacities[position] for position in positions],
+                    [samples[position] for position in positions],
+                    [times[index] for index in first])
+            # a registered machine's stamp is set again, to the same value
+            seen.set_many([machines[position]
+                           for position in order[start:stop]],
+                          times[start:stop])
             self.metrics.increment("fm.heartbeat_bytes", payload)
         return stop
+
+    def _register_first_beats(self, machines: List[str], racks: List[str],
+                              capacities: list, samples: list,
+                              times: List[float]) -> None:
+        """Register machines from first beats at version 0 mid-recovery, in
+        arrival order: each beat is its agent's whole report, with empty
+        books (DESIGN.md §12).  The one registration path from a beat:
+        the roll-up passes a chunk's first beats, the per-message handler
+        one.
+
+        Column by column: stamp each agent alive at its arrival (AM
+        placement sees it), fold its health sample, buffer its report (it
+        counts as reported: the AM-holdings fallback skips it), and put
+        the machines in the pool unscheduled.
+        """
+        seen = self._last_agent_seen
+        hosted = self._am_hosted
+        for machine in machines:
+            if machine not in seen:
+                heapq.heappush(self._am_heap,
+                               (hosted.get(machine, 0), machine))
+        seen.set_many(machines, times)
+        record_sample = self.health.record_sample
+        for machine, sample, arrival in zip(machines, samples, times):
+            record_sample(machine, sample, arrival)
+        if self.tracer.enabled:
+            for machine, arrival in zip(machines, times):
+                self.tracer.event_at(arrival, "master.agent_report",
+                                     parent=self._failover_span,
+                                     machine=machine)
+        reports = self._pending_agent_reports
+        for machine, rack, capacity in zip(machines, racks, capacities):
+            reports[machine] = msg.AgentFullState(machine, rack, capacity, {})
+        self._add_machines(machines, racks, capacities)
 
     def _handle_agent_resync_request(self, sender: str,
                                      request: msg.ResyncRequest) -> None:
@@ -605,12 +662,7 @@ class FuxiMaster(Actor):
         :meth:`_retry_pending_allocations`)."""
         report = self._pending_agent_reports[machine]
         if not self.scheduler.pool.has_machine(machine):
-            self.scheduler.add_machine(machine, report.rack,
-                                       report.capacity, schedule=False)
-            self.blacklist.set_known_machines(
-                self.scheduler.pool.machine_count())
-            if self.blacklist.is_disabled(machine):
-                self.scheduler.disable_machine(machine)
+            self._add_machines([machine], [report.rack], [report.capacity])
         entries = self._pending_allocations.get(machine)
         if not entries:
             return
@@ -621,16 +673,29 @@ class FuxiMaster(Actor):
         if not entries:
             del self._pending_allocations[machine]
 
+    def _add_machines(self, machines: List[str], racks: List[str],
+                      capacities: list) -> None:
+        """Put reported machines in the pool, in order, unscheduled (their
+        space may belong to allocations about to be restored), and keep
+        the blacklist's disables."""
+        scheduler = self.scheduler
+        scheduler.add_machines(machines, racks, capacities)
+        self.blacklist.set_known_machines(scheduler.pool.machine_count())
+        is_disabled = self.blacklist.is_disabled
+        for machine in machines:
+            if is_disabled(machine):
+                scheduler.disable_machine(machine)
+
     def _retry_pending_allocations(self) -> None:
         """Install buffered (machine, unit, count) entries whose pieces arrived."""
-        for machine, report in list(self._pending_agent_reports.items()):
-            if not self.scheduler.pool.has_machine(machine):
-                self.scheduler.add_machine(machine, report.rack,
-                                           report.capacity, schedule=False)
-                self.blacklist.set_known_machines(
-                    self.scheduler.pool.machine_count())
-                if self.blacklist.is_disabled(machine):
-                    self.scheduler.disable_machine(machine)
+        has_machine = self.scheduler.pool.has_machine
+        missing = [report for machine, report
+                   in self._pending_agent_reports.items()
+                   if not has_machine(machine)]
+        if missing:
+            self._add_machines([report.machine for report in missing],
+                               [report.rack for report in missing],
+                               [report.capacity for report in missing])
         for machine, entries in list(self._pending_allocations.items()):
             if not self.scheduler.pool.has_machine(machine):
                 continue

@@ -18,7 +18,7 @@ an equivalence test pins on randomized demand sets.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.resources import ResourceVector
 
@@ -202,6 +202,33 @@ class FreeResourcePool:
             self._capacity[machine] = capacity
             self._sorted_machines = None
             self._update_free(machine, capacity)
+
+    def add_machines(self, machines: Sequence[str],
+                     capacities: Sequence[ResourceVector]) -> None:
+        """:meth:`add_machine` for each pair, in order, in one pass.
+
+        The running totals take each machine's amounts in the same order
+        as the one-by-one calls, so their floats come out bit-identical.
+        """
+        capacity_of, free_of = self._capacity, self._free
+        cap_totals, free_totals = self._cap_totals, self._free_totals
+        has_free = self._has_free
+        indexes = list(self._shape_indexes.values())
+        for machine, capacity in zip(machines, capacities):
+            if machine in capacity_of:
+                self.add_machine(machine, capacity)
+                continue
+            for name, amount in capacity.as_dict().items():
+                cap_totals[name] = cap_totals.get(name, 0.0) + amount
+                free_totals[name] = free_totals.get(name, 0.0) + amount
+            capacity_of[machine] = free_of[machine] = capacity
+            if not capacity.is_zero():
+                has_free.add(machine)
+                for index in indexes:
+                    index.update(machine,
+                                 index.unit_size.max_units_in(capacity))
+        self._sorted_machines = None
+        self._cap_total_vec = self._free_total_vec = None
 
     def remove_machine(self, machine: str) -> None:
         """Drop a machine entirely (node down)."""

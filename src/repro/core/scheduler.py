@@ -22,7 +22,7 @@ No event ever recomputes the global assignment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.config import ConfigBase, conf
 from repro.core.grant import AllocationLedger, Grant
@@ -207,6 +207,20 @@ class FuxiScheduler:
         if not schedule:
             return []
         return self._schedule_machine(machine)
+
+    def add_machines(self, machines: Sequence[str], racks: Sequence[str],
+                     capacities: Sequence[ResourceVector]) -> None:
+        """:meth:`add_machine` with ``schedule=False`` for each triple, in
+        order, in one pass (a failover rebuild registers a cohort's first
+        beats together)."""
+        self.pool.add_machines(machines, capacities)
+        self.tree.set_machine_racks(machines, racks)
+        self._machine_rack.update(zip(machines, racks))
+        rack_machines = self._rack_machines
+        for machine, rack in zip(machines, racks):
+            members = rack_machines.setdefault(rack, [])
+            if machine not in members:
+                members.append(machine)
 
     def remove_machine(self, machine: str) -> List[Grant]:
         """Node down: drop the machine, revoking everything granted on it."""

@@ -27,10 +27,10 @@ class PyTimeColumn:
     def set(self, name: str, value: float) -> None:
         self._values[name] = value
 
-    def set_present(self, names: Sequence[str],
-                    values: Sequence[float]) -> None:
-        """``set(name, value)`` pairwise, for names already in the column
-        (none is inserted, so no position moves)."""
+    def set_many(self, names: Sequence[str],
+                 values: Sequence[float]) -> None:
+        """``set(name, value)`` pairwise, in order: a name already in the
+        column keeps its position, a new one is appended."""
         self._values.update(zip(names, values))
 
     def get(self, name: str, default: Optional[float] = None) -> Optional[float]:

@@ -163,12 +163,18 @@ class Tracer:
         ``parent`` overrides the implicit parent — needed to attach events
         to a *detached* span, which never sits on the stack.
         """
+        return self.event_at(self._clock(), name, parent, **attrs)
+
+    def event_at(self, time: float, name: str,
+                 parent: Optional[Span] = None, **attrs: Any) -> TraceEvent:
+        """:meth:`event`, stamped ``time`` instead of the clock's reading:
+        a roll-up that handles occurrences of several instants together
+        stamps each with its own."""
         if parent is not None:
             parent_id: Optional[int] = parent.span_id
         else:
             parent_id = self._stack[-1].span_id if self._stack else None
-        event = TraceEvent(next(self._ids), parent_id, name,
-                           self._clock(), attrs)
+        event = TraceEvent(next(self._ids), parent_id, name, time, attrs)
         self._events.append(event)
         return event
 
@@ -249,6 +255,10 @@ class NullTracer:
 
     def event(self, name: str, parent: Optional[Span] = None,
               **attrs: Any) -> None:
+        return None
+
+    def event_at(self, time: float, name: str,
+                 parent: Optional[Span] = None, **attrs: Any) -> None:
         return None
 
     def spans(self, name: Optional[str] = None) -> List[Span]:

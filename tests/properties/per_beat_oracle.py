@@ -19,9 +19,17 @@ batched paths against.
   window ends in one ``hub.send_full`` per pushed machine, each a message
   of its own.  The one adaptation is the push rule of the protocol both
   sides now run (DESIGN.md §12): a machine whose report the rebuilt
-  ledger holds exactly is not pushed.  Registration from a version-0 beat
-  needs no port: it is in ``_handle_agent_heartbeat``, which both sides
-  share.
+  ledger holds exactly is not pushed.
+- It also overrides ``_handle_agent_heartbeat``, ``absorb_heartbeats``,
+  ``_install_machine_report`` and ``_retry_pending_allocations`` with
+  their bodies at the commit before columnar registration: a version-0
+  first beat is declined by the roll-up and registers its machine through
+  the handler, as an ``AgentFullState`` of its own, with one
+  ``FuxiScheduler.add_machine`` and one ``set_known_machines`` per
+  machine.  The one adaptation: the time column's ``set_present`` is
+  called ``set_many`` now.  Its health monitor is a
+  :class:`PerSampleHealthMonitor`, whose ``record_sample`` scores and
+  copies every machine's sample itself, as before the shared memo.
 
 Slow and obviously per-message.  Do not "tidy" the copied bodies; their
 value is that they are the old code.
@@ -34,7 +42,9 @@ under; it mirrors ``repro.api.simulate`` slice for slice but takes a
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, ContextManager, Dict, Iterator, List, Optional
+import time as _time
+from typing import (Callable, ContextManager, Dict, Iterator, List,
+                    Mapping, Optional)
 
 import repro._runtime as runtime
 from repro.api import ClusterBuilder, RunResult, RunSpec
@@ -43,6 +53,7 @@ from repro.cluster.network import NetworkConfig
 from repro.core import messages as msg
 from repro.core.agent import FuxiAgent, FuxiAgentConfig
 from repro.core.grant import Grant
+from repro.core.health import HealthMonitor, _MachineHealth
 from repro.core.heartbeat import HeartbeatCohort
 from repro.core.master import FuxiMaster
 from repro.jobs.dag import critical_path_length
@@ -88,8 +99,226 @@ class FirstBeatAgent(FuxiAgent):
         self.loop.call_after(0.0, self._send_heartbeat)
 
 
+class PerSampleHealthMonitor(HealthMonitor):
+    """HealthMonitor that scores and copies each machine's sample itself."""
+
+    def record_sample(self, machine: str, sample: Mapping[str, float],
+                      now: float) -> float:
+        """Fold one raw sample in; returns the combined score."""
+        self.folded[machine] = sample
+        state = self._machines.get(machine)
+        if state is None:
+            state = self._machines[machine] = _MachineHealth()
+        elif state.last_sample == sample:
+            # Identical raw sample to the last beat — the overwhelmingly
+            # common case for a healthy machine.  Plugins are pure functions
+            # of the sample, and below_since was already settled for this
+            # score last time, so the whole fold can be skipped.
+            return state.score
+        weighted = 0.0
+        for p in self.plugins:
+            value = p.evaluate(sample)
+            if value < 0.0:
+                value = 0.0
+            elif value > 1.0:
+                value = 1.0
+            weighted += p.weight * value
+        score = weighted / self._total_weight
+        state.last_sample = dict(sample)
+        state.score = score
+        if score < self.threshold:
+            if machine not in self._below_since:
+                self._below_since.set(machine, now)
+        else:
+            self._below_since.pop(machine)
+        return score
+
+
+
 class PerMachinePushMaster(FuxiMaster):
-    """FuxiMaster that pushes the post-recovery books machine by machine."""
+    """FuxiMaster that registers machines one beat at a time and pushes
+    the post-recovery books machine by machine."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.health = PerSampleHealthMonitor(
+            threshold=self.config.health_threshold,
+            grace_seconds=self.config.health_grace)
+
+    def _handle_agent_heartbeat(self, sender: str, beat: msg.AgentHeartbeat) -> None:
+        if self.scheduler is None:
+            return
+        previous = self._note_agent_alive(beat.machine)
+        self.metrics.increment("fm.heartbeat_bytes", beat.payload_bytes())
+        self.health.record_sample(beat.machine, beat.health_sample,
+                                  self.loop.now)
+        if not self.scheduler.pool.has_machine(beat.machine):
+            if self.recovering:
+                if beat.book_version == 0:
+                    # Version 0 proves the books empty (every change to
+                    # them bumps it, a crash too, and it never resets): the
+                    # beat is the agent's whole report (DESIGN.md §12).
+                    self._buffer_agent_report(msg.AgentFullState(
+                        beat.machine, beat.rack, beat.capacity, {}))
+                    return
+                # Ask for the full allocation picture before re-adding.
+                self.send(sender, msg.ResyncRequest(self.name, self.failovers))
+                return
+            decisions = self.scheduler.add_machine(beat.machine, beat.rack,
+                                                   beat.capacity)
+            self.blacklist.set_known_machines(self.scheduler.pool.machine_count())
+            if self.blacklist.is_disabled(beat.machine):
+                self.scheduler.disable_machine(beat.machine)
+            # The agent may have outlived its removal (e.g. its heartbeats
+            # were lost in a partition while revocations for its apps were
+            # skipped as undeliverable): push the authoritative — empty —
+            # allocation books wholesale so stale entries can't leak.  At
+            # version 0 the agent's books are empty already.
+            if beat.book_version:
+                self._send_alloc_full(beat.machine)
+            self._disseminate(decisions)
+        elif beat.capacity != self.scheduler.pool.capacity(beat.machine):
+            # "The total virtual resource on each node can be changed at any
+            # time" (§3.2.1): refresh capacity, keeping allocations; growth
+            # may immediately serve the machine's waiting queues.
+            decisions = self.scheduler.add_machine(beat.machine, beat.rack,
+                                                   beat.capacity)
+            self._disseminate(decisions)
+        elif (not self.recovering
+              and beat.book_digest
+              != self.scheduler.ledger.machine_digest(beat.machine)
+              and not self.hub.in_flight(f"agent:{beat.machine}", "alloc")):
+            # Periodic safety sync (§3.1), agent side, in O(1): the beat
+            # carries a digest of the agent's books instead of a book copy;
+            # a mismatch means the views drifted — e.g. a fire-and-forget
+            # full sync was lost in a partition, or revocations were
+            # undeliverable while the machine was out of the pool.  The
+            # master's view is authoritative; push it wholesale.  (Skipped
+            # mid-recovery: the rebuilding master's books are incomplete
+            # and must not wipe agent hard state.  Skipped while a delta or
+            # full sync to the agent awaits its ack: the beat may predate
+            # it.)  The agent's previous beat must have shown it too: a
+            # beat sent just before a delta landed can arrive after that
+            # delta's ack, and the next beat then matches.
+            suspected_at = self._drift_suspects.pop(beat.machine, None)
+            if suspected_at is None or suspected_at != previous:
+                self._drift_suspects[beat.machine] = self.loop.now
+            else:
+                self.metrics.increment("fm.digest_drift")
+                if self.tracer.enabled:
+                    self.tracer.event("master.book_drift",
+                                      machine=beat.machine,
+                                      version=beat.book_version)
+                self._send_alloc_full(beat.machine)
+        if (not self.recovering
+                and self.scheduler.policy.heartbeat_paced
+                and self.scheduler.pool.has_machine(beat.machine)):
+            # Heartbeat-paced policies (YARN/Mesos baselines) allocate only
+            # when a node reports in, modelling the NodeManager-heartbeat /
+            # resource-offer cycle.  The Fuxi path pays one flag check.
+            started = _time.perf_counter()
+            decisions = self.scheduler.machine_event(beat.machine)
+            self.metrics.record("fm.schedule_ms", self.loop.now,
+                                (_time.perf_counter() - started) * 1000.0)
+            self._disseminate(decisions)
+        # Bad-node detection is deliberately NOT done per heartbeat: §3.4
+        # classifies it as heavy-but-not-urgent work handled "at a fixed
+        # time interval ... in a roll-up manner" — see _check_liveness.
+
+    def absorb_heartbeats(self, beats, order: List[int], times: List[float],
+                          start: int, end: int) -> int:
+        """Roll up the beats that change nothing (§3.4's "roll-up manner").
+
+        ``order[start:end]`` are positions into the columns of ``beats``
+        (a :class:`~repro.core.heartbeat.HeartbeatBatch`), in arrival
+        order, with no other event between them; ``times`` are their
+        arrival times.  A beat is folded exactly when
+        :meth:`_handle_agent_heartbeat` would do nothing for it but stamp
+        its arrival and count its bytes — DESIGN.md's heartbeat-plane table
+        lists the statement behind each test below.  Returns the index of
+        the first beat that fails a test: that one takes the per-message
+        path (``deliver`` -> ``handle_message``), alone.
+        """
+        scheduler = self.scheduler
+        if (self.role != "primary" or scheduler is None
+                or scheduler.policy.heartbeat_paced):
+            return start
+        seen = self._last_agent_seen
+        known = seen.keys()
+        folded = self.health.folded.get
+        pool_capacity = scheduler.pool.capacities().get
+        # mid-recovery the books are not compared (see the per-message path)
+        ledger_digest = (None if self.recovering
+                         else scheduler.ledger.machine_digests().get)
+        machines, payload_bytes = beats.machines, beats.payload_bytes
+        samples, capacities, digests = (beats.samples, beats.capacities,
+                                        beats.digests)
+        stop = start
+        payload = 0
+        # indexed, not sliced: a run of beats the handler must see (first
+        # beats register their machines) offers every one of them here
+        while stop < end:
+            position = order[stop]
+            machine = machines[position]
+            capacity = pool_capacity(machine)
+            if (folded(machine) is not samples[position]
+                    or machine not in known
+                    or (capacity is not capacities[position]
+                        and (capacity is None
+                             or capacity != capacities[position]))
+                    or (ledger_digest is not None
+                        and ledger_digest(machine, 0) != digests[position])):
+                break
+            payload += payload_bytes[position]
+            stop += 1
+        if stop > start:
+            seen.set_many([machines[position]
+                           for position in order[start:stop]],
+                          times[start:stop])
+            self.metrics.increment("fm.heartbeat_bytes", payload)
+        return stop
+
+    def _install_machine_report(self, machine: str) -> None:
+        """Install one machine's buffered report (single-machine form of
+        :meth:`_retry_pending_allocations`)."""
+        report = self._pending_agent_reports[machine]
+        if not self.scheduler.pool.has_machine(machine):
+            self.scheduler.add_machine(machine, report.rack,
+                                       report.capacity, schedule=False)
+            self.blacklist.set_known_machines(
+                self.scheduler.pool.machine_count())
+            if self.blacklist.is_disabled(machine):
+                self.scheduler.disable_machine(machine)
+        entries = self._pending_allocations.get(machine)
+        if not entries:
+            return
+        for unit_key in list(entries):
+            if unit_key in self.scheduler.units:
+                self.scheduler.restore_allocation(unit_key, machine,
+                                                  entries.pop(unit_key))
+        if not entries:
+            del self._pending_allocations[machine]
+
+    def _retry_pending_allocations(self) -> None:
+        """Install buffered (machine, unit, count) entries whose pieces arrived."""
+        for machine, report in list(self._pending_agent_reports.items()):
+            if not self.scheduler.pool.has_machine(machine):
+                self.scheduler.add_machine(machine, report.rack,
+                                           report.capacity, schedule=False)
+                self.blacklist.set_known_machines(
+                    self.scheduler.pool.machine_count())
+                if self.blacklist.is_disabled(machine):
+                    self.scheduler.disable_machine(machine)
+        for machine, entries in list(self._pending_allocations.items()):
+            if not self.scheduler.pool.has_machine(machine):
+                continue
+            for unit_key in list(entries):
+                if unit_key in self.scheduler.units:
+                    self.scheduler.restore_allocation(unit_key, machine,
+                                                      entries.pop(unit_key))
+            if not entries:
+                del self._pending_allocations[machine]
+
 
     def _finish_recovery(self) -> None:
         """Recovery window over: install buffered reports, resume scheduling."""

@@ -36,17 +36,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import RunSpec
+from repro.api import RunSpec, simulate
 from repro.chaos.fuzz import MutationContext, mutate_plan
 from repro.cluster.faults import (AGENT_RESTART, MACHINE_RESTART,
                                   MASTER_FAILURE, MASTER_RESTART,
                                   NETWORK_BURST, NODE_DOWN, FaultEvent,
                                   FaultPlan)
 from repro.cluster.network import NetworkConfig
+from repro.core.master import FuxiMaster
 from repro.core.policy import known_policies
 from repro.sim.rng import SplitRandom
 
-from tests.properties.per_beat_oracle import (drive, first_beat_agents,
+from tests.properties.per_beat_oracle import (PerMachinePushMaster, drive,
+                                              first_beat_agents,
                                               per_beat_agents)
 from tests.properties.per_report_oracle import per_report_plane
 
@@ -87,6 +89,17 @@ cases = st.fixed_dictionaries({
     "mutations": st.integers(0, 3),
     "pinned": st.lists(pinned_fault, max_size=4),
 })
+
+
+#: a master failure in the first seconds, while every agent no job has
+#: used yet is still at book version 0: the new term registers those
+#: from their next cohort beat inside the roll-up, in chunks broken by
+#: the resync requests of the agents with books
+early_failover = st.tuples(st.just(MASTER_FAILURE), st.integers(4, 8),
+                           st.sampled_from((0.0, 0.001)), st.just(0))
+failover_cases = st.builds(
+    lambda case, failover: {**case, "pinned": [failover] + case["pinned"]},
+    cases, early_failover)
 
 
 def machine_names(case) -> list:
@@ -198,6 +211,67 @@ def test_first_beat_runs_and_push_match_one_message_each(case):
 def test_first_beat_runs_and_push_match_one_message_each_at_scale(case,
                                                                   policy):
     check_case({**case, "policy": policy}, first_beat_agents)
+
+
+@pytest.mark.parametrize("policy", known_policies())
+@settings(max_examples=5, deadline=None)
+@given(case=failover_cases)
+def test_failover_registration_matches_one_beat_each(case, policy):
+    case = {**case, "policy": policy}
+    check_case(case, per_beat_agents)
+    check_case(case, first_beat_agents)
+
+
+@pytest.mark.slow
+@settings(max_examples=2000, deadline=None)
+@given(case=failover_cases)
+def test_failover_registration_matches_one_beat_each_at_scale(case):
+    check_case(case, per_beat_agents)
+    check_case(case, first_beat_agents)
+
+
+def test_a_new_term_registers_version_0_agents_in_chunks():
+    """Guards the failover differential against a case the roll-up never
+    registers in: after an early failover the new primary takes the
+    version-0 agents' beats in chunks of several, between the per-message
+    resyncs of the agents with books; the oracle master takes every one
+    of them through its handler."""
+    case = {"seed": 5, "racks": 6, "machines_per_rack": 12,
+            "policy": "fuxi", "network": {}, "plan_seed": 0, "faults": 0,
+            "mutations": 0, "pinned": [(MASTER_FAILURE, 6, 0.0, 0)]}
+    chunks = {False: [], True: []}
+    register = FuxiMaster._register_first_beats
+
+    def spy(self, machines, *columns):
+        chunks[isinstance(self, PerMachinePushMaster)].append(
+            (self.name, len(machines)))
+        return register(self, machines, *columns)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FuxiMaster, "_register_first_beats", spy)
+        check_case(case, first_beat_agents)
+    assert chunks[True] == []
+    second_term = [size for name, size in chunks[False]
+                   if name == "fuxi-master-1"]
+    assert max(second_term) > 1
+    assert 0 < sum(second_term) < case["racks"] * case["machines_per_rack"]
+
+
+def test_traced_registration_matches_one_beat_each():
+    """Each machine's ``master.agent_report`` event keeps its own
+    arrival time and its place in the trace, at the cold start and after
+    a failover, though the roll-up records a chunk's events together."""
+    spec = RunSpec(racks=4, machines_per_rack=15, concurrent_jobs=20,
+                   duration=30, fault_spec="FuxiMasterFailure@6")
+    batched = simulate(spec, seed=7, trace=True)
+    with first_beat_agents():
+        single = simulate(spec, seed=7, trace=True)
+    records = batched.cluster.tracer.records()
+    assert records == single.cluster.tracer.records()
+    reports = [record for record in records
+               if record["name"] == "master.agent_report"]
+    assert len(reports) > len(batched.cluster.agents)
+    assert len({record["time"] for record in reports}) > 2
 
 
 def test_the_oracle_is_per_beat_and_the_cohort_is_not():
