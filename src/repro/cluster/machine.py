@@ -40,7 +40,7 @@ class MachineSpec:
         return self.disks * self.disk_bandwidth_mbps
 
 
-@dataclass(init=False)
+@dataclass
 class MachineState:
     """Mutable per-machine condition the fault injector manipulates."""
 
@@ -53,22 +53,6 @@ class MachineState:
     load1: float = 0.0
     _sample: Optional[Dict[str, float]] = field(
         default=None, init=False, repr=False, compare=False)
-
-    def __init__(self, spec: MachineSpec, down: bool = False,
-                 slow_factor: float = 1.0, launch_failures: bool = False,
-                 disk_errors: float = 0.0, net_errors: float = 0.0,
-                 load1: float = 0.0) -> None:
-        # The dataclass __init__, storing past __setattr__: a new state
-        # has no cached sample to invalidate.
-        store = object.__setattr__
-        store(self, "spec", spec)
-        store(self, "down", down)
-        store(self, "slow_factor", slow_factor)
-        store(self, "launch_failures", launch_failures)
-        store(self, "disk_errors", disk_errors)
-        store(self, "net_errors", net_errors)
-        store(self, "load1", load1)
-        store(self, "_sample", None)
 
     def __setattr__(self, name: str, value) -> None:
         if name in _SAMPLE_INPUTS and getattr(self, name, None) != value:

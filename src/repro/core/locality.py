@@ -138,9 +138,6 @@ class LocalityTree:
     # topology
     # --------------------------------------------------------------- #
 
-    def set_machine_rack(self, machine: str, rack: str) -> None:
-        self._machine_rack[machine] = rack
-
     def set_machine_racks(self, machines: Sequence[str],
                           racks: Sequence[str]) -> None:
         self._machine_rack.update(zip(machines, racks))

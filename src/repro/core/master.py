@@ -444,6 +444,7 @@ class FuxiMaster(Actor):
             self._register_first_beats(
                 [beat.machine], [beat.rack], [beat.capacity],
                 [beat.health_sample], [self.loop.now])
+            self._last_agent_seen.set(beat.machine, self.loop.now)
             return
         previous = self._note_agent_alive(beat.machine)
         self.health.record_sample(beat.machine, beat.health_sample,
@@ -581,7 +582,7 @@ class FuxiMaster(Actor):
                     [capacities[position] for position in positions],
                     [samples[position] for position in positions],
                     [times[index] for index in first])
-            # a registered machine's stamp is set again, to the same value
+            # new machines are appended in arrival order
             seen.set_many([machines[position]
                            for position in order[start:stop]],
                           times[start:stop])
@@ -597,10 +598,11 @@ class FuxiMaster(Actor):
         the roll-up passes a chunk's first beats, the per-message handler
         one.
 
-        Column by column: stamp each agent alive at its arrival (AM
-        placement sees it), fold its health sample, buffer its report (it
+        Column by column: make each new agent visible to AM placement,
+        fold its health sample at its arrival, buffer its report (it
         counts as reported: the AM-holdings fallback skips it), and put
-        the machines in the pool unscheduled.
+        the machines in the pool unscheduled.  The caller stamps the
+        agents alive afterwards.
         """
         seen = self._last_agent_seen
         hosted = self._am_hosted
@@ -608,7 +610,6 @@ class FuxiMaster(Actor):
             if machine not in seen:
                 heapq.heappush(self._am_heap,
                                (hosted.get(machine, 0), machine))
-        seen.set_many(machines, times)
         record_sample = self.health.record_sample
         for machine, sample, arrival in zip(machines, samples, times):
             record_sample(machine, sample, arrival)

@@ -190,25 +190,23 @@ class FreeResourcePool:
         clamped at zero if the capacity shrank below what is allocated.
         """
         if machine in self._capacity:
-            allocated = self._capacity[machine].monus(self._free[machine])
-            self._totals_shift(self._cap_totals,
-                               self._capacity[machine], capacity)
-            self._cap_total_vec = None
-            self._capacity[machine] = capacity
-            self._update_free(machine, capacity.monus(allocated))
+            self._refresh_capacity(machine, capacity)
         else:
-            self._totals_shift(self._cap_totals, None, capacity)
-            self._cap_total_vec = None
-            self._capacity[machine] = capacity
-            self._sorted_machines = None
-            self._update_free(machine, capacity)
+            self.add_machines((machine,), (capacity,))
+
+    def _refresh_capacity(self, machine: str, capacity: ResourceVector) -> None:
+        allocated = self._capacity[machine].monus(self._free[machine])
+        self._totals_shift(self._cap_totals, self._capacity[machine], capacity)
+        self._cap_total_vec = None
+        self._capacity[machine] = capacity
+        self._update_free(machine, capacity.monus(allocated))
 
     def add_machines(self, machines: Sequence[str],
                      capacities: Sequence[ResourceVector]) -> None:
         """:meth:`add_machine` for each pair, in order, in one pass.
 
-        The running totals take each machine's amounts in the same order
-        as the one-by-one calls, so their floats come out bit-identical.
+        The running totals take each machine's amounts in order, so a
+        batch and one-by-one calls give bit-identical floats.
         """
         capacity_of, free_of = self._capacity, self._free
         cap_totals, free_totals = self._cap_totals, self._free_totals
@@ -216,7 +214,7 @@ class FreeResourcePool:
         indexes = list(self._shape_indexes.values())
         for machine, capacity in zip(machines, capacities):
             if machine in capacity_of:
-                self.add_machine(machine, capacity)
+                self._refresh_capacity(machine, capacity)
                 continue
             for name, amount in capacity.as_dict().items():
                 cap_totals[name] = cap_totals.get(name, 0.0) + amount

@@ -198,12 +198,7 @@ class FuxiScheduler:
         rebuild, where the machine's space is already owned by processes
         whose allocations are about to be restored.
         """
-        self.pool.add_machine(machine, capacity)
-        self.tree.set_machine_rack(machine, rack)
-        self._machine_rack[machine] = rack
-        members = self._rack_machines.setdefault(rack, [])
-        if machine not in members:
-            members.append(machine)
+        self.add_machines((machine,), (rack,), (capacity,))
         if not schedule:
             return []
         return self._schedule_machine(machine)

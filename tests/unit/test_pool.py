@@ -67,6 +67,30 @@ def test_capacity_refresh_preserves_allocation():
     assert pool.allocated("m1") == SLOT
 
 
+def test_batch_registration_equals_one_by_one():
+    """add_machines in one call leaves the pool add_machine calls would,
+    running float totals bit for bit, with a refresh inside the batch."""
+    capacities = [ResourceVector.of(cpu=100 + 0.1 * k,
+                                    memory=4096 + 1000 / 3 * k)
+                  for k in range(1, 6)]
+    names = ["m3", "m1", "m4", "m2", "m5"]
+    one_by_one, batch = make_pool(), make_pool()
+    for pool in (one_by_one, batch):
+        pool.allocate("m1", SLOT)
+        pool.best_fit_machines(SLOT)  # build a shape index first
+    for name, capacity in zip(names, capacities):
+        one_by_one.add_machine(name, capacity)
+    batch.add_machines(names, capacities)
+    for pool in (one_by_one, batch):
+        assert pool.allocated("m1") == SLOT
+    assert batch.machines() == one_by_one.machines()
+    assert batch._cap_totals == one_by_one._cap_totals
+    assert batch._free_totals == one_by_one._free_totals
+    assert batch.best_fit_machines(SLOT) == one_by_one.best_fit_machines(SLOT)
+    for name in names:
+        assert batch.free(name) == one_by_one.free(name)
+
+
 def test_capacity_shrink_clamps_free():
     pool = make_pool()
     pool.allocate("m1", SLOT * 3)
