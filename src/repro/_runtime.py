@@ -118,10 +118,12 @@ class FuxiCluster:
                            self.checkpoint, self.master_config, self.metrics,
                            runtime=self, tracer=self.tracer))
         self.services = _ClusterServices(self.loop, self.bus, self)
+        # one bound method for every agent, not one each
+        create_worker = self._create_worker
         self.agents: Dict[str, FuxiAgent] = {
             machine: FuxiAgent(
                 self.loop, self.bus, self.topology.state(machine),
-                self.agent_config, worker_factory=self._create_worker,
+                self.agent_config, worker_factory=create_worker,
                 tracer=self.tracer)
             for machine in self.topology.machines()}
         self.faults = FaultInjector(self)

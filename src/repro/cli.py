@@ -522,6 +522,21 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+#: sweep kinds whose task params are the fields of one ``RunSpec``
+_RUN_SPEC_KINDS = ("simulate", "arena")
+
+
+def _check_run_specs(tasks) -> None:
+    """Build the ``RunSpec`` of every task of a RunSpec-backed kind before
+    any task runs: an unknown key or a bad value (``racks=0``) is a bad
+    specification of the whole sweep, not a run that fails in a worker.
+    Raises ``ValueError`` naming the first bad field."""
+    from repro.api import RunSpec
+    for task in tasks:
+        if task.kind in _RUN_SPEC_KINDS:
+            RunSpec.from_dict(task.params)
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Fan a grid of independent runs over workers; write the merged report.
 
@@ -552,7 +567,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         else:
             print("sweep needs --spec FILE or --kind KIND", file=sys.stderr)
             return 2
-    except (OSError, ValueError) as exc:
+        _check_run_specs(tasks)
+    except (OSError, ValueError, TypeError) as exc:
         print(f"bad sweep specification: {exc}", file=sys.stderr)
         return 2
 

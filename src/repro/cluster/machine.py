@@ -4,6 +4,8 @@ The testbed machines in the paper are 6-core Xeons with 96 GB memory and
 12×2 TB disks; :func:`MachineSpec.testbed` builds that shape.  The mutable
 :class:`MachineState` carries the flags the fault injector flips and the
 agents/workers consult (down, slow factor, worker-launch failures).
+
+Both are slotted: a 100,000-machine cluster holds one of each per machine.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Dict, Optional
 from repro.core.resources import ResourceVector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MachineSpec:
     """Static description of one machine."""
 
@@ -40,10 +42,19 @@ class MachineSpec:
         return self.disks * self.disk_bandwidth_mbps
 
 
-@dataclass
+@dataclass(slots=True)
 class MachineState:
-    """Mutable per-machine condition the fault injector manipulates."""
+    """Mutable per-machine condition the fault injector manipulates.
 
+    ``shared_samples`` is the owning topology's table of health samples
+    (:attr:`ClusterTopology.samples`): machines whose sample inputs are
+    equal hold one sample dict between them.  Without one, each machine
+    builds its own.
+    """
+
+    # first, so that __init__ sets it before any field it is built from
+    _sample: Optional[Dict[str, float]] = field(
+        default=None, init=False, repr=False, compare=False)
     spec: MachineSpec
     down: bool = False
     slow_factor: float = 1.0          # execution time multiplier (>1 = slower)
@@ -51,11 +62,15 @@ class MachineState:
     disk_errors: float = 0.0          # fed into the health sample
     net_errors: float = 0.0
     load1: float = 0.0
-    _sample: Optional[Dict[str, float]] = field(
-        default=None, init=False, repr=False, compare=False)
+    shared_samples: Optional[Dict[tuple, Dict[str, float]]] = field(
+        default=None, repr=False, compare=False)
 
     def __setattr__(self, name: str, value) -> None:
-        if name in _SAMPLE_INPUTS and getattr(self, name, None) != value:
+        # Only a cached sample can go stale, and with one cached every
+        # input is set: no read of an empty slot (which raises inside
+        # getattr, a cost on each of a big build's machines).
+        if (name in _SAMPLE_INPUTS and self._sample is not None
+                and getattr(self, name) != value):
             object.__setattr__(self, "_sample", None)
         object.__setattr__(self, name, value)
 
@@ -66,17 +81,28 @@ class MachineState:
         built from changes: a heartbeat in flight keeps the sample of its
         send time by holding the reference, and "the same object as last
         beat" certifies "the same sample" (the master's roll-up relies on
-        it).  Callers must not write to it.
+        it).  Machines with equal inputs share the dict through
+        ``shared_samples``, so a write to it would change every one of
+        them: callers must not write to it.
         """
         sample = self._sample
         if sample is None:
-            sample = self._sample = {
-                "disk_errors": self.disk_errors,
-                "disk_util": min(self.load1 / max(self.spec.cores, 1), 1.0),
-                "load1": self.load1,
-                "cores": float(self.spec.cores),
-                "net_errors": self.net_errors,
-            }
+            cores = self.spec.cores
+            key = (self.disk_errors, self.net_errors, self.load1, cores)
+            shared = self.shared_samples
+            if shared is not None:
+                sample = shared.get(key)
+            if sample is None:
+                sample = {
+                    "disk_errors": self.disk_errors,
+                    "disk_util": min(self.load1 / max(cores, 1), 1.0),
+                    "load1": self.load1,
+                    "cores": float(cores),
+                    "net_errors": self.net_errors,
+                }
+                if shared is not None and len(shared) < MAX_SHARED_SAMPLES:
+                    shared[key] = sample
+            self._sample = sample
         return sample
 
     def reset_faults(self) -> None:
@@ -90,3 +116,8 @@ class MachineState:
 
 #: the MachineState fields :meth:`MachineState.health_sample` reads
 _SAMPLE_INPUTS = frozenset(("spec", "disk_errors", "net_errors", "load1"))
+
+#: distinct samples a topology shares at most; inputs past that many (a
+#: caller setting fresh values on every machine, say) get a dict of their
+#: own, so the table cannot grow with the length of a run
+MAX_SHARED_SAMPLES = 1024

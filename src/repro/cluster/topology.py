@@ -20,6 +20,9 @@ class ClusterTopology:
         self.name = name
         self._machines: Dict[str, MachineState] = {}
         self._racks: Dict[str, List[str]] = {}
+        #: health-sample inputs -> the one sample dict the machines with
+        #: those inputs share (see MachineState.health_sample)
+        self.samples: Dict[tuple, Dict[str, float]] = {}
 
     # --------------------------------------------------------------- #
     # construction
@@ -28,7 +31,7 @@ class ClusterTopology:
     def add_machine(self, spec: MachineSpec) -> MachineState:
         if spec.name in self._machines:
             raise ValueError(f"duplicate machine {spec.name!r}")
-        state = MachineState(spec=spec)
+        state = MachineState(spec=spec, shared_samples=self.samples)
         self._machines[spec.name] = state
         self._racks.setdefault(spec.rack, []).append(spec.name)
         return state

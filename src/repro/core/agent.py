@@ -32,7 +32,7 @@ from repro.core.protocol import StreamHub
 from repro.core.resources import ResourceVector
 from repro.core.units import UnitKey
 from repro.obs.tracer import NULL_TRACER
-from repro.sim.actor import Actor
+from repro.sim.actor import EMPTY, Actor
 from repro.sim.events import EventLoop
 
 
@@ -73,13 +73,15 @@ class FuxiAgent(Actor):
         self.worker_factory = worker_factory
         # allocation books: granted units per (app, slot) on this machine,
         # plus the incrementally-maintained digest the heartbeat carries
-        # (§3.1 safety sync without copying the books every beat)
-        self.allocations: Dict[UnitKey, int] = {}
+        # (§3.1 safety sync without copying the books every beat);
+        # EMPTY until the first grant
+        self.allocations: Dict[UnitKey, int] = EMPTY
         self._book_version = 0
         self._book_digest = 0
         # running workers: worker_id -> plan; plus per-unit worker sets
-        self.workers: Dict[str, msg.WorkPlan] = {}
-        self._workers_by_unit: Dict[UnitKey, Set[str]] = {}
+        # (EMPTY until the first launch, see _add_worker)
+        self.workers: Dict[str, msg.WorkPlan] = EMPTY
+        self._workers_by_unit: Dict[UnitKey, Set[str]] = EMPTY
         self.launch_rejects = 0
         # the periodic beat: a membership, not a timer of this agent's own
         self._cohort: Optional[HeartbeatCohort] = None
@@ -190,18 +192,22 @@ class FuxiAgent(Actor):
         self._enforce_capacity()
 
     def _apply_allocation_full(self, state: Dict[UnitKey, int]) -> None:
-        self.allocations = {k: int(v) for k, v in state.items() if v > 0}
+        self.allocations = ({k: int(v) for k, v in state.items() if v > 0}
+                            or EMPTY)
         self._book_version += 1
         self._book_digest = books_digest(self.allocations)
         self._enforce_capacity()
 
     def _apply_grant(self, grant: Grant) -> None:
-        old = self.allocations.get(grant.unit_key, 0)
+        books = self.allocations
+        old = books.get(grant.unit_key, 0)
         count = old + grant.count
         if count > 0:
-            self.allocations[grant.unit_key] = count
-        else:
-            self.allocations.pop(grant.unit_key, None)
+            if books is EMPTY:
+                books = self.allocations = {}
+            books[grant.unit_key] = count
+        elif old:
+            del books[grant.unit_key]
         digest = self._book_digest
         if old:
             digest ^= book_entry_hash(grant.unit_key, old)
@@ -245,11 +251,16 @@ class FuxiAgent(Actor):
             self.send(sender, msg.WorkerLaunchFailed(
                 plan.worker_id, self.machine, "insufficient-resource"))
             return
-        self.workers[plan.worker_id] = plan
-        self._workers_by_unit.setdefault(plan.unit_key, set()).add(plan.worker_id)
+        self._add_worker(plan)
         delay = self.config.worker_start_delay * self.machine_state.slow_factor
         incarnation = self._incarnation
         self.loop.call_after(delay, self._finish_launch, plan, incarnation)
+
+    def _add_worker(self, plan: msg.WorkPlan) -> None:
+        if self.workers is EMPTY:
+            self.workers, self._workers_by_unit = {}, {}
+        self.workers[plan.worker_id] = plan
+        self._workers_by_unit.setdefault(plan.unit_key, set()).add(plan.worker_id)
 
     def _finish_launch(self, plan: msg.WorkPlan, incarnation: int) -> None:
         if not self.alive or incarnation != self._incarnation:
@@ -267,7 +278,8 @@ class FuxiAgent(Actor):
         self._kill_worker(message.worker_id, reason="stopped")
 
     def _kill_worker(self, worker_id: str, reason: str) -> None:
-        plan = self.workers.pop(worker_id, None)
+        workers = self.workers
+        plan = workers.pop(worker_id, None) if workers else None
         if plan is None:
             return
         self._workers_by_unit.get(plan.unit_key, set()).discard(worker_id)
@@ -288,11 +300,10 @@ class FuxiAgent(Actor):
         # agent's own volatile books vanish.  The version stays monotonic
         # across incarnations so the master never mistakes a post-restart
         # digest for a stale pre-crash one.
-        self.allocations = {}
+        self.allocations = EMPTY
         self._book_version += 1
         self._book_digest = 0
-        self.workers = {}
-        self._workers_by_unit = {}
+        self.workers = self._workers_by_unit = EMPTY
 
     def on_restart(self) -> None:
         """Adopt running workers, then rebuild books from AMs and FuxiMaster."""
@@ -304,8 +315,7 @@ class FuxiAgent(Actor):
         adopted = self._collect_running_workers()
         apps = set()
         for plan in adopted:
-            self.workers[plan.worker_id] = plan
-            self._workers_by_unit.setdefault(plan.unit_key, set()).add(plan.worker_id)
+            self._add_worker(plan)
             apps.add(plan.app_id)
         for app_id in sorted(apps):
             self.send(f"app:{app_id}", msg.WorkerListRequest(self.machine))

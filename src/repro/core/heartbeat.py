@@ -27,7 +27,7 @@ batch.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Optional
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence
 
 from repro.core import messages as msg
 from repro.sim.grid import InstantRun
@@ -75,8 +75,8 @@ class HeartbeatBatch:
             book_version=self.versions[position],
             book_digest=self.digests[position])
 
-    def absorb(self, actor: Any, order: List[int], times: List[float],
-               start: int, end: int) -> int:
+    def absorb(self, actor: Any, order: Sequence[int],
+               times: Sequence[float], start: int, end: int) -> int:
         """Offer the arrivals ``order[start:end]`` to the destination's
         roll-up (``absorb_heartbeats``).  A destination without one folds
         nothing, so every beat reaches it as a message — and so does one

@@ -23,7 +23,7 @@ import heapq
 import time as _time
 from dataclasses import dataclass, field
 from sys import intern
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.lockservice import LockService
 from repro.cluster.network import Messages
@@ -515,7 +515,8 @@ class FuxiMaster(Actor):
         # classifies it as heavy-but-not-urgent work handled "at a fixed
         # time interval ... in a roll-up manner" — see _check_liveness.
 
-    def absorb_heartbeats(self, beats, order: List[int], times: List[float],
+    def absorb_heartbeats(self, beats, order: Sequence[int],
+                          times: Sequence[float],
                           start: int, end: int) -> int:
         """Roll up the beats that change nothing (§3.4's "roll-up manner").
 

@@ -13,7 +13,9 @@ python backend is the bus looping over ``plan_delays`` itself.
 
 :func:`arrival_order` turns either backend's delays into the order the
 messages arrive in; both sort stably, so equal arrival times keep sender
-order.
+order.  The result is two typed columns (``array('q')`` positions and
+``array('d')`` times): a run of 20,000 beats in flight holds 16 bytes a
+beat that way, not a list slot plus an int or float object for each.
 
 :class:`EdgeColumns` owns its scratch arrays: one firing of a 20,000-member
 cohort runs ~25 whole-column operations, and letting each allocate its
@@ -23,7 +25,8 @@ arithmetic.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from array import array
+from typing import Optional, Sequence, Tuple
 
 from repro import kernels
 
@@ -104,14 +107,14 @@ class EdgeColumns:
 
 
 def arrival_order(now: float, delays, dropped
-                  ) -> Tuple[List[int], List[float]]:
+                  ) -> Tuple["array[int]", "array[float]"]:
     """Who arrives when: ``(order, arrivals)`` for messages sent at ``now``.
 
-    ``order`` lists the positions of the messages that were not dropped,
+    ``order`` holds the positions of the messages that were not dropped,
     sorted by ``(now + delay, position)``; ``arrivals`` holds their arrival
-    times in that order.  ``delays`` / ``dropped`` are the columns either
-    backend's delay pass returned: lists under python, arrays under numpy
-    (``dropped`` may be ``None``).
+    times in that order; both are typed arrays.  ``delays`` / ``dropped``
+    are the columns either backend's delay pass returned: lists under
+    python, arrays under numpy (``dropped`` may be ``None``).
     """
     if isinstance(delays, list):
         times = [now + delay for delay in delays]
@@ -120,12 +123,16 @@ def arrival_order(now: float, delays, dropped
         else:
             order = sorted((index for index, gone in enumerate(dropped)
                             if not gone), key=times.__getitem__)
-        return order, [times[index] for index in order]
+        return array("q", order), array("d", [times[index] for index in order])
     times = now + delays
     if dropped is not None and dropped.any():
         live = (~dropped).nonzero()[0]
         times = times[live]
         ranks = times.argsort(kind="stable")
-        return live[ranks].tolist(), times[ranks].tolist()
-    order = times.argsort(kind="stable")
-    return order.tolist(), times[order].tolist()
+        order, times = live[ranks], times[ranks]
+    else:
+        order = times.argsort(kind="stable")
+        times = times[order]
+    # int64 and float64 columns: the native layouts of 'q' and 'd'
+    return (array("q", order.astype("q", copy=False).tobytes()),
+            array("d", times.tobytes()))

@@ -11,10 +11,18 @@ failures the paper handles look to peers.
 from __future__ import annotations
 
 from sys import intern as _intern
-from typing import Any, Callable, Dict, Optional
+from types import MappingProxyType
+from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.sim.events import Event, EventLoop
 from repro.sim.grid import GRID_PHASE
+
+#: a table nothing has been written to yet — an actor's ``_timers`` and
+#: ``_periodic`` before its first timer, an agent's books and worker tables
+#: before its first grant or launch: one shared read-only empty mapping
+#: instead of an empty dict each (most agents of a large cluster never
+#: write to theirs), replaced by a dict of the owner's at the first write
+EMPTY: Mapping[str, Any] = MappingProxyType({})
 
 
 class _PeriodicChain:
@@ -60,8 +68,8 @@ class Actor:
         self.name = _intern(name)
         self.bus = bus
         self.alive = True
-        self._timers: Dict[str, Event] = {}
-        self._periodic: Dict[str, float] = {}
+        self._timers: Dict[str, Event] = EMPTY
+        self._periodic: Dict[str, float] = EMPTY
         self._incarnation = 0
         if bus is not None:
             bus.register(self)
@@ -102,13 +110,21 @@ class Actor:
     # timers
     # ------------------------------------------------------------------ #
 
+    def _make_timer_books(self) -> Dict[str, Event]:
+        """Make ``_timers`` and ``_periodic`` at the first timer armed; they
+        are kept from then on (a firing timer holds its actor's
+        ``_timers`` across its callback)."""
+        self._periodic = {}
+        timers = self._timers = {}
+        return timers
+
     def set_timer(self, key: str, delay: float, callback: Callable[[], None]) -> None:
         """(Re)arm a named one-shot timer.  Re-arming cancels the previous one."""
+        timers = self._timers
+        if timers is EMPTY:
+            timers = self._make_timer_books()
         self._periodic.pop(key, None)
-        self._arm(key, delay, callback)
-
-    def _arm(self, key: str, delay: float, callback: Callable[[], None]) -> None:
-        event = self._timers.pop(key, None)
+        event = timers.pop(key, None)
         if event is not None:
             event.cancel()
         incarnation = self._incarnation
@@ -119,7 +135,7 @@ class Actor:
             self._timers.pop(key, None)
             callback()
 
-        self._timers[key] = self.loop.call_after(delay, fire)
+        timers[key] = self.loop.call_after(delay, fire)
 
     def set_periodic_timer(self, key: str, interval: float,
                            callback: Callable[[], None]) -> None:
@@ -135,11 +151,14 @@ class Actor:
         before the loop recycles it, so cancellation never touches a
         reused Event.
         """
+        timers = self._timers
+        if timers is EMPTY:
+            timers = self._make_timer_books()
         self._periodic[key] = interval
-        previous = self._timers.pop(key, None)
+        previous = timers.pop(key, None)
         if previous is not None:
             previous.cancel()
-        self._timers[key] = self.loop.call_after(
+        timers[key] = self.loop.call_after(
             interval, _PeriodicChain(self, key, callback), recycle=True)
 
     def set_grid_timer(self, key: str, interval: float,
@@ -152,23 +171,31 @@ class Actor:
         plane's periodic traffic a period, not a phase; a shared phase
         lets every timer of one interval fire in the same instant, from
         one loop event, and send what it sends in one delivery run."""
+        timers = self._timers
+        if timers is EMPTY:
+            timers = self._make_timer_books()
         self._periodic[key] = interval
-        previous = self._timers.pop(key, None)
+        previous = timers.pop(key, None)
         if previous is not None:
             previous.cancel()
-        self._timers[key] = self.bus.grid.arm(self, key, interval, phase,
-                                              callback)
+        timers[key] = self.bus.grid.arm(self, key, interval, phase, callback)
 
     def cancel_timer(self, key: str) -> None:
+        timers = self._timers
+        if timers is EMPTY:
+            return
         self._periodic.pop(key, None)
-        event = self._timers.pop(key, None)
+        event = timers.pop(key, None)
         if event is not None:
             event.cancel()
 
     def cancel_all_timers(self) -> None:
-        for event in self._timers.values():
+        timers = self._timers
+        if timers is EMPTY:
+            return
+        for event in timers.values():
             event.cancel()
-        self._timers.clear()
+        timers.clear()
         self._periodic.clear()
 
     # ------------------------------------------------------------------ #

@@ -35,8 +35,8 @@ from typing import Any, Iterator, List, Optional
 
 import repro._runtime as runtime
 import repro.jobs.jobmaster as jobmaster
-from repro.cluster.network import _EPS_QUANTUM, _M64, _TO_UNIT, MessageBus
-from repro.cluster.network import NetworkConfig
+from repro.cluster.network import _M64, _TO_UNIT, MessageBus
+from repro.cluster.network import EdgeState, NetworkConfig
 from repro.core import messages as msg
 from repro.core.agent import FuxiAgent
 from repro.core.units import UnitKey
@@ -70,12 +70,12 @@ def hash_str(text: str) -> int:
 class PlanDelaysBus(MessageBus):
     """MessageBus with the eight-frame send."""
 
-    def _edge(self, sender: str, dest: str) -> list:
+    def _edge(self, sender: str, dest: str) -> EdgeState:
         state = self._edges.get((sender, dest))
         if state is None:
             key = _mix64(self._net_seed
                          ^ _mix64(hash_str(sender) ^ _mix64(hash_str(dest))))
-            state = [key, ((key & 0x3FFFFF) + 1) * _EPS_QUANTUM, 0]
+            state = EdgeState(key)
             self._edges[(sender, dest)] = state
         return state
 
@@ -88,8 +88,8 @@ class PlanDelaysBus(MessageBus):
         ``(seed, sender, dest, message_index, config)``.
         """
         state = self._edge(sender, dest)
-        key, epsilon, index = state
-        state[2] = index + 1
+        key, epsilon, index = state.key, state.epsilon, state.index
+        state.index = index + 1
         base = key ^ (index << 3)
         config = self.config
         if config.drop_prob and _draw(base, 0) < config.drop_prob:

@@ -32,6 +32,7 @@ from repro.core import messages as msg
 from repro.jobs.jobmaster import DagJobMaster
 from repro.jobs.service import ServiceMaster
 from repro.jobs.worker import TaskWorker, WorkerStatusReport
+from repro.sim.actor import EMPTY
 
 #: the offset of the job plane's phase grid: a timer armed with
 #: :meth:`Actor.set_grid_timer` fires at ``phase + k * interval``.  The job
@@ -102,11 +103,14 @@ class PerTimerGrid:
         Paper §4.3 gives the job plane's periodic traffic a period, not a
         phase; a shared phase lets every timer of one interval fire in the
         same instant."""
+        timers = self._timers
+        if timers is EMPTY:
+            timers = self._make_timer_books()
         self._periodic[key] = interval
-        previous = self._timers.pop(key, None)
+        previous = timers.pop(key, None)
         if previous is not None:
             previous.cancel()
-        self._timers[key] = self.loop.call_at(
+        timers[key] = self.loop.call_at(
             grid_instant(self.loop.now, interval, phase),
             _PeriodicChain(self, key, callback, phase), recycle=True)
 

@@ -157,7 +157,7 @@ def observe(case, oracle=None) -> dict:
         "seq": cluster.loop._seq,
         "bus": (bus.messages_sent, bus.messages_delivered,
                 bus.messages_dropped, bus.messages_duplicated),
-        "edges": {edge: state[2] for edge, state in bus._edges.items()},
+        "edges": {edge: state.index for edge, state in bus._edges.items()},
         "fm": {name: value
                for name, value in cluster.metrics.counters().items()
                if name.startswith("fm.")},

@@ -124,7 +124,7 @@ def state(cluster) -> dict:
     return {
         "bus": (bus.messages_sent, bus.messages_delivered,
                 bus.messages_dropped, bus.messages_duplicated),
-        "edges": {edge: state[2] for edge, state in bus._edges.items()},
+        "edges": {edge: state.index for edge, state in bus._edges.items()},
         "loop": (loop.now, loop._seq, loop.events_executed,
                  loop.events_absorbed, loop.pending()),
         "fm": {name: value

@@ -16,12 +16,15 @@ import sys
 import tracemalloc
 
 from repro.api import ClusterBuilder
+from repro.cluster.network import MessageBus, hash_str
 from repro.core import messages as msg
 from repro.core.grant import Grant
 from repro.core.master import FuxiMaster
 from repro.core.protocol import FullSyncEnvelope
 from repro.core.scheduler import FuxiScheduler
 from repro.core.units import UnitKey
+from repro.sim.events import EventLoop
+from repro.sim.rng import SplitRandom
 from repro.workloads.synthetic import mapreduce_job
 from tests.conftest import make_cluster
 
@@ -39,9 +42,18 @@ WARM_UP_EVENTS = 1408
 #: warm-up, by CPython version: 4,078 / 3,301 / 3,187 / 3,220 (3.10 /
 #: 3.11 / 3.12 / 3.13) while every agent built an idle stream hub and the
 #: health monitor scored and copied every machine's first sample; 2,984 /
-#: 2,379 / 2,280 / 2,297 with lazy hubs and the shared first score.  The
-#: bounds leave about 5 % of room.
-MAX_BYTES_PER_MACHINE = {(3, 10): 3150}.get(sys.version_info[:2], 2500)
+#: 2,379 / 2,280 / 2,297 with lazy hubs and the shared first score (bounds
+#: 3,150 / 2,500); 1,949 / 1,439 / 1,415 / 1,424 with shared health
+#: samples, slotted machine records, lazy timer / book / worker tables,
+#: slotted edge state and a 256-name hash memo.  numpy adds 59 B (the
+#: cohort's delay columns; 1,498 on 3.11).  The bounds leave about 5 % of
+#: room over the numpy figure.
+MAX_BYTES_PER_MACHINE = {(3, 10): 2110, (3, 12): 1550, (3, 13): 1560}.get(
+    sys.version_info[:2], 1575)
+#: bytes per bus edge of 10,000 new edges, names made beforehand: 338 (347
+#: on 3.10) with a list per edge and a memo entry per name, 205 (206) with
+#: a slotted ``EdgeState`` and the small memo.  About 5 % of room.
+MAX_BYTES_PER_EDGE = 215
 
 
 def small_cluster():
@@ -143,6 +155,38 @@ def test_a_built_cluster_holds_few_bytes_per_machine():
     assert len(cluster.agents) == racks * per_rack
     per_machine = held / (racks * per_rack)
     assert per_machine <= MAX_BYTES_PER_MACHINE, per_machine
+
+
+def test_a_bus_edge_holds_few_bytes():
+    bus = MessageBus(EventLoop(), SplitRandom(7))
+    senders = [f"edge-gate:{index}" for index in range(10_000)]
+    hash_str.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for sender in senders:
+            bus._edge(sender, "fuxi-master")
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(bus._edges) == len(senders)
+    per_edge = held / len(senders)
+    assert per_edge <= MAX_BYTES_PER_EDGE, per_edge
+
+
+def test_a_built_idle_agent_holds_no_container():
+    """Its books, worker tables and timer dicts are one shared read-only
+    mapping until their first write, and it has no hub: no dict, list or
+    set of its own."""
+    cluster = small_cluster()
+    cluster.warm_up()
+    owned = sum(type(value) in (dict, list, set)
+                for agent in cluster.agents.values()
+                for value in vars(agent).values())
+    assert owned == 0
+    assert all(agent._hub is None for agent in cluster.agents.values())
 
 
 def test_cold_start_sends_no_round_trip_and_no_push():

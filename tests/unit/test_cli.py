@@ -352,6 +352,31 @@ def test_sweep_bad_arguments_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["--set", "racks=0"], "RunSpec.racks: 0 < minimum 1"),
+    (["--set", "nosuchkey=3"], "unknown config keys ['nosuchkey']"),
+    (["--grid", "machines_per_rack=2,0"], "RunSpec.machines_per_rack"),
+])
+def test_sweep_bad_run_spec_exits_two_before_any_task(argv, named, capsys,
+                                                     monkeypatch):
+    """A value RunSpec rejects, in the base params or in one grid cell, is
+    a bad specification: one line, exit 2, and no task is started."""
+    import repro.parallel as parallel
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(parallel, "run_sweep", no_run)
+    code = main(["sweep", "--kind", "simulate", "--seeds", "2", "--quiet",
+                 *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("bad sweep specification: ")
+    assert named in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_experiment_repeat_aggregates(capsys):
     code = main(["experiment", "ablation-reuse", "--repeat", "2"])
     out = capsys.readouterr().out

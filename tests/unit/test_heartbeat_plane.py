@@ -75,7 +75,7 @@ def build(agent_cls, probe_cls=Probe, machines=MACHINES):
 
 def arrival(bus, machine, fired_at):
     """When the beat ``machine`` sends at ``fired_at`` arrives."""
-    epsilon = bus._edge(f"agent:{machine}", MASTER)[1]
+    epsilon = bus._edge(f"agent:{machine}", MASTER).epsilon
     return fired_at + (0.001 + epsilon)
 
 
@@ -251,7 +251,7 @@ def test_agent_restarted_twice_in_one_step_sends_two_first_beats(backend):
             loop.run_until(4.0)
         outcomes[agent_cls] = (log, bus.messages_sent, loop._seq,
                                loop.events_executed + loop.events_absorbed,
-                               bus._edges[("agent:m2", MASTER)][2])
+                               bus._edges[("agent:m2", MASTER)].index)
     assert outcomes[FuxiAgent] == outcomes[FirstBeatAgent]
     first_beats = sorted(name for name, when in outcomes[FuxiAgent][0]
                          if 2.25 < when < 2.26)
