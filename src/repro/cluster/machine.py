@@ -100,7 +100,7 @@ class MachineState:
                     "cores": float(cores),
                     "net_errors": self.net_errors,
                 }
-                if shared is not None and len(shared) < MAX_SHARED_SAMPLES:
+                if shared is not None:
                     shared[key] = sample
             self._sample = sample
         return sample
@@ -116,8 +116,3 @@ class MachineState:
 
 #: the MachineState fields :meth:`MachineState.health_sample` reads
 _SAMPLE_INPUTS = frozenset(("spec", "disk_errors", "net_errors", "load1"))
-
-#: distinct samples a topology shares at most; inputs past that many (a
-#: caller setting fresh values on every machine, say) get a dict of their
-#: own, so the table cannot grow with the length of a run
-MAX_SHARED_SAMPLES = 1024

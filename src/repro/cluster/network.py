@@ -58,7 +58,6 @@ destination per message offers each arrival to that destination's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from heapq import heappush
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -616,15 +615,11 @@ def _draw(base: int, slot: int) -> float:
     return (_mix64(base ^ slot) >> 11) * _TO_UNIT
 
 
-@lru_cache(maxsize=256)
 def hash_str(text: str) -> int:
     """64-bit string hash, stable across interpreters (``hash()`` is salted).
 
-    Memoised for the names that end many edges (the master's alias, the
-    cluster services, the job masters): every new edge hashes both of its
-    ends.  Small on purpose: an agent or worker name ends an edge or two,
-    and a memo that kept every name (65,536 entries) held 118 B per name,
-    2.9 MB of a 20,000-machine run, for a set-up gain below the noise."""
+    Not memoised: a new edge hashes both of its ends once, and a memo of
+    names measured no set-up gain beyond run-to-run noise at any size."""
     acc = 0xCBF29CE484222325
     for byte in text.encode("utf-8"):
         acc = (acc ^ byte) * 0x100000001B3 & _M64

@@ -23,7 +23,12 @@ new code changed: the ladders pass ``sender`` to the handlers that now take
 it (``_handle_worker_list_reply``, ``_on_worker_ready``,
 ``_on_instance_completed``, ``_on_instance_failed``, ``_on_status_report``,
 ``TaskWorker._execute``), and the worker ladder calls ``_cancel`` where the
-old body was inline.  The copied ``_housekeeping`` writes ``info.state``
+old body was inline.  One more is forced by storage alone: the bus
+now keeps a slotted :class:`EdgeState` per edge instead of a
+``[key, epsilon, index]`` list, so ``_edge`` stores one and
+``plan_delays`` reads its fields; the epsilon is still worked out here,
+by the old formula, and overwrites the one ``EdgeState`` computed.  The
+copied ``_housekeeping`` writes ``info.state``
 directly, so the oracle's idle counts drift; nothing on the oracle side
 reads them.
 """
@@ -35,7 +40,7 @@ from typing import Any, Iterator, List, Optional
 
 import repro._runtime as runtime
 import repro.jobs.jobmaster as jobmaster
-from repro.cluster.network import _M64, _TO_UNIT, MessageBus
+from repro.cluster.network import _EPS_QUANTUM, _M64, _TO_UNIT, MessageBus
 from repro.cluster.network import EdgeState, NetworkConfig
 from repro.core import messages as msg
 from repro.core.agent import FuxiAgent
@@ -76,6 +81,7 @@ class PlanDelaysBus(MessageBus):
             key = _mix64(self._net_seed
                          ^ _mix64(hash_str(sender) ^ _mix64(hash_str(dest))))
             state = EdgeState(key)
+            state.epsilon = ((key & 0x3FFFFF) + 1) * _EPS_QUANTUM
             self._edges[(sender, dest)] = state
         return state
 

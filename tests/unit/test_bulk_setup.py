@@ -12,17 +12,19 @@ so a cold start takes no per-machine round trip and pushes nothing.
 """
 
 import gc
+import linecache
 import sys
 import tracemalloc
 
 from repro.api import ClusterBuilder
-from repro.cluster.network import MessageBus, hash_str
+from repro.cluster.network import MessageBus
 from repro.core import messages as msg
 from repro.core.grant import Grant
 from repro.core.master import FuxiMaster
 from repro.core.protocol import FullSyncEnvelope
 from repro.core.scheduler import FuxiScheduler
 from repro.core.units import UnitKey
+from repro.sim import actor
 from repro.sim.events import EventLoop
 from repro.sim.rng import SplitRandom
 from repro.workloads.synthetic import mapreduce_job
@@ -45,14 +47,15 @@ WARM_UP_EVENTS = 1408
 #: 2,379 / 2,280 / 2,297 with lazy hubs and the shared first score (bounds
 #: 3,150 / 2,500); 1,949 / 1,439 / 1,415 / 1,424 with shared health
 #: samples, slotted machine records, lazy timer / book / worker tables,
-#: slotted edge state and a 256-name hash memo.  numpy adds 59 B (the
-#: cohort's delay columns; 1,498 on 3.11).  The bounds leave about 5 % of
-#: room over the numpy figure.
+#: slotted edge state and a 256-name hash memo (bounds set then: numpy
+#: figure plus about 5 %); 1,927 / 1,421 / 1,397 / 1,405 with no memo.
+#: numpy adds 59 B (the cohort's delay columns; 1,480 on 3.11).
 MAX_BYTES_PER_MACHINE = {(3, 10): 2110, (3, 12): 1550, (3, 13): 1560}.get(
     sys.version_info[:2], 1575)
 #: bytes per bus edge of 10,000 new edges, names made beforehand: 338 (347
 #: on 3.10) with a list per edge and a memo entry per name, 205 (206) with
-#: a slotted ``EdgeState`` and the small memo.  About 5 % of room.
+#: a slotted ``EdgeState`` and a 256-name memo (bound set then, about 5 %
+#: of room), 201 with no memo.
 MAX_BYTES_PER_EDGE = 215
 
 
@@ -140,16 +143,30 @@ def test_cold_start_registers_every_machine_inside_the_roll_up(monkeypatch):
     assert sum(calls["chunks"]) == 200
 
 
+def held_by_the_build(before, after) -> int:
+    """Bytes ``after`` holds over ``before``, less the growth of the
+    interpreter's interned-string table.  That table is the process's, and
+    it doubles (1.9 MB once it holds a test run's names) in whichever
+    build fills it.  ``Actor.__init__`` interns each actor's name on a
+    line that allocates nothing else, since the name is made before."""
+    def interning(frame) -> bool:
+        return (frame.filename == actor.__file__ and "_intern(" in
+                linecache.getline(frame.filename, frame.lineno))
+    return sum(stat.size_diff
+               for stat in after.compare_to(before, "lineno")
+               if not interning(stat.traceback[0]))
+
+
 def test_a_built_cluster_holds_few_bytes_per_machine():
     racks, per_rack = 20, 100
     gc.collect()
     tracemalloc.start()
     try:
-        before = tracemalloc.get_traced_memory()[0]
+        before = tracemalloc.take_snapshot()
         cluster = ClusterBuilder(racks=racks,
                                  machines_per_rack=per_rack).build()
         gc.collect()
-        held = tracemalloc.get_traced_memory()[0] - before
+        held = held_by_the_build(before, tracemalloc.take_snapshot())
     finally:
         tracemalloc.stop()
     assert len(cluster.agents) == racks * per_rack
@@ -160,7 +177,6 @@ def test_a_built_cluster_holds_few_bytes_per_machine():
 def test_a_bus_edge_holds_few_bytes():
     bus = MessageBus(EventLoop(), SplitRandom(7))
     senders = [f"edge-gate:{index}" for index in range(10_000)]
-    hash_str.cache_clear()
     gc.collect()
     tracemalloc.start()
     try:

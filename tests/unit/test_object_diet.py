@@ -9,7 +9,7 @@ timers still work through a grant, a launch, a crash and restart, and a
 dispose.
 """
 
-from repro.cluster.machine import MAX_SHARED_SAMPLES, MachineSpec
+from repro.cluster.machine import MachineSpec
 from repro.cluster.topology import ClusterTopology
 from repro.core.health import HealthPlugin
 from repro.core.resources import ResourceVector
@@ -44,15 +44,6 @@ def test_a_machine_of_another_shape_gets_its_own_sample():
     odd = topology.state("odd").health_sample()
     assert odd is not testbed and odd["cores"] == 2.0
     assert len(topology.samples) == 2
-
-
-def test_the_shared_table_stops_growing_at_its_bound():
-    topology = ClusterTopology.build(1, 1)
-    state = topology.state("r00m000")
-    for value in range(MAX_SHARED_SAMPLES + 10):
-        state.load1 = float(value)
-        assert state.health_sample()["load1"] == float(value)
-    assert len(topology.samples) == MAX_SHARED_SAMPLES
 
 
 def test_a_fault_replaces_only_its_machines_sample_and_the_roll_up_sees_it():
