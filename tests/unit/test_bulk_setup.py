@@ -47,16 +47,16 @@ WARM_UP_EVENTS = 1408
 #: 2,379 / 2,280 / 2,297 with lazy hubs and the shared first score (bounds
 #: 3,150 / 2,500); 1,949 / 1,439 / 1,415 / 1,424 with shared health
 #: samples, slotted machine records, lazy timer / book / worker tables,
-#: slotted edge state and a 256-name hash memo (bounds set then: numpy
-#: figure plus about 5 %); 1,927 / 1,421 / 1,397 / 1,405 with no memo.
-#: numpy adds 59 B (the cohort's delay columns; 1,480 on 3.11).
-MAX_BYTES_PER_MACHINE = {(3, 10): 2110, (3, 12): 1550, (3, 13): 1560}.get(
-    sys.version_info[:2], 1575)
+#: slotted edge state and a 256-name hash memo; 1,927 / 1,421 / 1,397 /
+#: 1,405 with no memo.  numpy adds 59 B (the cohort's delay columns; 1,480
+#: on 3.11).  The bounds leave about 5 % of room over the numpy figure.
+MAX_BYTES_PER_MACHINE = {(3, 10): 2085, (3, 12): 1530, (3, 13): 1540}.get(
+    sys.version_info[:2], 1555)
 #: bytes per bus edge of 10,000 new edges, names made beforehand: 338 (347
 #: on 3.10) with a list per edge and a memo entry per name, 205 (206) with
-#: a slotted ``EdgeState`` and a 256-name memo (bound set then, about 5 %
-#: of room), 201 with no memo.
-MAX_BYTES_PER_EDGE = 215
+#: a slotted ``EdgeState`` and a 256-name memo, 201 with no memo.  About
+#: 5 % of room.
+MAX_BYTES_PER_EDGE = 211
 
 
 def small_cluster():
