@@ -22,7 +22,7 @@ granted, and over-capacity workers are killed worst-offender-first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional
 
 from repro.cluster.machine import MachineState
 from repro.core import messages as msg
@@ -78,10 +78,12 @@ class FuxiAgent(Actor):
         self.allocations: Dict[UnitKey, int] = EMPTY
         self._book_version = 0
         self._book_digest = 0
-        # running workers: worker_id -> plan; plus per-unit worker sets
-        # (EMPTY until the first launch, see _add_worker)
+        # running workers: worker_id -> plan; plus how many run per unit,
+        # a unit kept at 0 once its last worker goes, so units keep the
+        # order of their first launch (EMPTY until the first launch, see
+        # _add_worker)
         self.workers: Dict[str, msg.WorkPlan] = EMPTY
-        self._workers_by_unit: Dict[UnitKey, Set[str]] = EMPTY
+        self._unit_workers: Dict[UnitKey, int] = EMPTY
         self.launch_rejects = 0
         # the periodic beat: a membership, not a timer of this agent's own
         self._cohort: Optional[HeartbeatCohort] = None
@@ -223,11 +225,13 @@ class FuxiAgent(Actor):
         exceeds its own resource usage most"; with per-unit uniform workers
         that reduces to killing the most recently started ones first.
         """
-        for unit_key, worker_ids in list(self._workers_by_unit.items()):
-            allowed = self.allocations.get(unit_key, 0)
-            excess = len(worker_ids) - allowed
+        for unit_key, running in list(self._unit_workers.items()):
+            excess = running - self.allocations.get(unit_key, 0)
             if excess <= 0:
                 continue
+            worker_ids = [worker_id
+                          for worker_id, plan in self.workers.items()
+                          if plan.unit_key == unit_key]
             for worker_id in sorted(worker_ids, reverse=True)[:excess]:
                 self._kill_worker(worker_id, reason="capacity-revoked")
 
@@ -245,7 +249,7 @@ class FuxiAgent(Actor):
                 plan.worker_id, self.machine, "launch-failure"))
             return
         allowed = self.allocations.get(plan.unit_key, 0)
-        running = len(self._workers_by_unit.get(plan.unit_key, ()))
+        running = self._unit_workers.get(plan.unit_key, 0)
         if running >= allowed:
             self.launch_rejects += 1
             self.send(sender, msg.WorkerLaunchFailed(
@@ -258,9 +262,11 @@ class FuxiAgent(Actor):
 
     def _add_worker(self, plan: msg.WorkPlan) -> None:
         if self.workers is EMPTY:
-            self.workers, self._workers_by_unit = {}, {}
+            self.workers, self._unit_workers = {}, {}
+        if self.workers.get(plan.worker_id) is None:
+            counts = self._unit_workers
+            counts[plan.unit_key] = counts.get(plan.unit_key, 0) + 1
         self.workers[plan.worker_id] = plan
-        self._workers_by_unit.setdefault(plan.unit_key, set()).add(plan.worker_id)
 
     def _finish_launch(self, plan: msg.WorkPlan, incarnation: int) -> None:
         if not self.alive or incarnation != self._incarnation:
@@ -282,7 +288,7 @@ class FuxiAgent(Actor):
         plan = workers.pop(worker_id, None) if workers else None
         if plan is None:
             return
-        self._workers_by_unit.get(plan.unit_key, set()).discard(worker_id)
+        self._unit_workers[plan.unit_key] -= 1
         worker = self.bus.actor(f"worker:{worker_id}") if self.bus else None
         if worker is not None and worker.alive:
             worker.crash()
@@ -303,7 +309,7 @@ class FuxiAgent(Actor):
         self.allocations = EMPTY
         self._book_version += 1
         self._book_digest = 0
-        self.workers = self._workers_by_unit = EMPTY
+        self.workers = self._unit_workers = EMPTY
 
     def on_restart(self) -> None:
         """Adopt running workers, then rebuild books from AMs and FuxiMaster."""

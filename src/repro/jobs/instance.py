@@ -4,13 +4,17 @@ An *instance* is one shard of a task's work.  The states mirror §4.2/§4.3:
 instances wait for a worker, run, and either finish or fail and are
 rescheduled elsewhere (consulting the blacklist).  Long-tail instances may
 get a *backup* twin; the first to finish wins.
+
+Both records are slotted, and an instance's attempts are a tuple, empty
+until the first one starts: a live job holds one :class:`Instance` per
+shard, waiting ones included (DESIGN.md §12, "What a job costs").
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Collection, List, Optional
+from dataclasses import dataclass
+from typing import Collection, List, Optional, Tuple
 
 
 class InstanceState(enum.Enum):
@@ -20,7 +24,7 @@ class InstanceState(enum.Enum):
     FAILED = "failed"       # terminally (attempts exhausted)
 
 
-@dataclass
+@dataclass(slots=True)
 class Attempt:
     """One execution attempt of an instance on one worker."""
 
@@ -31,7 +35,7 @@ class Attempt:
     finished_at: Optional[float] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Instance:
     """One schedulable shard of a task."""
 
@@ -39,7 +43,7 @@ class Instance:
     index: int
     duration: float                      # intrinsic work time (unscaled)
     state: InstanceState = InstanceState.WAITING
-    attempts: List[Attempt] = field(default_factory=list)
+    attempts: Tuple[Attempt, ...] = ()
     preferred_machines: Collection[str] = ()   # shared, never mutated
     started_at: Optional[float] = None   # first attempt start (AM view)
     finished_at: Optional[float] = None
@@ -65,7 +69,7 @@ class Instance:
         if self.state in (InstanceState.FINISHED, InstanceState.FAILED):
             raise ValueError(f"instance {self.instance_id} already terminal")
         attempt = Attempt(worker_id, machine, now, is_backup)
-        self.attempts.append(attempt)
+        self.attempts += (attempt,)
         self.state = InstanceState.RUNNING
         if self.started_at is None:
             self.started_at = now

@@ -13,16 +13,19 @@ The JobMaster is the application master of a DAG job.  It:
 - runs the job-level fault tolerance: retry with the multi-level blacklist,
   escalation reports to FuxiMaster, backup instances for long tails, and
   container replacement after revocations;
-- exports a lightweight snapshot on every instance status change, from
-  which a restarted JobMaster recovers without disturbing running workers
-  (§4.3.1 "JobMaster Failover").
+- exports a lightweight snapshot as instances finish, from which a
+  restarted JobMaster recovers without disturbing running workers (§4.3.1
+  "JobMaster Failover"): a recovering master re-runs every instance that
+  had not finished, so the finish times are all the snapshot keeps.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from heapq import heappop, heappush, heapreplace
-from typing import Any, Dict, List, Optional, Set, Tuple
+from sys import intern as _intern
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core import messages as msg
 from repro.core.appmaster import ApplicationMaster, AppMasterConfig
@@ -30,7 +33,7 @@ from repro.core.blacklist import BlacklistConfig, JobBlacklist
 from repro.core.units import UnitKey
 from repro.jobs import worker as wmsg
 from repro.jobs.dag import ready_tasks, validate_dag
-from repro.jobs.instance import InstanceState
+from repro.jobs.instance import Instance
 from repro.jobs.spec import JobSpec, parse_job_description
 from repro.jobs.taskmaster import TaskMaster
 from repro.obs.tracer import NULL_TRACER
@@ -73,6 +76,32 @@ class _WorkerInfo:
     planned_at: float = 0.0
     last_seen: float = 0.0
     dispatched_at: float = 0.0       # when we last sent ExecuteInstance
+    #: the worker's bus name, interned: the worker actor and every edge
+    #: to it share this one string
+    address: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.address = _intern(f"worker:{self.worker_id}")
+
+
+#: a snapshot's mark for "not finished" (and for a missing start time)
+_NAN = float("nan")
+
+
+def finished_records(snapshot: dict, task: str
+                     ) -> Iterator[Tuple[int, Optional[float], float]]:
+    """``(index, started_at, finished_at)`` of every instance of ``task``
+    that ``snapshot`` (one job's entry in ``job_snapshots``) records as
+    finished, by index."""
+    times = snapshot["finished"].get(task)
+    if times is None:
+        return
+    for index in range(len(times) // 2):
+        finished_at = times[2 * index + 1]
+        if finished_at == finished_at:          # not NaN
+            started_at = times[2 * index]
+            yield (index, None if started_at != started_at else started_at,
+                   finished_at)
 
 
 class DagJobMaster(ApplicationMaster):
@@ -421,11 +450,8 @@ class DagJobMaster(ApplicationMaster):
                                           info.machine, self.loop.now)
                 self._handle_escalations(info.task, result.escalations,
                                          info.machine)
-                self._snapshot_instance(info.task, instance_id)
             else:
-                released = master.release_worker(info.worker_id, self.loop.now)
-                if released is not None:
-                    self._snapshot_instance(info.task, released)
+                master.release_worker(info.worker_id, self.loop.now)
         self._drop_worker(info)
         self.forget_worker(info.worker_id)
 
@@ -486,9 +512,7 @@ class DagJobMaster(ApplicationMaster):
         else:
             # The dispatch itself was lost, or the attempt evaporated:
             # requeue and re-dispatch.
-            released = master.release_worker(info.worker_id, self.loop.now)
-            if released is not None:
-                self._snapshot_instance(info.task, released)
+            master.release_worker(info.worker_id, self.loop.now)
 
     def _dispatch_work(self, info: _WorkerInfo) -> None:
         master = self.task_masters.get(info.task)
@@ -499,9 +523,9 @@ class DagJobMaster(ApplicationMaster):
         if instance is not None:
             self._set_state(info, "busy")
             info.dispatched_at = self.loop.now
-            self.send(f"worker:{info.worker_id}", wmsg.ExecuteInstance(
-                instance.instance_id, instance.duration, {}))
-            self._snapshot_instance(info.task, instance.instance_id)
+            # the id string the TaskMaster filed the assignment under
+            self.send(info.address, wmsg.ExecuteInstance(
+                master.assignment_of(info.worker_id), instance.duration, {}))
             return
         # Nothing pending.  If every instance is finished the task is done;
         # if work is merely in flight elsewhere, keep the container warm for
@@ -537,7 +561,7 @@ class DagJobMaster(ApplicationMaster):
         if instance.elapsed is not None and worker_elapsed is not None:
             self._instance_overheads.append(
                 max(0.0, instance.elapsed - worker_elapsed))
-        self._snapshot_instance(info.task, instance_id)
+        self._snapshot_finished(info.task, master, instance)
         for twin_worker in result.cancel_workers:
             self.send(f"worker:{twin_worker}",
                       wmsg.CancelInstance(instance_id))
@@ -560,7 +584,6 @@ class DagJobMaster(ApplicationMaster):
         self._set_state(info, "idle")
         result = master.on_failed(message.worker_id, message.instance_id,
                                   message.machine, self.loop.now)
-        self._snapshot_instance(info.task, message.instance_id)
         self._handle_escalations(info.task, result.escalations, message.machine)
         if result.terminal:
             self.tracer.event("job.instance_terminal", job=self.app_id,
@@ -728,7 +751,7 @@ class DagJobMaster(ApplicationMaster):
                         self._set_state(info, "busy")
                         info.dispatched_at = now
                         idle.remove(info)
-                        self.send(f"worker:{info.worker_id}",
+                        self.send(info.address,
                                   wmsg.ExecuteInstance(instance.instance_id,
                                                        instance.duration, {}))
                         placed = True
@@ -746,13 +769,20 @@ class DagJobMaster(ApplicationMaster):
     # ------------------------------------------------------------------ #
 
     def _snapshot_store(self) -> Optional[dict]:
+        """This job's snapshot: its finished and started tasks, and per
+        started task an ``array('d')`` of ``started_at, finished_at``
+        pairs by instance index, NaN while the instance has not finished
+        (:func:`finished_records` reads it)."""
         store = getattr(self.services, "job_snapshots", None)
         if store is None:
             return None
-        return store.setdefault(self.app_id, {
-            "finished_tasks": [], "started_tasks": [], "instances": {},
-            "submitted_at": self.submitted_at,
-        })
+        snap = store.get(self.app_id)
+        if snap is None:
+            snap = store[self.app_id] = {
+                "finished_tasks": [], "started_tasks": [], "finished": {},
+                "submitted_at": self.submitted_at,
+            }
+        return snap
 
     def _snapshot_init(self) -> None:
         snap = self._snapshot_store()
@@ -769,15 +799,21 @@ class DagJobMaster(ApplicationMaster):
         if snap is not None and task not in snap["finished_tasks"]:
             snap["finished_tasks"].append(task)
 
-    def _snapshot_instance(self, task: str, instance_id: str) -> None:
+    def _snapshot_finished(self, task: str, master: TaskMaster,
+                           instance: Instance) -> None:
+        """Record that ``instance`` finished.  Nothing else about an
+        instance is recorded: a FINISHED instance never changes state
+        again, and recovery re-runs every other one."""
         snap = self._snapshot_store()
         if snap is None:
             return
-        master = self.task_masters.get(task)
-        if master is None:
-            return
-        instance = master.instance(instance_id)
-        snap["instances"][instance_id] = instance.snapshot()
+        times = snap["finished"].get(task)
+        if times is None:
+            times = snap["finished"][task] = (
+                array("d", (_NAN,)) * (2 * len(master.instances)))
+        started_at = instance.started_at
+        times[2 * instance.index] = _NAN if started_at is None else started_at
+        times[2 * instance.index + 1] = instance.finished_at
 
     def recover_state(self) -> None:
         """Rebuild from the snapshot after an AM crash (base-class hook)."""
@@ -812,13 +848,9 @@ class DagJobMaster(ApplicationMaster):
         master = self.task_masters.get(task)
         if master is None:
             return
-        for instance in master.instances:
-            record = snap["instances"].get(instance.instance_id)
-            if record and record["state"] == InstanceState.FINISHED.value:
-                master.restore_finished(instance.index,
-                                        record.get("started_at"),
-                                        record.get("finished_at"))
-                self._instances_finished += 1
+        for index, started_at, finished_at in finished_records(snap, task):
+            master.restore_finished(index, started_at, finished_at)
+            self._instances_finished += 1
         if master.is_complete():
             self._finish_task(task)
 

@@ -13,9 +13,11 @@ c) **incremental scheduling** — only unassigned instances are scanned per
    possible (the ``bench_scale_instances`` benchmark measures exactly this).
 
 Per-instance state stays small (§4.3 "lightweight"): the locality index
-holds one plain list per machine, preferred machines are the collections
-the caller passed (a block's replica tuple), and an instance id is resolved
-from its ``"task/index"`` form rather than through a table of them.
+holds a machine's one queued instance as a bare index and only a longer
+queue as a list, whether an instance is pending is one byte of a
+``bytearray``, preferred machines are the collections the caller passed (a
+block's replica tuple), and an instance id is resolved from its
+``"task/index"`` form rather than through a table of them.
 
 It also runs the per-task parts of fault tolerance: retry with blacklist
 consultation, and the backup-instance policy for long tails.
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Collection, Deque, Dict, List, Optional, Set, Tuple
+from typing import Collection, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.core.blacklist import JobBlacklist
 from repro.jobs.backup import BackupPolicy
@@ -65,10 +67,14 @@ class TaskMaster:
                 duration = durations[index % len(durations)]
             self.instances.append(Instance(spec.name, index, duration))
         self._pending: Deque[int] = deque(range(spec.instances))
-        self._pending_set: Set[int] = set(self._pending)
-        # machine -> instance indexes in reverse FIFO order: pop() takes
-        # the head, insert(0, ...) queues at the tail
-        self._locality_index: Dict[str, List[int]] = {}
+        #: 1 at an instance's index while it waits for a worker; the
+        #: ``_pending`` deque and the locality queues may also hold stale
+        #: entries, which a 0 here marks
+        self._pending_flags = bytearray(b"\x01") * spec.instances
+        # machine -> its one queued instance index, or a list of them in
+        # reverse FIFO order: pop() takes the head, insert(0, ...) queues
+        # at the tail
+        self._locality_index: Dict[str, Union[int, List[int]]] = {}
         self._assignment: Dict[str, str] = {}   # worker_id -> instance_id
         self.backup_policy = BackupPolicy(spec.backup)
         self.backups_launched = 0
@@ -93,12 +99,15 @@ class TaskMaster:
             if 0 <= index < len(instances):
                 instances[index].preferred_machines = machines
         # built from the last index down, so each list ends at its head
-        locality: Dict[str, List[int]] = {}
+        locality: Dict[str, Union[int, List[int]]] = {}
         for index in range(len(instances) - 1, -1, -1):
             for machine in instances[index].preferred_machines:
                 queue = locality.get(machine)
                 if queue is None:
-                    locality[machine] = [index]
+                    locality[machine] = index
+                elif queue.__class__ is int:
+                    if queue != index:
+                        locality[machine] = [queue, index]
                 elif queue[-1] != index:
                     queue.append(index)
         self._locality_index = locality
@@ -130,25 +139,36 @@ class TaskMaster:
 
     def _pop_local(self, machine: str, worker_id: str) -> Optional[int]:
         queue = self._locality_index.get(machine)
+        if queue is None:
+            return None
+        flags = self._pending_flags
+        if queue.__class__ is int:
+            # a queue of one: taking its head empties it
+            del self._locality_index[machine]
+            if flags[queue] and self._allowed(queue, machine):
+                flags[queue] = 0
+                return queue
+            return None
         while queue:
             index = queue.pop()
-            if index in self._pending_set and self._allowed(index, machine):
-                self._pending_set.discard(index)
+            if flags[index] and self._allowed(index, machine):
+                flags[index] = 0
                 return index
         return None
 
     def _pop_global(self, machine: str, worker_id: str) -> Optional[int]:
+        flags = self._pending_flags
         scanned = 0
         limit = len(self._pending)
         while self._pending and scanned < limit:
             index = self._pending.popleft()
-            if index not in self._pending_set:
+            if not flags[index]:
                 continue  # stale entry (taken via locality index)
             if not self._allowed(index, machine):
                 self._pending.append(index)
                 scanned += 1
                 continue
-            self._pending_set.discard(index)
+            flags[index] = 0
             return index
         return None
 
@@ -212,7 +232,7 @@ class TaskMaster:
             self._moved(before, InstanceState.FAILED)
             # it may be waiting (release_worker requeued it): a failed
             # instance takes no further attempt
-            self._pending_set.discard(instance.index)
+            self._pending_flags[instance.index] = 0
             return FailureResult(terminal=True, requeued=False,
                                  escalations=escalations)
         self._moved(before, instance.state)
@@ -244,14 +264,22 @@ class TaskMaster:
         instance = self.instances[index]
         self._moved(instance.state, InstanceState.WAITING)
         instance.state = InstanceState.WAITING
-        if index not in self._pending_set:
-            self._pending_set.add(index)
+        flags = self._pending_flags
+        if not flags[index]:
+            flags[index] = 1
             self._pending.append(index)
             avoids = self.blacklist.task_avoids(self.spec.name)
+            locality = self._locality_index
             # once per machine, even where the hint names one twice
             for machine in dict.fromkeys(instance.preferred_machines):
                 if machine not in avoids:
-                    self._locality_index.setdefault(machine, []).insert(0, index)
+                    queue = locality.get(machine)
+                    if queue is None:
+                        locality[machine] = index
+                    elif queue.__class__ is int:
+                        locality[machine] = [index, queue]
+                    else:
+                        queue.insert(0, index)
 
     # ------------------------------------------------------------------ #
     # backup instances
@@ -293,7 +321,7 @@ class TaskMaster:
         instance.state = InstanceState.FINISHED
         instance.started_at = started_at
         instance.finished_at = finished_at
-        self._pending_set.discard(index)
+        self._pending_flags[index] = 0
 
     def adopt_attempt(self, worker_id: str, instance_id: str, machine: str,
                       started_at: float) -> bool:
@@ -303,7 +331,7 @@ class TaskMaster:
         instance = self.instance(instance_id)
         if instance.state == InstanceState.FINISHED:
             return False
-        self._pending_set.discard(instance.index)
+        self._pending_flags[instance.index] = 0
         before = instance.state
         instance.start_attempt(worker_id, machine, started_at)
         self._moved(before, instance.state)
@@ -341,7 +369,7 @@ class TaskMaster:
 
     @property
     def pending_count(self) -> int:
-        return len(self._pending_set)
+        return self._pending_flags.count(1)
 
     @property
     def running_count(self) -> int:

@@ -16,12 +16,13 @@ multiplied by the machine's ``slow_factor`` (the SlowMachine fault).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from sys import intern as _intern
 from typing import Optional
 
 from repro.cluster.machine import MachineState
 from repro.core import messages as msg
 from repro.sim.actor import Actor
-from repro.sim.events import EventLoop
+from repro.sim.events import Event, EventLoop
 
 #: the phase of the reports' grid: a quarter second before the job
 #: masters' instants (``repro.sim.grid.GRID_PHASE``), so a report never
@@ -114,10 +115,15 @@ class TaskWorker(Actor):
         # fixed for the worker's life, and read by every message it sends
         self.worker_id = plan.worker_id
         self.machine = machine_state.spec.name
-        self.master_address = f"app:{plan.app_id}"
+        # interned: the job master's own name, not a copy per worker
+        self.master_address = _intern(f"app:{plan.app_id}")
         bus.host(self, self.machine)
         self.report_interval = report_interval
         self.current_instance: Optional[str] = None
+        #: the running instance's end: a plain loop event, not a named
+        #: timer (no closure); cancelled with the timers and by
+        #: CancelInstance
+        self._finish_event: Optional[Event] = None
         self.instance_started_at: float = 0.0
         self.instances_run = 0
         self.last_completed: Optional[str] = None
@@ -143,7 +149,7 @@ class TaskWorker(Actor):
 
     def _cancel(self, sender: str, message: CancelInstance) -> None:
         if self.current_instance == message.instance_id:
-            self.cancel_timer("finish")
+            self._cancel_finish()
             self.current_instance = None
 
     def _execute(self, sender: str, command: ExecuteInstance) -> None:
@@ -157,9 +163,16 @@ class TaskWorker(Actor):
         duration = command.duration * self.machine_state.slow_factor
         self.current_instance = command.instance_id
         self.instance_started_at = self.loop.now
-        self.set_timer("finish", duration, self._finish)
+        self._finish_event = self.loop.call_after(duration, self._finish)
+
+    def _cancel_finish(self) -> None:
+        event = self._finish_event
+        if event is not None:
+            self._finish_event = None
+            event.cancel()
 
     def _finish(self) -> None:
+        self._finish_event = None
         instance_id = self.current_instance
         if instance_id is None:
             return
@@ -180,6 +193,10 @@ class TaskWorker(Actor):
         self.send(self.master_address, WorkerStatusReport(
             self.worker_id, self.machine, self.current_instance,
             running_for, self.last_completed))
+
+    def cancel_all_timers(self) -> None:
+        super().cancel_all_timers()
+        self._cancel_finish()
 
     def on_crash(self) -> None:
         self.current_instance = None

@@ -8,6 +8,7 @@ interruption."
 """
 
 from repro.jobs.instance import InstanceState
+from repro.jobs.jobmaster import finished_records
 from repro.workloads.synthetic import mapreduce_job
 from tests.conftest import make_cluster
 
@@ -52,8 +53,8 @@ def test_finished_instances_not_rerun():
     am = cluster.app_masters[app]
     assert "map" in am.finished_tasks
     snapshot = cluster.job_snapshots[app]
-    finished_before = [iid for iid, rec in snapshot["instances"].items()
-                       if rec["state"] == "finished"]
+    finished_before = [(task, record[0]) for task in snapshot["finished"]
+                       for record in finished_records(snapshot, task)]
     assert len(finished_before) >= 12
     cluster.crash_app_master(app)
     cluster.run_for(15)   # restart + recovery
@@ -91,7 +92,7 @@ def test_snapshot_written_on_instance_changes():
     cluster.run_for(8)
     snapshot = cluster.job_snapshots[app]
     assert snapshot["started_tasks"]
-    assert snapshot["instances"]
+    assert list(finished_records(snapshot, "map"))
 
 
 def test_double_jobmaster_crash():

@@ -1,16 +1,18 @@
-"""Differential test of the slimmed TaskMaster (paper §4.4): the list-based
-locality index, the shared preferred-machine collections and the id
-lookup by ``"task/index"`` against the deque index and ``_by_id`` table
-they replaced (``taskmaster_deque_oracle.DequeTaskMaster``).
+"""Differential test of the slimmed TaskMaster (paper §4.4): the locality
+index of bare indexes and lists, the pending flags, the shared
+preferred-machine collections and the id lookup by ``"task/index"``
+against the deque index, pending set and ``_by_id`` table they replaced
+(``taskmaster_deque_oracle.DequeTaskMaster``).
 
 Both masters get the same preferred machines (none, one, several, a
 machine named twice, indexes out of range) and the same Hypothesis-
 generated operations: worker arrivals one at a time and in bulk,
 completions, failures that requeue and escalate to a task-level blacklist
-avoid, vanished workers, job-level bad machines, adopted and restored
-instances, and lookups of real and foreign ids.  After every operation the
-result — which worker got which instance, or which exception — and the
-per-state counts must be equal; a final drain offers every machine a fresh
+avoid, vanished workers, job-level bad machines, backup attempts, adopted
+and restored instances, and lookups of real and foreign ids.  After every
+operation the result — which worker got which instance, or which
+exception — the per-state counts and the pending instances must be equal;
+a final drain offers every machine a fresh
 worker until nothing is left to assign, so a locality queue left in
 another order shows there.  ``test_..._at_scale`` is the 2,000-example run
 (``pytest -m slow``).
@@ -48,6 +50,7 @@ operations = st.lists(st.one_of(
     st.tuples(st.just("mark_bad"), machine),
     st.tuples(st.just("adopt"), worker, id_choice, machine),
     st.tuples(st.just("restore"), st.integers(0, 9)),
+    st.tuples(st.just("backup"), worker, st.integers(0, 9), machine),
     st.tuples(st.just("lookup"), id_choice),
 ), max_size=60)
 
@@ -107,13 +110,26 @@ def apply(master: TaskMaster, op: tuple, names: list, now: float):
         if args[0] >= len(master.instances):
             return None
         return outcome(master.restore_finished, args[0], now - 1.0, now)
+    if kind == "backup":
+        if args[1] >= len(master.instances):
+            return None
+        return master.start_backup(master.instances[args[1]], f"w{args[0]}",
+                                   MACHINES[args[2]], now)
     return outcome(master.instance, names[args[0] % len(names)])
+
+
+def pending(master: TaskMaster) -> set:
+    """The instances waiting for a worker, by index."""
+    if isinstance(master, DequeTaskMaster):
+        return set(master._pending_set)
+    return {index for index, flag in enumerate(master._pending_flags)
+            if flag}
 
 
 def counts(master: TaskMaster) -> tuple:
     return (master.finished_count, master.failed_count,
             master.pending_count, master.running_count,
-            [i.state for i in master.instances])
+            [i.state for i in master.instances], pending(master))
 
 
 def drain(master: TaskMaster, now: float) -> list:
@@ -186,4 +202,4 @@ def test_a_requeued_instance_queues_at_the_tail_of_its_machines():
     taken = [master.next_assignment(f"w{i}", "m1", 2.0).instance_id
              for i in (1, 2, 3)]
     assert taken == ["map/1", "map/2", "map/0"]
-    assert master._locality_index["m1"] == []
+    assert not master._locality_index.get("m1")

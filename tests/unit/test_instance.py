@@ -13,7 +13,7 @@ def test_initial_state():
     instance = make_instance()
     assert instance.state == InstanceState.WAITING
     assert instance.instance_id == "map/3"
-    assert instance.attempts == []
+    assert instance.attempts == ()
 
 
 def test_start_attempt_transitions_to_running():

@@ -135,7 +135,7 @@ def test_lazy_tables_through_grant_launch_crash_restart_and_dispose():
 
     agent.crash()
     assert agent.allocations is EMPTY and agent.workers is EMPTY
-    assert agent._workers_by_unit is EMPTY
+    assert agent._unit_workers is EMPTY
     agent.restart()
     assert set(agent.workers) == plans        # adopted again
     cluster.run_for(3.0)
