@@ -84,6 +84,10 @@ class _WorkerInfo:
         self.address = _intern(f"worker:{self.worker_id}")
 
 
+#: the worker states in which an idle status report is squared with the
+#: books (a "gone" worker's report only stamps it alive)
+_REPORTS_IDLE = ("starting", "idle", "busy")
+
 #: a snapshot's mark for "not finished" (and for a missing start time)
 _NAN = float("nan")
 
@@ -466,8 +470,6 @@ class DagJobMaster(ApplicationMaster):
             self.send(f"agent:{message.machine}",
                       msg.StopWorker(self.app_id, message.worker_id))
             return
-        if info.state == "starting":
-            self._worker_start_overheads.append(self.loop.now - info.planned_at)
         info.last_seen = self.loop.now
         self._worker_reports_idle(info, message.last_completed)
 
@@ -475,12 +477,18 @@ class DagJobMaster(ApplicationMaster):
                              last_completed: Optional[str]) -> None:
         """The worker says it is idle; square that with our books.
 
+        A worker still ``starting`` has come up: its start overhead is
+        recorded here, once, whether this is its registration or — that
+        message lost — its first idle status report.
+
         Our books may still carry an assignment — either the dispatch has
         not reached the worker yet (leave the 'busy' state alone; the guard
         inside the reconciler protects live work) or a completion/dispatch
         was lost (reconcile).  Only flip to idle once no assignment
         remains.
         """
+        if info.state == "starting":
+            self._worker_start_overheads.append(self.loop.now - info.planned_at)
         master = self.task_masters.get(info.task)
         assigned = (master.assignment_of(info.worker_id)
                     if master is not None else None)
@@ -628,21 +636,22 @@ class DagJobMaster(ApplicationMaster):
             self._adopt_worker(message)
             return
         info.last_seen = self.loop.now
-        if message.instance_id is None and info.state in ("idle", "busy"):
+        if message.instance_id is None and info.state in _REPORTS_IDLE:
+            # a starting worker whose registration was lost comes up here
             self._worker_reports_idle(info, message.last_completed)
 
     def absorb_message(self, sender: str, message, arrival: float) -> bool:
         """Fold one arrival of a delivery run that only stamps its worker
         alive: a status report from a known worker that is running an
-        instance, or is neither idle nor busy — the rows of
-        :meth:`_on_status_report` that end at ``last_seen``.  The
-        ``_silence`` heap tolerates the stamp moving past its entry.
-        Anything else is declined and delivered as a message."""
+        instance, or is gone — the rows of :meth:`_on_status_report` that
+        end at ``last_seen``.  The ``_silence`` heap tolerates the stamp
+        moving past its entry.  Anything else is declined and delivered as
+        a message."""
         if type(message) is not wmsg.WorkerStatusReport:
             return False
         info = self._workers.get(message.worker_id)
         if info is None or (message.instance_id is None
-                            and info.state in ("idle", "busy")):
+                            and info.state in _REPORTS_IDLE):
             return False
         info.last_seen = arrival
         return True

@@ -86,3 +86,45 @@ def test_deterministic_under_same_seed():
                                                         reorder=0.2))
         results.append(run_job(cluster).makespan)
     assert results[0] == results[1]
+
+
+def test_a_worker_whose_registration_is_lost_comes_up_on_its_report():
+    """A map worker's WorkerReady is lost: its idle status reports, every
+    2 s, must bring it up (it stayed "starting" forever while only its
+    WorkerReady could), with its start overhead recorded once."""
+    from repro.jobs import worker as wmsg
+    cluster = make_cluster()
+    bus = cluster.bus
+    lost = []
+    send, post = bus.send, bus.post
+
+    def lose_first_registration(message) -> bool:
+        if (not lost and type(message) is wmsg.WorkerReady
+                and ".map." in message.worker_id):
+            lost.append(message.worker_id)
+            return True
+        return False
+
+    def lossy_send(sender, dest, message):
+        if not lose_first_registration(message):
+            send(sender, dest, message)
+
+    def lossy_post(outbox, sender, dest, message):
+        if not lose_first_registration(message):
+            post(outbox, sender, dest, message)
+
+    bus.send, bus.post = lossy_send, lossy_post
+    app = cluster.submit_job(mapreduce_job(
+        "wc", mappers=40, reducers=2, map_duration=4.0, reduce_duration=1.0,
+        workers_per_task=8))
+    cluster.run_until(10.0)
+    assert lost
+    am = cluster.app_masters[app]
+    info = am._workers[lost[0]]
+    assert info.state in ("idle", "busy")
+    started = len(am._worker_start_overheads)
+    assert started == len(am._workers)      # one overhead per worker
+    assert cluster.run_until_complete([app], timeout=300)
+    result = cluster.job_results[app]
+    assert result.success
+    assert len(result.worker_start_overheads) >= started
