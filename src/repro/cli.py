@@ -523,18 +523,17 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 #: sweep kinds whose task params are the fields of one ``RunSpec``
-_RUN_SPEC_KINDS = ("simulate", "arena")
-
-
-def _check_run_specs(tasks) -> None:
-    """Build the ``RunSpec`` of every task of a RunSpec-backed kind before
-    any task runs: an unknown key or a bad value (``racks=0``) is a bad
-    specification of the whole sweep, not a run that fails in a worker.
-    Raises ``ValueError`` naming the first bad field."""
-    from repro.api import RunSpec
+def _check_task_params(tasks) -> None:
+    """Check every task's params against its kind before any task runs
+    (``repro.parallel.runners.PARAM_CHECKS``): an unknown key, a missing
+    one or a bad value (``racks=0``) is a bad specification of the whole
+    sweep, not a run that fails in a worker.  Raises ``ValueError`` (or
+    ``TypeError``) naming the first bad field."""
+    from repro.parallel.runners import PARAM_CHECKS
     for task in tasks:
-        if task.kind in _RUN_SPEC_KINDS:
-            RunSpec.from_dict(task.params)
+        check = PARAM_CHECKS.get(task.kind)
+        if check is not None:
+            check(task.params)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -567,7 +566,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         else:
             print("sweep needs --spec FILE or --kind KIND", file=sys.stderr)
             return 2
-        _check_run_specs(tasks)
+        _check_task_params(tasks)
     except (OSError, ValueError, TypeError) as exc:
         print(f"bad sweep specification: {exc}", file=sys.stderr)
         return 2

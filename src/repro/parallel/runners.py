@@ -160,6 +160,79 @@ def run_selfcheck(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     return payload
 
 
+# --------------------------------------------------------------------- #
+# params checks: what a runner would reject, found before any task runs
+# --------------------------------------------------------------------- #
+
+def check_run_spec(params: Dict[str, Any]) -> None:
+    """``simulate`` / ``arena`` params: the fields of a valid RunSpec."""
+    from repro.api import RunSpec
+    RunSpec.from_dict(params)
+
+
+def check_chaos(params: Dict[str, Any]) -> None:
+    """``chaos`` params: the fields of a valid ChaosConfig."""
+    from repro.chaos.engine import ChaosConfig
+    ChaosConfig.from_dict(params)
+
+
+def _only(kind: str, params: Dict[str, Any], allowed: Tuple[str, ...],
+          required: Tuple[str, ...]) -> None:
+    unknown = sorted(set(params) - set(allowed))
+    if unknown:
+        raise ValueError(f"{kind} task: unknown params {unknown} "
+                         f"(known: {', '.join(allowed)})")
+    missing = [name for name in required if name not in params]
+    if missing:
+        raise ValueError(f"{kind} task: missing params {missing}")
+
+
+def check_experiment(params: Dict[str, Any]) -> None:
+    """``experiment`` params: a known ``name`` and, for an experiment with
+    a config, ``config`` fields that build one."""
+    from repro.experiments.sweep import NAMED
+    _only("experiment", params, ("name", "config"), ("name",))
+    name = params["name"]
+    if name not in NAMED:
+        raise ValueError(f"unknown experiment {name!r}; known: "
+                         f"{', '.join(sorted(NAMED))}")
+    config_cls = NAMED[name][1]
+    overrides = params.get("config") or {}
+    if config_cls is not None and overrides:
+        from_dict = getattr(config_cls, "from_dict", None)
+        if from_dict is not None:
+            from_dict(overrides)
+        else:
+            config_cls(**overrides)
+
+
+def check_fuzz(params: Dict[str, Any]) -> None:
+    """``fuzz`` params: a parsable ``schedule``, a valid ``chaos`` config
+    and a known ``inject`` name, if one is given."""
+    from repro.chaos.engine import ChaosConfig
+    from repro.chaos.fuzz import INJECTIONS
+    from repro.cluster.faults import FaultPlan
+    _only("fuzz", params, ("schedule", "chaos", "inject"),
+          ("schedule", "chaos"))
+    ChaosConfig.from_dict(params["chaos"])
+    FaultPlan.from_spec(str(params["schedule"]))
+    inject = params.get("inject")
+    if inject and inject not in INJECTIONS:
+        raise ValueError(f"unknown injection {inject!r}; known: "
+                         f"{', '.join(sorted(INJECTIONS))}")
+
+
+#: kind -> check(params): raises ValueError (or TypeError) for params the
+#: kind's runner would reject; kinds without an entry are not checked
+PARAM_CHECKS: Dict[str, Callable[[Dict[str, Any]], None]] = {
+    "simulate": check_run_spec,
+    "arena": check_run_spec,
+    "chaos": check_chaos,
+    "experiment": check_experiment,
+    "fuzz": check_fuzz,
+}
+
+
 register_runner("simulate", run_simulate)
 register_runner("arena", run_arena_task)
 register_runner("chaos", run_chaos_task)

@@ -377,6 +377,36 @@ def test_sweep_bad_run_spec_exits_two_before_any_task(argv, named, capsys,
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["--kind", "chaos", "--set", "nosuchkey=1"],
+     "ChaosConfig: unknown config keys ['nosuchkey']"),
+    (["--kind", "experiment"], "experiment task: missing params ['name']"),
+    (["--kind", "experiment", "--set", "name=table9"],
+     "unknown experiment 'table9'"),
+    (["--kind", "experiment", "--set", "name=table4", "--set", "reps=2"],
+     "experiment task: unknown params ['reps']"),
+    (["--kind", "fuzz", "--set", "schedule=NodeDown@1"],
+     "fuzz task: missing params ['chaos']"),
+])
+def test_sweep_bad_task_params_exit_two_before_any_task(argv, named, capsys,
+                                                       monkeypatch):
+    """The chaos, experiment and fuzz kinds' params are checked before any
+    task runs, as simulate's are: one line, exit 2, no traceback."""
+    import repro.parallel as parallel
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(parallel, "run_sweep", no_run)
+    code = main(["sweep", "--seeds", "2", "--quiet", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("bad sweep specification: ")
+    assert named in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_experiment_repeat_aggregates(capsys):
     code = main(["experiment", "ablation-reuse", "--repeat", "2"])
     out = capsys.readouterr().out
