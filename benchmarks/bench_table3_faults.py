@@ -1,7 +1,9 @@
 """Table 3 / §5.4: fault injection slowdown.
 
-Paper (300 nodes): normal 1,437 s; 5 % faults → +15.7 %; 10 % → +19.6 %;
-an additional FuxiMaster kill costs only ~13 s extra.
+Paper (300 nodes): normal 1,437 s; 5 % faults → +15.7 %; 10 % → 1,762 s,
++22.6 % by the makespans (the text quotes +19.6 %; the comparison uses
+22.6 %, see ``repro.experiments.table3_faults``); an additional FuxiMaster
+kill costs only ~13 s extra.
 """
 
 from repro.experiments import table3_faults

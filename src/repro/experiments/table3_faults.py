@@ -5,9 +5,15 @@ Paper, on a 300-node cluster running a GraySort-like job (normal execution
 
 - 5 % failures (2 NodeDown + 2 PartialWorkerFailure + 11 SlowMachine) →
   1,662 s, a **15.7 %** slowdown;
-- 10 % failures (2 + 4 + 23) → 1,762 s, **19.6 %**;
+- 10 % failures (2 + 4 + 23) → 1,762 s, **19.6 %** in the paper's text;
 - additionally killing FuxiMaster once on the 5 % scenario costs only an
   extra **13 s**.
+
+The two 10 % figures disagree: 1,762 / 1,437 is a **22.6 %** slowdown
+(19.6 % is (1,762 - 1,437) / 1,662, the same delay over the 5 % run's
+makespan).  The "10% faults slowdown" comparison uses 22.6 %, the ratio of
+the makespans, as the 5 % row does (1,662 / 1,437 = 15.7 %, which the text
+quotes); the scenario table prints both.
 
 We run the same protocol at configurable scale: one sort-shaped job, the
 Table-3 fault mix injected during execution, and (optionally) a primary
@@ -33,6 +39,8 @@ PAPER_NORMAL_S = 1437.0
 PAPER_5PCT_S = 1662.0
 PAPER_10PCT_S = 1762.0
 PAPER_MASTER_KILL_EXTRA_S = 13.0
+#: the 10 % slowdown the paper's text quotes (see the module docstring)
+PAPER_10PCT_TEXT_PCT = 19.6
 
 
 @dataclass
@@ -129,13 +137,18 @@ def run(config: Optional[Table3Config] = None) -> ExperimentReport:
                           PAPER_MASTER_KILL_EXTRA_S,
                           with_5_kill - with_5, "s",
                           "seconds, nearly free")
+    paper_5 = 100 * (PAPER_5PCT_S / PAPER_NORMAL_S - 1)
+    paper_10 = 100 * (PAPER_10PCT_S / PAPER_NORMAL_S - 1)
     report.add_table(
-        ["scenario", "makespan (s)", "slowdown"],
-        [["no faults", f"{normal:.1f}", "-"],
-         ["5% faults", f"{with_5:.1f}", f"{100*(with_5/normal-1):.1f}%"],
-         ["10% faults", f"{with_10:.1f}", f"{100*(with_10/normal-1):.1f}%"],
+        ["scenario", "makespan (s)", "slowdown", "paper slowdown"],
+        [["no faults", f"{normal:.1f}", "-", "-"],
+         ["5% faults", f"{with_5:.1f}", f"{100*(with_5/normal-1):.1f}%",
+          f"{paper_5:.1f}%"],
+         ["10% faults", f"{with_10:.1f}", f"{100*(with_10/normal-1):.1f}%",
+          f"{paper_10:.1f}% (text: {PAPER_10PCT_TEXT_PCT:.1f}%)"],
          ["5% + master kill", f"{with_5_kill:.1f}",
-          f"{100*(with_5_kill/normal-1):.1f}%"]])
+          f"{100*(with_5_kill/normal-1):.1f}%",
+          f"+{PAPER_MASTER_KILL_EXTRA_S:.0f} s over 5%"]])
     machines = config.racks * config.machines_per_rack
     report.notes.append(
         f"{machines} machines (paper: 300), {config.instances} map instances; "
