@@ -106,3 +106,40 @@ def test_double_jobmaster_crash():
     cluster.crash_app_master(app)
     assert cluster.run_until_complete([app], timeout=900)
     assert cluster.job_results[app].success
+
+
+def test_recovery_restores_the_finished_set_the_snapshot_recorded():
+    """The snapshot keeps only finished instances (start and finish time
+    by index); a JobMaster restarted from it restores exactly those, with
+    their times, and counts them in ``_instances_finished``; every other
+    instance waits for a worker again."""
+    cluster = make_cluster()
+    app = cluster.submit_job(mapreduce_job(
+        "wc", mappers=24, reducers=2, map_duration=2.0, reduce_duration=40.0,
+        workers_per_task=6))
+    for _ in range(100):
+        cluster.run_for(0.5)
+        am = cluster.app_masters.get(app)
+        if (am is not None and "map" in am.task_masters
+                and am.task_masters["map"].finished_count >= 6):
+            break
+    before_master = am.task_masters["map"]
+    assert not before_master.is_complete()
+    finished = {i.index: (i.started_at, i.finished_at)
+                for i in before_master.instances
+                if i.state is InstanceState.FINISHED}
+    assert len(finished) >= 6 and am._instances_finished == len(finished)
+    snapshot = cluster.job_snapshots[app]
+    assert {index: (started, done) for index, started, done
+            in finished_records(snapshot, "map")} == finished
+    am.crash()
+    am.restart()                       # recovers from the snapshot alone
+    master = am.task_masters["map"]
+    assert master is not before_master
+    assert {i.index: (i.started_at, i.finished_at)
+            for i in master.instances
+            if i.state is InstanceState.FINISHED} == finished
+    assert am._instances_finished == master.finished_count == len(finished)
+    assert master.pending_count == len(master.instances) - len(finished)
+    assert cluster.run_until_complete([app], timeout=900)
+    assert cluster.job_results[app].instances_finished == 26

@@ -3,8 +3,9 @@ them as a ``perf-smoke`` step.
 
 Exact functions of the code, not timings: loop steps, events and messages
 of a warm-up, calls into the per-machine registration path, what the
-post-recovery push sends, how many collections a build triggers, and the
-bytes a built cluster holds per machine.  An agent whose books are
+post-recovery push sends, how many collections a build triggers, the
+bytes a built cluster holds per machine, and the bytes a closed-loop
+window leaves per live job and per live instance.  An agent whose books are
 provably empty (``book_version`` 0) registers with its first beat, inside
 the master's roll-up, a run of first beats at a time; and the push skips
 every machine whose books the rebuilt ledger holds exactly (DESIGN.md §12),
@@ -16,6 +17,8 @@ import linecache
 import sys
 import tracemalloc
 
+import pytest
+
 from repro.api import ClusterBuilder
 from repro.cluster.network import MessageBus
 from repro.core import messages as msg
@@ -23,11 +26,13 @@ from repro.core.grant import Grant
 from repro.core.master import FuxiMaster
 from repro.core.protocol import FullSyncEnvelope
 from repro.core.scheduler import FuxiScheduler
+from repro.core.agent import FuxiAgentConfig
 from repro.core.units import UnitKey
-from repro.sim import actor
 from repro.sim.events import EventLoop
 from repro.sim.rng import SplitRandom
-from repro.workloads.synthetic import mapreduce_job
+from repro.workloads.synthetic import (SyntheticWorkload,
+                                       SyntheticWorkloadConfig,
+                                       ensure_input_files, mapreduce_job)
 from tests.conftest import make_cluster
 
 #: a 10 x 20 cluster's 3-s warm-up at the commit before registration from
@@ -52,6 +57,23 @@ WARM_UP_EVENTS = 1408
 #: on 3.11).  The bounds leave about 5 % of room over the numpy figure.
 MAX_BYTES_PER_MACHINE = {(3, 10): 2085, (3, 12): 1530, (3, 13): 1540}.get(
     sys.version_info[:2], 1555)
+#: ``tracemalloc`` bytes a 20-sim-s window of 100 paper-mix jobs on 200
+#: machines (seed 7) leaves per job still live at its end (60; 40 have
+#: finished), by CPython version: everything the window allocated and
+#: kept, finished jobs' results and bus edges included.  136,638 /
+#: 122,689 / 120,666 / 122,075 (3.10 / 3.11 / 3.12 / 3.13) with unslotted
+#: instances, a snapshot record per dispatched instance, pending sets,
+#: one-element locality lists, per-unit worker sets and a closure per
+#: running instance; 110,527 / 100,680 / 99,680 / 100,576 without them.
+#: The bounds leave about 5 % of room.
+MAX_BYTES_PER_LIVE_JOB = {(3, 10): 116_000, (3, 12): 104_700,
+                          (3, 13): 105_600}.get(sys.version_info[:2],
+                                                105_700)
+#: ... and the bytes held by the job plane's own lines (``repro/jobs/``)
+#: per live instance (1,999): 1,402 / 1,425 / 1,354 / 1,373 before the
+#: diet, 1,023 / 923 / 883 / 887 after it.  About 5 % of room.
+MAX_BYTES_PER_LIVE_INSTANCE = {(3, 10): 1075, (3, 12): 930,
+                               (3, 13): 930}.get(sys.version_info[:2], 970)
 #: bytes per bus edge of 10,000 new edges, names made beforehand: 338 (347
 #: on 3.10) with a list per edge and a memo entry per name, 205 (206) with
 #: a slotted ``EdgeState`` and a 256-name memo, 201 with no memo.  About
@@ -143,18 +165,21 @@ def test_cold_start_registers_every_machine_inside_the_roll_up(monkeypatch):
     assert sum(calls["chunks"]) == 200
 
 
-def held_by_the_build(before, after) -> int:
-    """Bytes ``after`` holds over ``before``, less the growth of the
-    interpreter's interned-string table.  That table is the process's, and
-    it doubles (1.9 MB once it holds a test run's names) in whichever
-    build fills it.  ``Actor.__init__`` interns each actor's name on a
-    line that allocates nothing else, since the name is made before."""
+def held_by_the_build(before, after, where: str = "") -> int:
+    """Bytes ``after`` holds over ``before`` on the lines of files whose
+    path contains ``where``, less the growth of the interpreter's
+    interned-string table.  That table is the process's, and it doubles
+    (1.9 MB once it holds a test run's names) in whichever build fills
+    it.  Its growth lands on the lines that call ``_intern(``, which are
+    left out: ``Actor.__init__``'s allocates nothing else, since the name
+    is made before; a worker address the JobMaster interns is left out
+    with it."""
     def interning(frame) -> bool:
-        return (frame.filename == actor.__file__ and "_intern(" in
-                linecache.getline(frame.filename, frame.lineno))
+        return "_intern(" in linecache.getline(frame.filename, frame.lineno)
     return sum(stat.size_diff
                for stat in after.compare_to(before, "lineno")
-               if not interning(stat.traceback[0]))
+               if where in stat.traceback[0].filename
+               and not interning(stat.traceback[0]))
 
 
 def test_a_built_cluster_holds_few_bytes_per_machine():
@@ -304,3 +329,51 @@ def test_build_and_warm_up_trigger_no_automatic_collection():
     assert len(started) <= 1
     assert gc.isenabled()
     assert cluster.events_total == WARM_UP_EVENTS
+
+
+@pytest.fixture(scope="module")
+def closed_loop_window():
+    """A 200-machine cluster, then 100 paper-mix jobs submitted and run
+    for 20 sim-s under ``tracemalloc``: the cluster, its live jobs and
+    the two snapshots around the window."""
+    cluster = ClusterBuilder(racks=10, machines_per_rack=20,
+                             machine_cpu=440.0, machine_memory=8 * 2048.0,
+                             seed=7, agent_config=FuxiAgentConfig(
+                                 worker_start_delay=2.0)).build()
+    workload = SyntheticWorkload(
+        SyntheticWorkloadConfig(concurrent_jobs=100, workers_cap=12,
+                                mix="paper"), cluster.rng)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        for _ in range(100):
+            job = workload.next_job()
+            ensure_input_files(cluster.blockstore, job)
+            cluster.submit_job(
+                job, description_overrides={"am_start_delay": 0.5})
+        cluster.run_for(20.0)
+        gc.collect()
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    live = [master for master in cluster.app_masters.values()
+            if master.alive and not master.finished]
+    return cluster, live, before, after
+
+
+def test_a_live_job_holds_few_bytes(closed_loop_window):
+    cluster, live, before, after = closed_loop_window
+    assert len(cluster.job_results) == 40 and len(live) == 60
+    per_job = held_by_the_build(before, after) / len(live)
+    assert per_job <= MAX_BYTES_PER_LIVE_JOB, per_job
+
+
+def test_a_live_instance_holds_few_bytes(closed_loop_window):
+    cluster, live, before, after = closed_loop_window
+    instances = sum(len(task.instances) for master in live
+                    for task in master.task_masters.values())
+    assert instances == 1999
+    per_instance = (held_by_the_build(before, after, "/repro/jobs/")
+                    / instances)
+    assert per_instance <= MAX_BYTES_PER_LIVE_INSTANCE, per_instance

@@ -108,3 +108,25 @@ def test_snapshot_contains_status():
     assert snap["state"] == "finished"
     assert snap["task"] == "map"
     assert snap["finished_at"] == 4.0
+
+
+def test_slotted_records_pickle_and_compare_equal():
+    """Instance and Attempt are slotted (no per-object dict) and still
+    pickle, copy and compare by value, attempts included."""
+    import copy
+    import pickle
+
+    from repro.jobs.instance import Attempt
+    instance = make_instance()
+    instance.preferred_machines = ("m1", "m2")
+    instance.start_attempt("w1", "m1", now=1.0)
+    instance.start_attempt("w2", "m2", now=2.0, is_backup=True)
+    instance.complete("w2", now=3.0)
+    assert not hasattr(instance, "__dict__")
+    assert not hasattr(instance.attempts[0], "__dict__")
+    for clone in (pickle.loads(pickle.dumps(instance)),
+                  copy.deepcopy(instance)):
+        assert clone == instance and clone is not instance
+        assert clone.attempts == instance.attempts
+        assert clone.winning_attempt == Attempt("w2", "m2", 2.0, True, 3.0)
+        assert clone.state is InstanceState.FINISHED

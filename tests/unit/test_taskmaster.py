@@ -249,3 +249,66 @@ def test_kept_counts_equal_a_scan_of_the_instances(ops, max_attempts):
         assert master.backup_candidates(now) == [
             decision.instance for decision in
             master.backup_policy.candidates(master.instances, now)]
+
+
+# ---------------------------------------------------------------------- #
+# the pending flags and the compact locality index
+# ---------------------------------------------------------------------- #
+
+def flagged(master: TaskMaster) -> set:
+    return {index for index, flag in enumerate(master._pending_flags)
+            if flag}
+
+
+def test_pending_flags_follow_a_reference_set_through_requeue_and_backup():
+    """One byte per instance stands for the pending set: it must hold what
+    a set kept by hand holds through assignment, a requeue by failure and
+    by a vanished worker, a backup (which takes no pending instance), a
+    win that cancels the twin, an adoption, a restore and a terminal
+    failure."""
+    master = make_master(4, max_attempts=2, backup=BackupSpec(enabled=True))
+    master.set_locality({0: ("m0",), 1: ("m0", "m1"), 2: ("m1",)})
+    reference = {0, 1, 2, 3}
+    assert flagged(master) == reference
+    first = master.next_assignment("w0", "m0", now=0.0)
+    second = master.next_assignment("w1", "m1", now=0.0)
+    reference -= {first.index, second.index}
+    assert flagged(master) == reference
+    master.on_failed("w0", first.instance_id, "m0", now=1.0)   # requeued
+    reference.add(first.index)
+    assert flagged(master) == reference
+    assert master.start_backup(second, "w2", "m2", now=2.0)
+    assert flagged(master) == reference                    # takes nothing
+    result = master.on_completed("w2", second.instance_id, now=3.0)
+    assert result.won and result.cancel_workers == ["w1"]
+    assert flagged(master) == reference
+    third = master.next_assignment("w3", "m1", now=4.0)
+    reference.discard(third.index)
+    assert master.release_worker("w3", now=5.0) == third.instance_id
+    reference.add(third.index)                             # requeued
+    assert flagged(master) == reference
+    assert master.adopt_attempt("w4", "map/3", "m3", started_at=1.0)
+    master.restore_finished(third.index, 0.0, 1.0)
+    reference -= {3, third.index}
+    assert flagged(master) == reference
+    # map/0 failed on m0 once, which its instance blacklist now avoids
+    assert master.next_assignment("w5", "m0", now=6.0) is None
+    waiting = master.next_assignment("w5", "m9", now=6.0)
+    master.on_failed("w5", waiting.instance_id, "m9", now=7.0)
+    assert waiting.state is InstanceState.FAILED           # 2nd failure
+    reference.discard(waiting.index)
+    assert flagged(master) == reference
+    assert master.pending_count == len(reference) == 0
+
+
+def test_a_machine_with_one_queued_instance_holds_a_bare_index():
+    master = make_master(3)
+    master.set_locality({0: ("m0", "m1"), 1: ("m1",), 2: ("m2", "m2")})
+    assert master._locality_index == {"m0": 0, "m1": [1, 0], "m2": 2}
+    assert master.next_assignment("w0", "m0", now=0.0).index == 0
+    assert "m0" not in master._locality_index      # taking it emptied it
+    master.release_worker("w0", now=1.0)           # requeued at the tail
+    assert master._locality_index["m0"] == 0
+    assert master._locality_index["m1"] == [0, 1, 0]
+    assert master.next_assignment("w1", "m1", now=2.0).index == 0
+    assert master.next_assignment("w2", "m1", now=2.0).index == 1
