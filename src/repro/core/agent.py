@@ -263,10 +263,9 @@ class FuxiAgent(Actor):
     def _add_worker(self, plan: msg.WorkPlan) -> None:
         if self.workers is EMPTY:
             self.workers, self._unit_workers = {}, {}
-        if self.workers.get(plan.worker_id) is None:
-            counts = self._unit_workers
-            counts[plan.unit_key] = counts.get(plan.unit_key, 0) + 1
         self.workers[plan.worker_id] = plan
+        counts = self._unit_workers
+        counts[plan.unit_key] = counts.get(plan.unit_key, 0) + 1
 
     def _finish_launch(self, plan: msg.WorkPlan, incarnation: int) -> None:
         if not self.alive or incarnation != self._incarnation:

@@ -113,14 +113,3 @@ class Instance:
         if self.started_at is None or self.finished_at is None:
             return None
         return self.finished_at - self.started_at
-
-    def snapshot(self) -> dict:
-        """Lightweight record for the JobMaster snapshot (§4.3.1)."""
-        return {
-            "task": self.task,
-            "index": self.index,
-            "state": self.state.value,
-            "failures": self.failures,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-        }

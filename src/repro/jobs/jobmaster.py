@@ -88,12 +88,12 @@ class _WorkerInfo:
 #: books (a "gone" worker's report only stamps it alive)
 _REPORTS_IDLE = ("starting", "idle", "busy")
 
-#: a snapshot's mark for "not finished" (and for a missing start time)
+#: a snapshot's mark for "not finished"
 _NAN = float("nan")
 
 
 def finished_records(snapshot: dict, task: str
-                     ) -> Iterator[Tuple[int, Optional[float], float]]:
+                     ) -> Iterator[Tuple[int, float, float]]:
     """``(index, started_at, finished_at)`` of every instance of ``task``
     that ``snapshot`` (one job's entry in ``job_snapshots``) records as
     finished, by index."""
@@ -103,9 +103,7 @@ def finished_records(snapshot: dict, task: str
     for index in range(len(times) // 2):
         finished_at = times[2 * index + 1]
         if finished_at == finished_at:          # not NaN
-            started_at = times[2 * index]
-            yield (index, None if started_at != started_at else started_at,
-                   finished_at)
+            yield index, times[2 * index], finished_at
 
 
 class DagJobMaster(ApplicationMaster):
@@ -785,13 +783,10 @@ class DagJobMaster(ApplicationMaster):
         store = getattr(self.services, "job_snapshots", None)
         if store is None:
             return None
-        snap = store.get(self.app_id)
-        if snap is None:
-            snap = store[self.app_id] = {
-                "finished_tasks": [], "started_tasks": [], "finished": {},
-                "submitted_at": self.submitted_at,
-            }
-        return snap
+        return store.setdefault(self.app_id, {
+            "finished_tasks": [], "started_tasks": [], "finished": {},
+            "submitted_at": self.submitted_at,
+        })
 
     def _snapshot_init(self) -> None:
         snap = self._snapshot_store()
@@ -820,8 +815,7 @@ class DagJobMaster(ApplicationMaster):
         if times is None:
             times = snap["finished"][task] = (
                 array("d", (_NAN,)) * (2 * len(master.instances)))
-        started_at = instance.started_at
-        times[2 * instance.index] = _NAN if started_at is None else started_at
+        times[2 * instance.index] = instance.started_at
         times[2 * instance.index + 1] = instance.finished_at
 
     def recover_state(self) -> None:

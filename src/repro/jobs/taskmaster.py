@@ -403,7 +403,3 @@ class TaskMaster:
     def assignment_of(self, worker_id: str) -> Optional[str]:
         """Instance id the worker is currently believed to run, or None."""
         return self._assignment.get(worker_id)
-
-    def snapshot(self) -> List[dict]:
-        """Lightweight per-instance status records (JobMaster snapshot)."""
-        return [i.snapshot() for i in self.instances]

@@ -100,16 +100,6 @@ def test_attempt_lookup_only_live_attempts():
     assert instance.attempt_on("w1") is None
 
 
-def test_snapshot_contains_status():
-    instance = make_instance()
-    instance.start_attempt("w1", "m1", now=0.0)
-    instance.complete("w1", now=4.0)
-    snap = instance.snapshot()
-    assert snap["state"] == "finished"
-    assert snap["task"] == "map"
-    assert snap["finished_at"] == 4.0
-
-
 def test_slotted_records_pickle_and_compare_equal():
     """Instance and Attempt are slotted (no per-object dict) and still
     pickle, copy and compare by value, attempts included."""

@@ -161,13 +161,6 @@ def test_durations_cycle_when_fewer_than_instances():
     assert [i.duration for i in master.instances] == [2.0, 3.0, 2.0, 3.0, 2.0]
 
 
-def test_snapshot_lists_every_instance():
-    master = make_master(3)
-    snap = master.snapshot()
-    assert len(snap) == 3
-    assert all(record["state"] == "waiting" for record in snap)
-
-
 def test_terminal_failure_of_a_waiting_instance_leaves_the_queue():
     # release_worker spends the last attempt and requeues the instance;
     # an on_failed naming a worker with no attempt then marks it FAILED.
