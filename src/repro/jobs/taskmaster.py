@@ -14,8 +14,9 @@ c) **incremental scheduling** — only unassigned instances are scanned per
 
 Per-instance state stays small (§4.3 "lightweight"): the locality index
 holds a machine's one queued instance as a bare index and only a longer
-queue as a list, whether an instance is pending is one byte of a
-``bytearray``, preferred machines are the collections the caller passed (a
+queue as a list, the global FIFO is a cursor over the indices never taken
+plus a deque made at the first requeue or skip, whether an instance is
+pending is one byte of a ``bytearray``, preferred machines are the collections the caller passed (a
 block's replica tuple), and an instance id is resolved from its
 ``"task/index"`` form rather than through a table of them.
 
@@ -66,10 +67,14 @@ class TaskMaster:
             if durations is not None:
                 duration = durations[index % len(durations)]
             self.instances.append(Instance(spec.name, index, duration))
-        self._pending: Deque[int] = deque(range(spec.instances))
+        #: the global FIFO is ``range(_next, instances)`` followed by
+        #: ``_pending``: the indices no pop has reached, then those
+        #: requeued or skipped, a deque made when the first one is
+        self._next = 0
+        self._pending: Optional[Deque[int]] = None
         #: 1 at an instance's index while it waits for a worker; the
-        #: ``_pending`` deque and the locality queues may also hold stale
-        #: entries, which a 0 here marks
+        #: FIFO and the locality queues may also hold stale entries,
+        #: which a 0 here marks
         self._pending_flags = bytearray(b"\x01") * spec.instances
         # machine -> its one queued instance index, or a list of them in
         # reverse FIFO order: pop() takes the head, insert(0, ...) queues
@@ -158,14 +163,24 @@ class TaskMaster:
 
     def _pop_global(self, machine: str, worker_id: str) -> Optional[int]:
         flags = self._pending_flags
+        untouched = len(flags)
+        pending = self._pending
         scanned = 0
-        limit = len(self._pending)
-        while self._pending and scanned < limit:
-            index = self._pending.popleft()
+        limit = untouched - self._next + (len(pending) if pending else 0)
+        while scanned < limit:
+            if self._next < untouched:
+                index = self._next
+                self._next = index + 1
+            elif pending:
+                index = pending.popleft()
+            else:
+                break
             if not flags[index]:
                 continue  # stale entry (taken via locality index)
             if not self._allowed(index, machine):
-                self._pending.append(index)
+                if pending is None:
+                    pending = self._pending = deque()
+                pending.append(index)
                 scanned += 1
                 continue
             flags[index] = 0
@@ -267,6 +282,8 @@ class TaskMaster:
         flags = self._pending_flags
         if not flags[index]:
             flags[index] = 1
+            if self._pending is None:
+                self._pending = deque()
             self._pending.append(index)
             avoids = self.blacklist.task_avoids(self.spec.name)
             locality = self._locality_index

@@ -6,9 +6,11 @@ were before the per-job memory diets.
 ``deque`` locality index (``set_locality`` copying each instance's
 preferred machines into a fresh ``set``, ``_pop_local`` taking with
 ``popleft``, ``_requeue`` appending), the ``_by_id`` table of
-``"task/index"`` strings, and the ``_pending_set`` that the pending flags
+``"task/index"`` strings, the ``_pending_set`` that the pending flags
 replaced (``_pop_global``, ``on_failed``, ``restore_finished``,
-``adopt_attempt`` and ``pending_count`` as they read and wrote it).
+``adopt_attempt`` and ``pending_count`` as they read and wrote it), and
+the global ``_pending`` deque of every index, made in ``__init__``, that
+the cursor over untouched indices replaced.
 Everything else is inherited, so the only difference
 ``test_taskmaster_locality_differential.py`` can see is the one the
 optimisations made.  Do not "tidy" the copied bodies; their value is that
@@ -32,6 +34,7 @@ class DequeTaskMaster(TaskMaster):
         self._by_id: Dict[str, Instance] = {
             i.instance_id: i for i in self.instances
         }
+        self._pending = deque(range(len(self.instances)))
         self._pending_set: Set[int] = set(self._pending)
 
     def set_locality(self, preferred: Dict[int, Set[str]]) -> None:

@@ -178,6 +178,12 @@ attempts = st.sampled_from((1, 2, 3))
          hints={0: [1, 1], 1: [1], 2: [1, 1, 1]},
          ops=[("assign", 0, 0), ("fail", 0, 0, 0), ("assign", 1, 2),
               ("release", 1), ("assign", 2, 1), ("assign", 3, 1)])
+# the cursor: a requeue and a skipping scan while untouched indices are
+# left, then the deque drained behind them
+@example(task="map", instances=5, max_attempts=3, hints={},
+         ops=[("assign", 0, 0), ("fail", 0, 0, 0), ("assign", 1, 1),
+              ("mark_bad", 2), ("assign", 2, 2), ("assign", 3, 0),
+              ("release", 1), ("assign", 4, 3)])
 def test_lists_and_id_parsing_match_the_deque_index(task, instances,
                                                      max_attempts, hints, ops):
     check(task, instances, max_attempts, hints, ops)
@@ -203,3 +209,23 @@ def test_a_requeued_instance_queues_at_the_tail_of_its_machines():
              for i in (1, 2, 3)]
     assert taken == ["map/1", "map/2", "map/0"]
     assert not master._locality_index.get("m1")
+
+
+def test_the_global_fifo_is_a_cursor_until_a_requeue_or_a_skip():
+    """Untouched indices leave from a cursor; the deque is made by the
+    first requeue (or skip) and is served after every untouched index."""
+    master = build(TaskMaster, "map", 4, 3, {})
+    assert master._pending is None
+    taken = [master.next_assignment(f"w{i}", "m0", 0.0).instance_id
+             for i in (0, 1)]
+    assert taken == ["map/0", "map/1"] and master._pending is None
+    assert master.release_worker("w0", 1.0) == "map/0"
+    assert list(master._pending) == [0]
+    taken = [master.next_assignment(f"w{i}", "m0", 2.0).instance_id
+             for i in (2, 3, 4)]
+    assert taken == ["map/2", "map/3", "map/0"]
+    skipping = build(TaskMaster, "map", 3, 3, {})
+    skipping.blacklist.mark_job_bad("m1")
+    assert skipping.next_assignment("w0", "m1", 0.0) is None
+    assert list(skipping._pending) == [0, 1, 2] and skipping._next == 3
+    assert skipping.next_assignment("w1", "m0", 0.0).instance_id == "map/0"
