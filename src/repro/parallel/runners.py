@@ -222,14 +222,29 @@ def check_fuzz(params: Dict[str, Any]) -> None:
                          f"{', '.join(sorted(INJECTIONS))}")
 
 
+def check_selfcheck(params: Dict[str, Any]) -> None:
+    """``selfcheck`` params: ``spin`` a non-negative int and
+    ``fail_unless_exists`` a path string, if given; every other key is
+    echoed, so any is allowed."""
+    spin = params.get("spin", 0)
+    if type(spin) is not int or spin < 0:
+        raise ValueError(f"selfcheck task: spin must be a non-negative "
+                         f"int, not {spin!r}")
+    gate = params.get("fail_unless_exists")
+    if gate is not None and not isinstance(gate, str):
+        raise ValueError(f"selfcheck task: fail_unless_exists must be a "
+                         f"path string, not {gate!r}")
+
+
 #: kind -> check(params): raises ValueError (or TypeError) for params the
-#: kind's runner would reject; kinds without an entry are not checked
+#: kind's runner would reject; every registered kind has an entry
 PARAM_CHECKS: Dict[str, Callable[[Dict[str, Any]], None]] = {
     "simulate": check_run_spec,
     "arena": check_run_spec,
     "chaos": check_chaos,
     "experiment": check_experiment,
     "fuzz": check_fuzz,
+    "selfcheck": check_selfcheck,
 }
 
 

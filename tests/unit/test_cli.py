@@ -387,11 +387,18 @@ def test_sweep_bad_run_spec_exits_two_before_any_task(argv, named, capsys,
      "experiment task: unknown params ['reps']"),
     (["--kind", "fuzz", "--set", "schedule=NodeDown@1"],
      "fuzz task: missing params ['chaos']"),
+    (["--kind", "selfcheck", "--set", "spin=abc"],
+     "spin must be a non-negative int, not 'abc'"),
+    (["--kind", "selfcheck", "--set", "spin=-1", "--set", "tag=x"],
+     "spin must be a non-negative int, not -1"),
+    (["--kind", "selfcheck", "--set", "fail_unless_exists=3"],
+     "fail_unless_exists must be a path string, not 3"),
 ])
 def test_sweep_bad_task_params_exit_two_before_any_task(argv, named, capsys,
                                                        monkeypatch):
-    """The chaos, experiment and fuzz kinds' params are checked before any
-    task runs, as simulate's are: one line, exit 2, no traceback."""
+    """The chaos, experiment, fuzz and selfcheck kinds' params are checked
+    before any task runs, as simulate's are: one line, exit 2, no
+    traceback."""
     import repro.parallel as parallel
 
     def no_run(*args, **kwargs):
