@@ -52,8 +52,8 @@ class _ClusterServices(Actor):
 
     Agents "fork" an application master by messaging this actor rather
     than calling into the runtime object, so the spawn arrives after a
-    network delay on its own ``(agent, cluster-svc)`` edge like any other
-    message, and the agent holds no reference to the runtime.
+    network delay drawn from the agent's stream like any other message,
+    and the agent holds no reference to the runtime.
     """
 
     def __init__(self, loop: EventLoop, bus: MessageBus,

@@ -11,20 +11,23 @@ machine that was powered off) are silently dropped, exactly like the real
 failures look to peers.  Aliases support logical addressing: everyone sends
 to ``"fuxi-master"`` and the elected primary points the alias at itself.
 
-Randomness is **edge-keyed**: every (sender, dest) pair owns an independent
-counter-indexed hash stream, so the drop/jitter/duplicate draws of the n-th
-message on an edge are a pure function of ``(seed, sender, dest, n)`` — not
-of how sends on *other* edges interleave with it.  A change that adds or
-removes traffic on one edge (a fault, a retransmit, one more job) leaves
-the delivery times on every other edge where they were, so the committed
-grant-stream digests only move when the scheduling itself does.
+Randomness is **sender-keyed**: the drop/jitter/duplicate draws of the
+n-th message a name sends since it was last registered are a pure
+function of ``(seed, sender, n)``, whoever it goes to and however other
+senders interleave.  What is given up is per-edge isolation: adding or
+removing one message moves that sender's later draws to every
+destination — acceptable, since an exact change moves no message and a
+stream-moving one re-records every pin anyway.  The bus keeps one
+slotted state per sender, made at its first send and dropped when the
+name is (un)registered: dead workers and reaped job masters take theirs.
 
-Each edge additionally adds a fixed sub-microsecond epsilon (derived from
-the edge key, bounded by ``~1e-6`` simulated seconds) to every delivery
-delay.  Two messages travelling *different* edges therefore never arrive at
-exactly the same float timestamp, which removes the only case where the
-heap's global tie-break sequence — a function of every send in the run, not
-of the edge — could decide the order of cross-edge deliveries.
+Each sender adds a fixed epsilon (derived from its key, at most ``~1e-6``
+simulated seconds) to every delay, so messages from *different* senders
+never arrive at exactly the same float timestamp (bar a 22-bit epsilon
+collision), and the heap's global tie-break sequence — a function of
+every send in the run — never orders them.  Under a jitter-free
+transport one sender's messages of one instant do tie, to any
+destinations; they arrive in sequence order, the sender's own send order.
 
 **One frame per send.**  :meth:`MessageBus.plan_delays` is the definition of
 a message's delays; :meth:`MessageBus.send` computes the same bits inline
@@ -35,7 +38,7 @@ path").
 **Delivery runs.**  Messages sent on many edges in the same instant — a
 heartbeat cohort's beats to the master (:mod:`repro.core.heartbeat`), the
 master's post-recovery push to every agent — reach the bus as one batch:
-:meth:`MessageBus.send_run` draws every edge's delay in one kernel pass
+:meth:`MessageBus.send_run` draws every message's delay in one kernel pass
 (:mod:`repro.kernels.edgedelay`, bit-identical to
 :meth:`MessageBus.plan_delays`), reserves one tie-break sequence number per
 message and lets the batch ride one :class:`~repro.sim.events.EventSeries`
@@ -46,13 +49,12 @@ message goes through :meth:`MessageBus._deliver` as a single send would.
 
 **Outboxes.**  While a grid instant of the job plane fires
 (:mod:`repro.sim.grid`), the bus holds every message an actor sends
-(:meth:`MessageBus.hold`, :meth:`MessageBus.post`): each takes its edge
+(:meth:`MessageBus.hold`, :meth:`MessageBus.post`): each takes its sender's
 slot and its delivery's sequence number at its turn, exactly where
-:meth:`send` takes them, and
-:meth:`MessageBus.release` then draws the delays of the whole outbox in
-one kernel pass and schedules it as one delivery run.  A run with a
-destination per message offers each arrival to that destination's
-``absorb_message``.
+:meth:`send` takes them, and :meth:`MessageBus.release` then draws the
+delays of the whole outbox in one kernel pass and schedules it as one
+delivery run.  A run with a destination per message offers each arrival
+to that destination's ``absorb_message``.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ _M64 = (1 << 64) - 1
 #: 2**-53: maps the top 53 bits of a 64-bit hash onto [0, 1)
 _TO_UNIT = 1.0 / (1 << 53)
 
-#: per-edge delay epsilon quantum; max epsilon = 0x3FFFFF * 2**-42 ~ 1e-6 s.
+#: per-sender delay epsilon quantum; max epsilon = 0x3FFFFF * 2**-42 ~ 1e-6 s.
 #: The quantum stays well above the float ulp at sim times of a few hundred
 #: seconds (ulp(512) = 2**-44), so distinct epsilons survive the addition
 #: onto the send timestamp instead of collapsing to the same float.
@@ -108,14 +110,10 @@ class NetworkConfig:
     drop_prob: float = 0.0
 
 
-class EdgeState:
-    """One edge's randomness: its key, the delay epsilon the key
-    determines, and the index of its next message.
-
-    Slotted rather than a ``[key, epsilon, index]`` list (a list is an
-    object plus an item array).  The epsilon is kept, not derived from the
-    key on each send: that would add work to every send to save 24 bytes
-    an edge."""
+class SenderState:
+    """One sender's randomness, slotted: its key, the delay epsilon the
+    key determines (kept: deriving it on each send would cost every send
+    more than its 24 bytes save) and the index of its next message."""
 
     __slots__ = ("key", "epsilon", "index")
 
@@ -128,24 +126,24 @@ class EdgeState:
 class EdgeGroup:
     """The edges of a fixed list of (sender, destination) pairs: many
     senders to one destination (a heartbeat cohort) or one sender to many
-    (the master's post-recovery push).
+    (the master's post-recovery push, one key repeated).
 
-    Built once per pair list by :meth:`MessageBus.edge_group`; holds each
-    edge's live :class:`EdgeState` (shared with single sends on the same
-    edge) and, under the numpy backend, the
-    constant key / epsilon columns the delay kernel works on.  A list may
-    name one edge twice (an agent restarted twice in one step).
+    Built once per pair list by :meth:`MessageBus.edge_group`; holds, under
+    the numpy backend, the constant key / epsilon columns the delay kernel
+    works on, but no :class:`SenderState`: each firing looks its senders'
+    counters up, so a cached group never uses one that
+    :meth:`MessageBus.unregister` dropped (keys are functions of names).
+    A list may name one sender twice (an agent restarted twice in a step).
     """
 
-    __slots__ = ("senders", "dests", "dest", "states", "columns")
+    __slots__ = ("senders", "dests", "dest", "columns")
 
     def __init__(self, senders: List[str], dests: List[str],
-                 dest: Optional[str], states: List[EdgeState]):
+                 dest: Optional[str], states: List[SenderState]):
         self.senders = senders
         self.dests = dests
         #: the destination every pair shares, or None
         self.dest = dest
-        self.states = states
         self.columns = None
         if kernels.np() is not None:
             self.columns = EdgeColumns([state.key for state in states],
@@ -173,7 +171,7 @@ class Messages:
 
 class Outbox:
     """Messages sent while the bus holds them (:meth:`MessageBus.hold`),
-    each with the edge slot and sequence number its delivery event would
+    each with the sender's slot and sequence number its delivery event would
     have taken, until :meth:`MessageBus.release` sends them as one run."""
 
     __slots__ = ("senders", "dests", "messages", "states", "indices",
@@ -183,8 +181,8 @@ class Outbox:
         self.senders: List[str] = []
         self.dests: List[str] = []
         self.messages: List[Any] = []
-        #: each message's edge state and the edge counter it took
-        self.states: List[EdgeState] = []
+        #: each message's sender state and the counter it took
+        self.states: List[SenderState] = []
         self.indices: List[int] = []
         self.seqs: List[int] = []
 
@@ -292,7 +290,7 @@ class MessageBus:
         self.loop = loop
         self.config = config or NetworkConfig()
         self._net_seed = (rng or SplitRandom(0)).child_seed("network")
-        self._edges: Dict[Tuple[str, str], EdgeState] = {}
+        self._states: Dict[str, SenderState] = {}
         self._actors: Dict[str, Actor] = {}
         #: machine -> the worker processes filed under it (``host``), by
         #: name in registration order: what ``ps`` on the machine lists
@@ -316,8 +314,10 @@ class MessageBus:
 
     def register(self, actor: Actor) -> None:
         self._actors[actor.name] = actor
+        self._states.pop(actor.name, None)
 
     def unregister(self, name: str) -> None:
+        self._states.pop(name, None)
         actor = self._actors.pop(name, None)
         if actor is not None:
             hosted = self._hosted.get(getattr(actor, "machine", None))
@@ -349,26 +349,26 @@ class MessageBus:
         return self._actors.get(self.resolve(name))
 
     # --------------------------------------------------------------- #
-    # edge-keyed randomness
+    # sender-keyed randomness
     # --------------------------------------------------------------- #
 
-    def _edge(self, sender: str, dest: str) -> EdgeState:
-        state = self._edges.get((sender, dest))
+    def _sender(self, sender: str) -> SenderState:
+        state = self._states.get(sender)
         if state is None:
-            state = self._edges[(sender, dest)] = EdgeState(_mix64(
-                self._net_seed
-                ^ _mix64(hash_str(sender) ^ _mix64(hash_str(dest)))))
+            state = self._states[sender] = SenderState(
+                _mix64(self._net_seed ^ _mix64(hash_str(sender))))
         return state
 
-    def plan_delays(self, sender: str, dest: str) -> Optional[List[float]]:
-        """Delivery delays for the next message on this edge.
+    def plan_delays(self, sender: str) -> Optional[List[float]]:
+        """Delivery delays for the next message ``sender`` sends, to any
+        destination.
 
         Returns ``None`` when the message is dropped, otherwise one delay
         per delivery (two entries when the transport duplicates).  Consumes
-        exactly one edge-counter slot; the result is a pure function of
-        ``(seed, sender, dest, message_index, config)``.
+        exactly one slot of the sender's counter; the result is a pure
+        function of ``(seed, sender, message_index, config)``.
         """
-        state = self._edge(sender, dest)
+        state = self._sender(sender)
         epsilon = state.epsilon
         index = state.index
         state.index = index + 1
@@ -401,7 +401,7 @@ class MessageBus:
         frame.
 
         Every message pays for this call, so the common case is written
-        out: the edge's slot-2 jitter draw (the splitmix64 finalizer of
+        out: the sender's slot-2 jitter draw (the splitmix64 finalizer of
         :func:`_mix64`, inline) and the loop's ``call_at`` body.  The drop
         draw is inline too, since a network burst turns it on for every
         send; duplication and reordering take :meth:`_one_delay`.  The
@@ -410,9 +410,9 @@ class MessageBus:
         bit that of the two calls it stands for.
         """
         self.messages_sent += 1
-        state = self._edges.get((sender, dest))
+        state = self._states.get(sender)
         if state is None:
-            state = self._edge(sender, dest)
+            state = self._sender(sender)
         epsilon = state.epsilon
         index = state.index
         state.index = index + 1
@@ -483,8 +483,7 @@ class MessageBus:
         senders = list(senders)
         dests = [dest] * len(senders) if dest is not None else list(dests)
         return EdgeGroup(senders, dests, dest,
-                         [self._edge(sender, to)
-                          for sender, to in zip(senders, dests)])
+                         [self._sender(sender) for sender in senders])
 
     def plan_delays_many(self, group: EdgeGroup) -> Tuple[Any, Any]:
         """:meth:`plan_delays` for the next message on every edge of
@@ -492,7 +491,7 @@ class MessageBus:
         reorders.  Returns ``(delays, dropped)`` columns — lists on the
         python backend, scratch arrays on numpy; ``dropped`` is ``None``
         when nothing can be — bit-identical to one :meth:`plan_delays` call
-        per pair, in pair order, advancing each edge counter once per pair.
+        per pair, in pair order, advancing a sender's counter once per pair.
         """
         config = self.config
         if config.duplicate_prob or config.reorder_prob:
@@ -500,16 +499,17 @@ class MessageBus:
                              "or reordering; send the messages one by one")
         if group.columns is None:
             plan_one = self.plan_delays
-            planned = [plan_one(sender, dest)
-                       for sender, dest in zip(group.senders, group.dests)]
+            planned = [plan_one(sender) for sender in group.senders]
             delays = [0.0 if one is None else one[0] for one in planned]
             if not config.drop_prob:
                 return delays, None
             return delays, [one is None for one in planned]
-        # each message's index is its edge counter at its turn, so an edge
-        # named twice gets two consecutive slots, as two sends would
+        # each message's index is its sender's counter at its turn, so a
+        # sender named twice gets two consecutive slots, as two sends would
         indices = []
-        for state in group.states:
+        states, sender_state = self._states, self._sender
+        for sender in group.senders:
+            state = states.get(sender) or sender_state(sender)
             indices.append(state.index)
             state.index += 1
         return group.columns.delays(indices, config.latency, config.jitter,
@@ -524,7 +524,7 @@ class MessageBus:
         destination fold the arrivals ``order[start:end]`` (pair
         positions; ``times`` are their arrival times) that change nothing
         and returns the index of the first it left alone.  Counters,
-        per-edge delays and arrival order are exactly those of
+        delays and arrival order are exactly those of
         ``send(sender, dest, batch.message(position))`` per pair, in pair
         order.
         """
@@ -566,12 +566,12 @@ class MessageBus:
     def post(self, outbox: Outbox, sender: str, dest: str,
              message: Any) -> None:
         """:meth:`send` with the delivery held in ``outbox`` instead of
-        put on the loop: the counter, the edge slot and the delivery's
+        put on the loop: the counter, the sender's slot and the delivery's
         sequence number are taken here, as ``send`` takes them."""
         self.messages_sent += 1
-        state = self._edges.get((sender, dest))
+        state = self._states.get(sender)
         if state is None:
-            state = self._edge(sender, dest)
+            state = self._sender(sender)
         outbox.states.append(state)
         outbox.indices.append(state.index)
         state.index += 1
@@ -584,7 +584,7 @@ class MessageBus:
 
     def release(self) -> None:
         """Stop holding, and schedule what the outbox holds as one delivery
-        run: every message's delay drawn from the edge slot it took (one
+        run: every message's delay drawn from the slot it took (one
         kernel pass, bit-identical to ``send``'s inline draw), each
         arriving at ``(now + delay, its sequence number)``."""
         outbox, self.outbox = self.outbox, None
@@ -618,8 +618,8 @@ def _draw(base: int, slot: int) -> float:
 def hash_str(text: str) -> int:
     """64-bit string hash, stable across interpreters (``hash()`` is salted).
 
-    Not memoised: a new edge hashes both of its ends once, and a memo of
-    names measured no set-up gain beyond run-to-run noise at any size."""
+    Not memoised: a sender's name is hashed once, when its state is made
+    (a memo of names measured no set-up gain beyond run-to-run noise)."""
     acc = 0xCBF29CE484222325
     for byte in text.encode("utf-8"):
         acc = (acc ^ byte) * 0x100000001B3 & _M64

@@ -4,8 +4,8 @@ Every FuxiAgent beats every ``heartbeat_interval`` seconds from the moment
 it was (re)started.  All agents of a cluster are started in the same
 instant, so their timers fire back to back — adjacent in the loop's
 ``(time, seq)`` order, with nothing between them — and each firing does the
-same thing: snapshot four fields, draw one edge delay, schedule one
-delivery.  A :class:`HeartbeatCohort` is that group made explicit: one
+same thing: snapshot four fields, draw one delay from the agent's own
+stream, schedule one delivery.  A :class:`HeartbeatCohort` is that group made explicit: one
 loop event that, in arming order, snapshots every member into columns
 (:class:`HeartbeatBatch`) and hands the bus the whole batch
 (:meth:`repro.cluster.network.MessageBus.send_run`).  Firing the members
@@ -103,6 +103,8 @@ class _Roster:
         header = msg.AgentHeartbeat.HEADER_BYTES
         self.fixed_bytes = [header + len(machine) + len(rack)
                             for machine, rack in zip(machines, racks)]
+        #: kept across firings; it holds the members' key columns, not
+        #: their counters, which each firing looks up on the bus
         self.group = bus.edge_group([agent.name for agent in agents], dest)
 
 

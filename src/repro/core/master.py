@@ -1016,7 +1016,8 @@ class FuxiMaster(Actor):
                 self._send_alloc_full(machine)
             return
         envelopes = [self._alloc_full(machine) for machine in machines]
-        # the agents' own (interned) names: the run holds these to its end
+        # the agents' own (interned) names: the run holds these to its end;
+        # every message takes the next slot of this master's one stream
         self.bus.send_run(
             self.bus.edge_group(self.name, [intern(f"agent:{machine}")
                                             for machine in machines]),

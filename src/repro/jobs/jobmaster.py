@@ -76,7 +76,7 @@ class _WorkerInfo:
     planned_at: float = 0.0
     last_seen: float = 0.0
     dispatched_at: float = 0.0       # when we last sent ExecuteInstance
-    #: the worker's bus name, interned: the worker actor and every edge
+    #: the worker's bus name, interned: the worker actor and every message
     #: to it share this one string
     address: str = field(init=False)
 

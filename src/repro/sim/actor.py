@@ -83,7 +83,7 @@ class Actor:
 
         While the bus holds messages (a grid instant is firing), the
         message joins the bus's outbox instead of becoming a delivery
-        event of its own; it takes the same counters, edge slot and
+        event of its own; it takes the same counters, sender slot and
         sequence number either way."""
         bus = self.bus
         if bus is None:

@@ -4,7 +4,7 @@ Each class overrides the optimised code with the bodies it had at the
 commit before it (7b5353f), kept verbatim:
 
 - :class:`PlanDelaysBus` — ``MessageBus.send`` through ``plan_delays`` →
-  ``_edge`` → ``_one_delay`` → ``_draw`` → ``_mix64`` and one
+  ``_sender`` → ``_one_delay`` → ``_draw`` → ``_mix64`` and one
   ``loop.call_after`` per delivery; ``_deliver`` through ``resolve``; an
   un-memoised ``hash_str``;
 - :class:`LadderAgent`, :class:`LadderJobMaster` and :class:`LadderWorker`
@@ -19,15 +19,18 @@ commit before it (7b5353f), kept verbatim:
 Slow and obvious: the oracle ``test_message_path_differential.py`` drives
 the optimised path against.  Do not "tidy" the copied bodies; their value
 is that they are the old code.  Adaptations, all forced by signatures the
-new code changed: the ladders pass ``sender`` to the handlers that now take
-it (``_handle_worker_list_reply``, ``_on_worker_ready``,
-``_on_instance_completed``, ``_on_instance_failed``, ``_on_status_report``,
-``TaskWorker._execute``), and the worker ladder calls ``_cancel`` where the
-old body was inline.  One more is forced by storage alone: the bus
-now keeps a slotted :class:`EdgeState` per edge instead of a
-``[key, epsilon, index]`` list, so ``_edge`` stores one and
-``plan_delays`` reads its fields; the epsilon is still worked out here,
-by the old formula, and overwrites the one ``EdgeState`` computed.  The
+new code changed (or by its key, below): the ladders pass ``sender`` to
+the handlers that now take it (``_handle_worker_list_reply``,
+``_on_worker_ready``, ``_on_instance_completed``, ``_on_instance_failed``,
+``_on_status_report``, ``TaskWorker._execute``), and the worker ladder
+calls ``_cancel`` where the old body was inline.  Two more are forced by
+the stream the bus keys its draws by: it now keeps one slotted
+:class:`SenderState` per sender instead of a ``[key, epsilon, index]``
+list per (sender, dest) edge, so ``_sender`` stores one keyed by the
+sender alone, by this file's own copy of the per-sender key formula, and
+``plan_delays`` takes no destination and reads its fields; the epsilon is
+still worked out here, by the old formula, and overwrites the one
+``SenderState`` computed.  The
 copied ``_housekeeping`` writes ``info.state``
 directly, so the oracle's idle counts drift; nothing on the oracle side
 reads them.
@@ -41,7 +44,7 @@ from typing import Any, Iterator, List, Optional
 import repro._runtime as runtime
 import repro.jobs.jobmaster as jobmaster
 from repro.cluster.network import _EPS_QUANTUM, _M64, _TO_UNIT, MessageBus
-from repro.cluster.network import EdgeState, NetworkConfig
+from repro.cluster.network import NetworkConfig, SenderState
 from repro.core import messages as msg
 from repro.core.agent import FuxiAgent
 from repro.core.units import UnitKey
@@ -75,25 +78,24 @@ def hash_str(text: str) -> int:
 class PlanDelaysBus(MessageBus):
     """MessageBus with the eight-frame send."""
 
-    def _edge(self, sender: str, dest: str) -> EdgeState:
-        state = self._edges.get((sender, dest))
+    def _sender(self, sender: str) -> SenderState:
+        state = self._states.get(sender)
         if state is None:
-            key = _mix64(self._net_seed
-                         ^ _mix64(hash_str(sender) ^ _mix64(hash_str(dest))))
-            state = EdgeState(key)
+            key = _mix64(self._net_seed ^ _mix64(hash_str(sender)))
+            state = SenderState(key)
             state.epsilon = ((key & 0x3FFFFF) + 1) * _EPS_QUANTUM
-            self._edges[(sender, dest)] = state
+            self._states[sender] = state
         return state
 
-    def plan_delays(self, sender: str, dest: str) -> Optional[List[float]]:
-        """Delivery delays for the next message on this edge.
+    def plan_delays(self, sender: str) -> Optional[List[float]]:
+        """Delivery delays for the next message from this sender.
 
         Returns ``None`` when the message is dropped, otherwise one delay
         per delivery (two entries when the transport duplicates).  Consumes
-        exactly one edge-counter slot; the result is a pure function of
-        ``(seed, sender, dest, message_index, config)``.
+        exactly one sender-counter slot; the result is a pure function of
+        ``(seed, sender, message_index, config)``.
         """
-        state = self._edge(sender, dest)
+        state = self._sender(sender)
         key, epsilon, index = state.key, state.epsilon, state.index
         state.index = index + 1
         base = key ^ (index << 3)
@@ -117,7 +119,7 @@ class PlanDelaysBus(MessageBus):
 
     def send(self, sender: str, dest: str, message: Any) -> None:
         self.messages_sent += 1
-        delays = self.plan_delays(sender, dest)
+        delays = self.plan_delays(sender)
         if delays is None:
             self.messages_dropped += 1
             return

@@ -2,9 +2,10 @@
 single send, against ``plan_delays``.
 
 ``MessageBus.plan_delays_many`` must be, bit for bit, one ``plan_delays``
-call per sender — delays, drops, and every edge counter advanced by exactly
-one — on both kernel backends, for any seed, any message index an edge may
-have reached, and the transports a run is used on (loss, zero jitter,
+call per pair — delays, drops, and every sender counter advanced by exactly
+one per pair (so one sender's push to many destinations takes consecutive
+slots) — on both kernel backends, for any seed, any message index a sender
+may have reached, and the transports a run is used on (loss, zero jitter,
 burst-sized jitter).  ``arrival_order`` must be the stable sort both
 backends agree on.  ``MessageBus.send``, which draws its delay inline, must
 schedule a delivery at ``now + delay`` for every delay ``plan_delays``
@@ -30,7 +31,7 @@ configs = st.builds(
     latency=st.sampled_from((0.001, 0.0, 0.25)),
     jitter=st.sampled_from((0.0, 0.0005, 0.05)),     # none, default, burst
     drop_prob=st.sampled_from((0.0, 0.05, 0.25, 1.0)))
-edge_counters = st.lists(st.integers(0, 2 ** 40), min_size=1, max_size=40)
+sender_counters = st.lists(st.integers(0, 2 ** 40), min_size=1, max_size=40)
 
 
 def _bus(seed, config, counters, now=0.0):
@@ -38,12 +39,12 @@ def _bus(seed, config, counters, now=0.0):
     senders = [f"agent:r{index // 7:02d}m{index:03d}"
                for index in range(len(counters))]
     for sender, counter in zip(senders, counters):
-        bus._edge(sender, DEST).index = counter
+        bus._sender(sender).index = counter
     return bus, senders
 
 
 def _state(bus, sender):
-    state = bus._edge(sender, DEST)
+    state = bus._sender(sender)
     return state.key, state.epsilon, state.index
 
 
@@ -62,7 +63,7 @@ def _sends_as_planned(bus, sender, planned) -> bool:
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=120, deadline=None)
-@given(seed=st.integers(0, 2 ** 32), config=configs, counters=edge_counters,
+@given(seed=st.integers(0, 2 ** 32), config=configs, counters=sender_counters,
        rounds=st.integers(1, 3))
 def test_vector_delays_equal_plan_delays_bit_for_bit(backend, seed, config,
                                                      counters, rounds):
@@ -73,7 +74,7 @@ def test_vector_delays_equal_plan_delays_bit_for_bit(backend, seed, config,
         group = vector.edge_group(senders, DEST)
         assert (group.columns is not None) == (backend == "numpy")
         for round_index in range(rounds):  # later rounds reuse the scratch
-            expected = [scalar.plan_delays(sender, DEST)
+            expected = [scalar.plan_delays(sender)
                         for sender in senders]
             for sender, plan in zip(senders, expected):
                 assert _sends_as_planned(single, sender, plan)
@@ -89,15 +90,15 @@ def test_vector_delays_equal_plan_delays_bit_for_bit(backend, seed, config,
                     assert len(plan) == 1
                     assert delays[position].hex() == plan[0].hex()
             for sender, counter in zip(senders, counters):
-                assert (vector._edge(sender, DEST).index
-                        == scalar._edge(sender, DEST).index
-                        == single._edge(sender, DEST).index
+                assert (vector._sender(sender).index
+                        == scalar._sender(sender).index
+                        == single._sender(sender).index
                         == counter + round_index + 1)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2 ** 32), config=configs, counters=edge_counters,
+@given(seed=st.integers(0, 2 ** 32), config=configs, counters=sender_counters,
        now=st.sampled_from((0.0, 1.0, 517.0)))
 def test_arrival_order_is_the_stable_sort_of_the_survivors(backend, seed,
                                                            config, counters,
@@ -126,17 +127,17 @@ def test_arrival_order_is_the_stable_sort_of_the_survivors(backend, seed,
            duplicate_prob=st.sampled_from((0.0, 0.1, 1.0)),
            reorder_prob=st.sampled_from((0.0, 0.2, 1.0)),
            reorder_jitter=st.sampled_from((0.01, 0.3))),
-       counters=edge_counters, now=st.sampled_from((0.0, 1.0, 517.0)))
+       counters=sender_counters, now=st.sampled_from((0.0, 1.0, 517.0)))
 def test_single_send_delays_equal_plan_delays_bit_for_bit(seed, config,
                                                           counters, now):
     """Every transport, duplication and reordering included: the delays
-    ``send`` schedules, its drop and duplicate counts, and the edge
+    ``send`` schedules, its drop and duplicate counts, and the sender
     counters are those of ``plan_delays``."""
     planned, senders = _bus(seed, config, counters, now)
     single, _ = _bus(seed, config, counters, now)
     dropped = duplicated = 0
     for sender in senders * 2:
-        plan = planned.plan_delays(sender, DEST)
+        plan = planned.plan_delays(sender)
         dropped += plan is None
         duplicated += plan is not None and len(plan) > 1
         assert _sends_as_planned(single, sender, plan)
@@ -146,6 +147,34 @@ def test_single_send_delays_equal_plan_delays_bit_for_bit(seed, config,
     assert single.loop._seq == single.messages_sent - dropped + duplicated
     for sender in senders:
         assert _state(single, sender) == _state(planned, sender)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), config=configs,
+       counter=st.integers(0, 2 ** 40), fanout=st.integers(1, 40))
+def test_one_senders_push_takes_consecutive_slots(backend, seed, config,
+                                                  counter, fanout):
+    """A push from one sender to many destinations (the master's
+    post-recovery push) is one key repeated: message ``i`` takes slot
+    ``counter + i``, bit-equal to ``fanout`` sequential sends."""
+    dests = [f"agent:r00m{index:03d}" for index in range(fanout)]
+    with kernels.use(backend):
+        scalar = MessageBus(EventLoop(), SplitRandom(seed), config)
+        vector = MessageBus(EventLoop(), SplitRandom(seed), config)
+        for bus in (scalar, vector):
+            bus._sender(DEST).index = counter
+        expected = [scalar.plan_delays(DEST) for _ in dests]
+        delays, dropped = vector.plan_delays_many(
+            vector.edge_group(DEST, dests))
+        for position, plan in enumerate(expected):
+            if plan is None:
+                assert dropped[position]
+            else:
+                assert dropped is None or not dropped[position]
+                assert float(delays[position]).hex() == plan[0].hex()
+        assert (vector._sender(DEST).index == scalar._sender(DEST).index
+                == counter + fanout)
 
 
 def test_plan_delays_many_refuses_duplication_and_reordering():

@@ -21,7 +21,7 @@ operators, plus faults pinned to exact beat instants (k.0 and k.0 + 1 ms):
 agent and machine restarts give first-beat runs of one, master failures
 push mid-run.  Both sides must end with the same ``summary_dict()``
 (grant-stream digests and ``events`` included: the two-counter sum is the
-oracle that no beat was lost or doubled), the same bus and per-edge
+oracle that no beat was lost or doubled), the same bus and per-sender
 counters, the same ``fm.*`` counters, the same last-seen stamps in the same
 order, and the same agent books.
 
@@ -157,7 +157,7 @@ def observe(case, oracle=None) -> dict:
         "seq": cluster.loop._seq,
         "bus": (bus.messages_sent, bus.messages_delivered,
                 bus.messages_dropped, bus.messages_duplicated),
-        "edges": {edge: state.index for edge, state in bus._edges.items()},
+        "senders": {name: state.index for name, state in bus._states.items()},
         "fm": {name: value
                for name, value in cluster.metrics.counters().items()
                if name.startswith("fm.")},

@@ -15,7 +15,7 @@ restarted by the master, and the restarted JobMaster recovers from its
 snapshot and adopts the workers that report to it.  Both sides must end
 with the same ``summary_dict()`` (grant-stream digests and ``events``
 included: the two-counter sum is the oracle that no firing was lost or
-doubled), the same bus and per-edge counters, the same number of tie-break
+doubled), the same bus and per-sender counters, the same number of tie-break
 sequence numbers taken, the same ``fm.*`` counters, the same job results,
 the same AM last-seen stamps in the same order, and the same workers with
 the same states and last-seen stamps in every live JobMaster.
@@ -137,7 +137,7 @@ def state(cluster) -> dict:
     return {
         "bus": (bus.messages_sent, bus.messages_delivered,
                 bus.messages_dropped, bus.messages_duplicated),
-        "edges": {edge: state.index for edge, state in bus._edges.items()},
+        "senders": {name: state.index for name, state in bus._states.items()},
         "loop": (loop.now, loop._seq,
                  loop.events_executed + loop.events_absorbed),
         "fm": {name: value

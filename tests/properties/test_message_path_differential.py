@@ -11,7 +11,7 @@ restarts and application-master crashes (which the master answers with an
 AM restart, and the restarted JobMaster with snapshot recovery and worker
 adoption) at chosen instants.  Both sides must end with the same
 ``summary_dict()`` (grant-stream digests and ``events`` included), the
-same bus counters, the same per-edge message counters, the same number of
+same bus counters, the same per-sender message counters, the same number of
 tie-break sequence numbers taken, the same ``fm.*`` counters and the same
 job results.
 
@@ -124,7 +124,7 @@ def state(cluster) -> dict:
     return {
         "bus": (bus.messages_sent, bus.messages_delivered,
                 bus.messages_dropped, bus.messages_duplicated),
-        "edges": {edge: state.index for edge, state in bus._edges.items()},
+        "senders": {name: state.index for name, state in bus._states.items()},
         "loop": (loop.now, loop._seq, loop.events_executed,
                  loop.events_absorbed, loop.pending()),
         "fm": {name: value

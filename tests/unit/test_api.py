@@ -152,7 +152,10 @@ def test_summary_dict_is_deterministic_and_json_able():
 # pushed full sync or ack, so every agent <-> master edge draws its delays
 # from other counter slots, and a digest mismatch behind an unacked send
 # no longer pushes a full sync; the NodeDown pair moved from r00m001,
-# whose two instants then gave the same grants, to r00m000.  The fault
+# whose two instants then gave the same grants, to r00m000.  Re-recorded
+# when the bus began keying its draws by sender instead of by (sender,
+# dest) edge: every message takes another slot, so every delay moves (the
+# NodeDown pair still gives two different streams).  The fault
 # plans fire at exact instants (two NodeDowns 0.25 ms apart, the first on
 # a beat instant, must give different streams) and cover machine and
 # agent restart, a lossy network window and master failover.
@@ -162,24 +165,24 @@ GOLDEN_SPEC = RunSpec(racks=2, machines_per_rack=5, concurrent_jobs=6,
                       seed=11)
 
 GOLDEN = {
-    "": (["fuxi-master-0:d2ff16e625ac9a92:18",
-          "fuxi-master-1:cbf29ce484222325:0"], 2371),
+    "": (["fuxi-master-0:e72a6e72547a1058:19",
+          "fuxi-master-1:cbf29ce484222325:0"], 2373),
     "NodeDown@12.0:r00m000": (
-        ["fuxi-master-0:01050132cda101db:21",
+        ["fuxi-master-0:175c3a39b1ada774:22",
          "fuxi-master-1:cbf29ce484222325:0"], 2326),
     "NodeDown@12.00025:r00m000": (
-        ["fuxi-master-0:477b3869727816f7:21",
+        ["fuxi-master-0:076021f6760bdc52:22",
          "fuxi-master-1:cbf29ce484222325:0"], 2282),
     "NodeDown@10.0:r01m000;MachineRestart@18.0:r01m000;"
     "AgentRestart@22.0:r00m002": (
-        ["fuxi-master-0:4dc1861e741c48f8:18",
-         "fuxi-master-1:cbf29ce484222325:0"], 2368),
+        ["fuxi-master-0:785630e92b870a3b:19",
+         "fuxi-master-1:cbf29ce484222325:0"], 2363),
     "NodeDown@8.0:r00m001;SlowMachine@9.0:r00m003:factor=3.0;"
     "NetworkBurst@11.0:dur=4.0:drop=0.2:delay=0.004;"
     "PartialWorkerFailure@13.0:r01m002;FuxiMasterFailure@15.0;"
     "FuxiMasterRestart@24.0": (
-        ["fuxi-master-0:ce3ffbd618b2629e:13",
-         "fuxi-master-1:4e8a71c2c16d5acc:12"], 2306),
+        ["fuxi-master-0:8f33a0c331d96ed5:14",
+         "fuxi-master-1:4ca6f44400960768:4"], 2222),
 }
 
 

@@ -60,25 +60,29 @@ MAX_BYTES_PER_MACHINE = {(3, 10): 2085, (3, 12): 1530, (3, 13): 1540}.get(
 #: ``tracemalloc`` bytes a 20-sim-s window of 100 paper-mix jobs on 200
 #: machines (seed 7) leaves per job still live at its end (60; 40 have
 #: finished), by CPython version: everything the window allocated and
-#: kept, finished jobs' results and bus edges included.  136,638 /
-#: 122,689 / 120,666 / 122,075 (3.10 / 3.11 / 3.12 / 3.13) with unslotted
-#: instances, a snapshot record per dispatched instance, pending sets,
-#: one-element locality lists, per-unit worker sets and a closure per
-#: running instance; 110,527 / 100,680 / 99,680 / 100,576 without them.
-#: The bounds leave about 5 % of room.
-MAX_BYTES_PER_LIVE_JOB = {(3, 10): 116_000, (3, 12): 104_700,
-                          (3, 13): 105_600}.get(sys.version_info[:2],
-                                                105_700)
+#: kept, finished jobs' results and the bus's sender states included.
+#: 136,638 / 122,689 / 120,666 / 122,075 (3.10 / 3.11 / 3.12 / 3.13) with
+#: unslotted instances, a snapshot record per dispatched instance, pending
+#: sets, one-element locality lists, per-unit worker sets and a closure
+#: per running instance; 110,527 / 100,680 / 99,680 / 100,576 without
+#: them; 97,377 / 86,913 / 86,026 / 86,922 with one bus state per sender
+#: instead of per (sender, dest) edge and each task's pending FIFO a
+#: cursor until its first requeue.  The bounds leave about 5 % of room.
+MAX_BYTES_PER_LIVE_JOB = {(3, 10): 102_200, (3, 12): 90_300,
+                          (3, 13): 91_300}.get(sys.version_info[:2],
+                                               91_300)
 #: ... and the bytes held by the job plane's own lines (``repro/jobs/``)
 #: per live instance (1,999): 1,402 / 1,425 / 1,354 / 1,373 before the
-#: diet, 1,023 / 923 / 883 / 887 after it.  About 5 % of room.
-MAX_BYTES_PER_LIVE_INSTANCE = {(3, 10): 1075, (3, 12): 930,
-                               (3, 13): 930}.get(sys.version_info[:2], 970)
-#: bytes per bus edge of 10,000 new edges, names made beforehand: 338 (347
-#: on 3.10) with a list per edge and a memo entry per name, 205 (206) with
-#: a slotted ``EdgeState`` and a 256-name memo, 201 with no memo.  About
-#: 5 % of room.
-MAX_BYTES_PER_EDGE = 211
+#: diet, 1,023 / 923 / 883 / 887 after it, 963 / 851 / 812 / 816 with
+#: the pending FIFO a cursor.  About 5 % of room.
+MAX_BYTES_PER_LIVE_INSTANCE = {(3, 10): 1011, (3, 12): 853,
+                               (3, 13): 857}.get(sys.version_info[:2], 894)
+#: bytes per bus sender state of 10,000 new senders, names made
+#: beforehand: 136.5 (145.3 on 3.10) for the dict slot, the slotted
+#: ``SenderState`` and its key and epsilon.  A state per (sender, dest)
+#: edge measured 201 an edge with its tuple key, and the window above
+#: makes about 5.8 edges per sender.  About 5 % of room.
+MAX_BYTES_PER_SENDER = {(3, 10): 153}.get(sys.version_info[:2], 143)
 
 
 def small_cluster():
@@ -199,22 +203,22 @@ def test_a_built_cluster_holds_few_bytes_per_machine():
     assert per_machine <= MAX_BYTES_PER_MACHINE, per_machine
 
 
-def test_a_bus_edge_holds_few_bytes():
+def test_a_sender_state_holds_few_bytes():
     bus = MessageBus(EventLoop(), SplitRandom(7))
-    senders = [f"edge-gate:{index}" for index in range(10_000)]
+    senders = [f"sender-gate:{index}" for index in range(10_000)]
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for sender in senders:
-            bus._edge(sender, "fuxi-master")
+            bus._sender(sender)
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(bus._edges) == len(senders)
-    per_edge = held / len(senders)
-    assert per_edge <= MAX_BYTES_PER_EDGE, per_edge
+    assert len(bus._states) == len(senders)
+    per_sender = held / len(senders)
+    assert per_sender <= MAX_BYTES_PER_SENDER, per_sender
 
 
 def test_a_built_idle_agent_holds_no_container():
@@ -334,8 +338,9 @@ def test_build_and_warm_up_trigger_no_automatic_collection():
 @pytest.fixture(scope="module")
 def closed_loop_window():
     """A 200-machine cluster, then 100 paper-mix jobs submitted and run
-    for 20 sim-s under ``tracemalloc``: the cluster, its live jobs and
-    the two snapshots around the window."""
+    for 20 sim-s under ``tracemalloc``: the cluster, its live jobs, the
+    two snapshots around the window and how many names the window
+    unregistered (one int is all the count holds)."""
     cluster = ClusterBuilder(racks=10, machines_per_rack=20,
                              machine_cpu=440.0, machine_memory=8 * 2048.0,
                              seed=7, agent_config=FuxiAgentConfig(
@@ -343,6 +348,14 @@ def closed_loop_window():
     workload = SyntheticWorkload(
         SyntheticWorkloadConfig(concurrent_jobs=100, workers_cap=12,
                                 mix="paper"), cluster.rng)
+    bus, unregistered = cluster.bus, [0]
+    unregister = bus.unregister
+
+    def counting_unregister(name):
+        unregistered[0] += 1
+        unregister(name)
+
+    bus.unregister = counting_unregister
     gc.collect()
     tracemalloc.start()
     try:
@@ -357,20 +370,33 @@ def closed_loop_window():
         after = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
+        del bus.unregister
     live = [master for master in cluster.app_masters.values()
             if master.alive and not master.finished]
-    return cluster, live, before, after
+    return cluster, live, before, after, unregistered[0]
 
 
 def test_a_live_job_holds_few_bytes(closed_loop_window):
-    cluster, live, before, after = closed_loop_window
+    cluster, live, before, after, _ = closed_loop_window
     assert len(cluster.job_results) == 40 and len(live) == 60
     per_job = held_by_the_build(before, after) / len(live)
     assert per_job <= MAX_BYTES_PER_LIVE_JOB, per_job
 
 
+def test_the_bus_holds_a_state_only_for_registered_senders(
+        closed_loop_window):
+    """Workers stopped in the window take their sender state with them:
+    every state left names a registered actor, so none names one of the
+    hundreds of workers unregistered."""
+    cluster, live, before, after, unregistered = closed_loop_window
+    bus = cluster.bus
+    assert unregistered > 100
+    assert len(bus._states) <= len(bus._actors)
+    assert set(bus._states) <= set(bus._actors)
+
+
 def test_a_live_instance_holds_few_bytes(closed_loop_window):
-    cluster, live, before, after = closed_loop_window
+    cluster, live, before, after, _ = closed_loop_window
     instances = sum(len(task.instances) for master in live
                     for task in master.task_masters.values())
     assert instances == 1999

@@ -61,7 +61,7 @@ class FoldingProbe(Probe):
 
 def build(agent_cls, probe_cls=Probe, machines=MACHINES):
     loop = EventLoop()
-    # no jitter: a beat fired at t arrives at t + latency + edge epsilon
+    # no jitter: a beat fired at t arrives at t + latency + sender epsilon
     bus = MessageBus(loop, SplitRandom(3),
                      NetworkConfig(latency=0.001, jitter=0.0))
     log = []
@@ -75,7 +75,7 @@ def build(agent_cls, probe_cls=Probe, machines=MACHINES):
 
 def arrival(bus, machine, fired_at):
     """When the beat ``machine`` sends at ``fired_at`` arrives."""
-    epsilon = bus._edge(f"agent:{machine}", MASTER).epsilon
+    epsilon = bus._sender(f"agent:{machine}").epsilon
     return fired_at + (0.001 + epsilon)
 
 
@@ -230,7 +230,7 @@ def test_restarted_agent_forms_the_cohort_of_its_own_restart_instant():
 
 @pytest.mark.parametrize("backend", ["python", "numpy"])
 def test_agent_restarted_twice_in_one_step_sends_two_first_beats(backend):
-    """``[m2, m3, m2]`` in one first-beat run: m2's edge carries two
+    """``[m2, m3, m2]`` in one first-beat run: m2's stream carries two
     messages in one batch, and each must take the counter at its turn, as
     two sends would (a kernel that read every counter first would not)."""
     if backend == "numpy" and not kernels.numpy_available():
@@ -251,7 +251,7 @@ def test_agent_restarted_twice_in_one_step_sends_two_first_beats(backend):
             loop.run_until(4.0)
         outcomes[agent_cls] = (log, bus.messages_sent, loop._seq,
                                loop.events_executed + loop.events_absorbed,
-                               bus._edges[("agent:m2", MASTER)].index)
+                               bus._states["agent:m2"].index)
     assert outcomes[FuxiAgent] == outcomes[FirstBeatAgent]
     first_beats = sorted(name for name, when in outcomes[FuxiAgent][0]
                          if 2.25 < when < 2.26)

@@ -20,15 +20,18 @@ SPEC = RunSpec(racks=10, machines_per_rack=20, concurrent_jobs=20,
                duration=20.0, seed=7)
 #: its events: what one event per occurrence executes, on either plane
 #: (15,597 while every machine's cold start took a ResyncRequest, an
-#: AgentFullState, a pushed full sync and its ack)
-EVENTS_TOTAL = 14_800
+#: AgentFullState, a pushed full sync and its ack; 14,800 while the bus
+#: drew each (sender, dest) edge's delays from a stream of its own — the
+#: per-sender streams move every delay, so jobs finish at other instants)
+EVENTS_TOTAL = 14_803
 #: its loop steps with a timer event per report, AM heartbeat, retransmit
 #: and housekeeping firing and a delivery event per report and heartbeat
-#: (6,271 with the cold start's round trips)
-PER_TIMER_STEPS = 5_469
+#: (6,271 with the cold start's round trips, 5,469 with per-edge streams)
+PER_TIMER_STEPS = 5_474
 #: ... and with one series per grid instant, one delivery run for what
-#: its timers send, and the no-news arrivals folded (3,691)
-GRID_STEPS = 2_887
+#: its timers send, and the no-news arrivals folded (3,691; 2,887 with
+#: per-edge streams)
+GRID_STEPS = 2_893
 
 
 def test_closed_loop_loop_steps_and_events_are_pinned():
