@@ -19,7 +19,7 @@ removing one message moves that sender's later draws to every
 destination — acceptable, since an exact change moves no message and a
 stream-moving one re-records every pin anyway.  The bus keeps one
 slotted state per sender, made at its first send and dropped when the
-name is (un)registered: dead workers and reaped job masters take theirs.
+name is unregistered: dead workers and reaped job masters take theirs.
 
 Each sender adds a fixed epsilon (derived from its key, at most ``~1e-6``
 simulated seconds) to every delay, so messages from *different* senders
@@ -314,7 +314,6 @@ class MessageBus:
 
     def register(self, actor: Actor) -> None:
         self._actors[actor.name] = actor
-        self._states.pop(actor.name, None)
 
     def unregister(self, name: str) -> None:
         self._states.pop(name, None)
