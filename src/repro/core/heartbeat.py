@@ -5,13 +5,13 @@ it was (re)started.  All agents of a cluster are started in the same
 instant, so their timers fire back to back — adjacent in the loop's
 ``(time, seq)`` order, with nothing between them — and each firing does the
 same thing: snapshot four fields, draw one delay from the agent's own
-stream, schedule one delivery.  A :class:`HeartbeatCohort` is that group made explicit: one
-loop event that, in arming order, snapshots every member into columns
-(:class:`HeartbeatBatch`) and hands the bus the whole batch
-(:meth:`repro.cluster.network.MessageBus.send_run`).  Firing the members
-in one callback performs the same reads and writes in the same order as
-firing them in consecutive events; DESIGN.md ("The heartbeat plane") has
-the full argument and the fall-backs.
+stream, schedule one delivery.  A :class:`HeartbeatCohort` is that group
+made explicit: one loop event that, in arming order, snapshots every
+member into columns (:class:`HeartbeatBatch`) and hands the bus the
+whole batch (:meth:`repro.cluster.network.MessageBus.send_run`).  Firing
+the members in one callback performs the same reads and writes in the
+same order as firing them in consecutive events; DESIGN.md ("The
+heartbeat plane") has the full argument and the fall-backs.
 
 Membership follows the timer it replaces: :meth:`HeartbeatCohort.join`
 where the agent armed its periodic timer, :meth:`HeartbeatCohort.leave`

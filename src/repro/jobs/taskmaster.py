@@ -16,9 +16,10 @@ Per-instance state stays small (§4.3 "lightweight"): the locality index
 holds a machine's one queued instance as a bare index and only a longer
 queue as a list, the global FIFO is a cursor over the indices never taken
 plus a deque made at the first requeue or skip, whether an instance is
-pending is one byte of a ``bytearray``, preferred machines are the collections the caller passed (a
-block's replica tuple), and an instance id is resolved from its
-``"task/index"`` form rather than through a table of them.
+pending is one byte of a ``bytearray``, preferred machines are the
+collections the caller passed (a block's replica tuple), and an instance
+id is resolved from its ``"task/index"`` form rather than through a table
+of them.
 
 It also runs the per-task parts of fault tolerance: retry with blacklist
 consultation, and the backup-instance policy for long tails.
@@ -163,12 +164,12 @@ class TaskMaster:
 
     def _pop_global(self, machine: str, worker_id: str) -> Optional[int]:
         flags = self._pending_flags
-        untouched = len(flags)
+        total = len(flags)
         pending = self._pending
         scanned = 0
-        limit = untouched - self._next + (len(pending) if pending else 0)
+        limit = total - self._next + (len(pending) if pending else 0)
         while scanned < limit:
-            if self._next < untouched:
+            if self._next < total:
                 index = self._next
                 self._next = index + 1
             elif pending:
